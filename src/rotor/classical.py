@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseSpaceState, build_rotating_hamiltonian, hamiltonian_value
+from .core import PhaseSpaceState, build_rotating_hamiltonian
 from .symplectic import normal_modes
 
 
@@ -111,33 +111,37 @@ def sample_trajectory(state0, config, t_grid, frame="rotating"):
 
     ``frame`` selects the returned coordinates: "rotating" (default),
     "normal" (decoupled coordinates) or "lab" (rotating each sample back
-    by the accumulated trap angle theta_dot * t).
+    by the accumulated trap angle theta_dot * t).  All samples are computed
+    together: the normal-mode planes rotate at their frequencies, one
+    product with S maps them to the rotating frame, and the lab frame
+    applies R(theta_dot * t)^-1 to the coordinate and momentum pairs.
+    :func:`flow_matrix` and :func:`lab_frame_state` give the same points
+    one sample at a time.
     """
     modes = normal_modes(config)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    v0 = state0.vector
-    states = np.empty((t_grid.size, 4))
-    if frame == "normal":
-        v0n = modes.transform.inverse @ v0
-        for i, t in enumerate(t_grid):
-            states[i] = _mode_rotation(modes, t) @ v0n
-    else:
-        for i, t in enumerate(t_grid):
-            states[i] = flow_matrix(modes, t) @ v0
-        if frame == "lab":
-            for i, t in enumerate(t_grid):
-                states[i] = lab_frame_state(
-                    PhaseSpaceState.from_vector(states[i]), config.theta_dot * t
-                ).vector
+    omega = np.array([modes.omega_cap1, modes.omega_cap2])
+    phase = np.outer(t_grid, omega)
+    c, s = np.cos(phase), np.sin(phase)
+    q0, p0 = np.split(modes.transform.inverse @ state0.vector, 2)
+    states = np.hstack([c * q0 + s / omega * p0, c * p0 - omega * s * q0])
+    if frame != "normal":
+        states = states @ modes.transform.s.T
+    if frame == "lab":
+        theta = config.theta_dot * t_grid
+        c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        first, second = states[:, 0::2], states[:, 1::2]
+        states = np.empty_like(states)
+        states[:, 0::2] = c * first - s * second
+        states[:, 1::2] = s * first + c * second
     return Trajectory(times=t_grid, states=states, frame=frame)
 
 
 def trajectory_energies(trajectory, config):
-    """Rotating-frame energy at every sample (constant for valid input)."""
-    form = build_rotating_hamiltonian(config)
-    return np.array(
-        [hamiltonian_value(form, PhaseSpaceState.from_vector(v)) for v in trajectory.states]
-    )
+    """Rotating-frame energy v^T A v at every sample (constant for valid input)."""
+    a = build_rotating_hamiltonian(config).a
+    v = trajectory.states
+    return np.einsum("ij,jk,ik->i", v, a, v)
 
 
 def trajectory_to_csv(trajectory, path, comments=()):

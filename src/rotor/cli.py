@@ -314,8 +314,9 @@ def cmd_simulate(params, out_dir):
 
     if params.get("nmax"):
         nmax, trace = int(params["nmax"]), []
+        h = build_fock_hamiltonian(protocol.config, nmax)
     else:
-        nmax, trace = converge_truncation(
+        converged = converge_truncation(
             protocol,
             make_state,
             nmax_start=default_start_nmax(n0),
@@ -323,8 +324,9 @@ def cmd_simulate(params, out_dir):
             shell_tol=tolerances["shell"],
             nmax_cap=int(params.get("nmax_cap") or 128),
         )
+        nmax, trace = converged
+        h = converged.hamiltonian
     psi0 = make_state(nmax)
-    h = build_fock_hamiltonian(protocol.config, nmax)
     times = np.linspace(0.0, protocol.duration, int(params["samples"]))
     columns = {"t": times}
     if "N" in observables:
@@ -335,7 +337,7 @@ def cmd_simulate(params, out_dir):
         p_series = survival_series(psi0, h, times)
         columns["survival"] = p_series.values
         print(f"1 - P(T) = {1.0 - p_series.values[-1]:.3e}")
-    phase = revival_phase(psi0, protocol)
+    phase = revival_phase(psi0, protocol, h)
     print(f"revival phase = {phase.real:+.6f} {phase.imag:+.6f}j (nmax = {nmax})")
 
     if params.get("ehrenfest"):
@@ -469,7 +471,7 @@ def cmd_stability(params, out_dir):
     trace = []
     for n2 in n2_list:
         protocol = design_protocol(omega1, theta_f, n1, n2)
-        nmax, conv = converge_truncation(
+        converged = converge_truncation(
             protocol,
             make_state,
             nmax_start=default_start_nmax(n0),
@@ -477,10 +479,11 @@ def cmd_stability(params, out_dir):
             shell_tol=tolerances["shell"],
             nmax_cap=int(params.get("nmax_cap") or 128),
         )
+        nmax, conv = converged
         trace.append({"n2": n2, "nmax": nmax, "steps": conv})
         psi0 = make_state(nmax)
         eps = np.linspace(-eps_frac, eps_frac, n_eps) * protocol.duration
-        sweep = stability_sweep(psi0, protocol, eps)
+        sweep = stability_sweep(psi0, protocol, eps, converged.hamiltonian)
         fitted = fit_quadratic_decay(sweep, window=0.01 * protocol.duration)
         predicted = ground_state_sensitivity(protocol).delta_h_sq
         rel = abs(fitted - predicted) / predicted

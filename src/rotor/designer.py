@@ -141,15 +141,19 @@ def minimal_time(omega1, theta_f):
     return np.sqrt(theta_f**2 + 4 * np.pi**2) / omega1
 
 
-def commensurate_velocity(omega1, omega2, n1, n2, rel_tol=1e-12):
+def commensurate_velocity(omega1, omega2, n1, n2):
     """Rotation velocity locking O2/O1 = n2/n1 for a *fixed* trap.
 
-    The frequency ratio starts at omega2/omega1 for theta_dot = 0 and grows
-    monotonically with theta_dot, so when n2/n1 exceeds omega2/omega1 there
-    is exactly one solution in (0, omega1); it is bracketed by bisection to
-    ``rel_tol`` relative accuracy.  Because the trap is fixed, only the
-    discrete angle theta_f = theta_dot * 2*pi*n1/O1 can be reached; it is
-    returned alongside theta_dot.
+    The normal frequencies satisfy O1^2 + O2^2 = w1^2 + w2^2 + 2 u and
+    O1^2 O2^2 = (w1^2 - u)(w2^2 - u) with u = theta_dot^2.  Setting
+    O2^2 = k O1^2, k = (n2/n1)^2, and eliminating O1 leaves the quadratic
+
+        (k - 1)^2 u^2 - s (k^2 + 6 k + 1) u + (k w1^2 - w2^2)(k w2^2 - w1^2) = 0,
+
+    s = w1^2 + w2^2, whose smaller root is the solution; it is taken in
+    the cancellation-free form 2c / (b + sqrt(b^2 - 4ac)).  Because the trap
+    is fixed, only the discrete angle theta_f = theta_dot * 2*pi*n1/O1 can
+    be reached; it is returned alongside theta_dot.
 
     Returns
     -------
@@ -160,7 +164,8 @@ def commensurate_velocity(omega1, omega2, n1, n2, rel_tol=1e-12):
     InfeasibleDesign
         If n2/n1 <= omega2/omega1.  Equality is the degenerate boundary
         whose only solution is theta_dot = 0 (no rotation at all), which is
-        reported rather than assigned meaning.
+        reported rather than assigned meaning.  Also if the solution does
+        not lie below the velocity bound omega1.
     """
     if omega1 <= 0 or omega2 <= 0 or omega2 < omega1:
         raise InfeasibleDesign("need 0 < omega1 <= omega2")
@@ -175,25 +180,19 @@ def commensurate_velocity(omega1, omega2, n1, n2, rel_tol=1e-12):
         raise InfeasibleDesign(
             f"n2/n1 = {target:.6g} must exceed omega2/omega1 = {start:.6g}"
         )
-
-    def ratio(theta_dot):
-        o1, o2 = normal_frequencies(TrapConfig(omega1, omega2, theta_dot))
-        return o2 / o1
-
-    eps = 1e-9 * omega1
-    lo, hi = eps, omega1 * (1 - 1e-9)
-    if ratio(hi) < target:
+    k = target**2
+    w1sq, w2sq = omega1**2, omega2**2
+    s = w1sq + w2sq
+    a = (k - 1) ** 2
+    b = s * (k**2 + 6 * k + 1)
+    c = (k * w1sq - w2sq) * (k * w2sq - w1sq)
+    u = 2 * c / (b + np.sqrt(b**2 - 4 * a * c))
+    if u >= w1sq:
         raise InfeasibleDesign(
             f"ratio {target:.6g} not reachable below the velocity bound"
         )
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if ratio(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    theta_dot = 0.5 * (lo + hi)
-    o1, _ = normal_frequencies(TrapConfig(omega1, omega2, theta_dot))
+    theta_dot = np.sqrt(u)
+    o1 = np.sqrt((s + 2 * u) / (1 + k))
     theta_f = theta_dot * 2 * np.pi * n1 / o1
     return theta_dot, theta_f
 

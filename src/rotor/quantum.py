@@ -7,6 +7,13 @@ during a constant-velocity rotation, so evolution uses one Hermitian
 eigendecomposition per (config, nmax) rather than time stepping; the
 propagator is then exact up to truncation.
 
+The factorization is cached on the :class:`FockHamiltonian` that owns it
+and lives no longer than that object.  Within one call or command each
+(config, nmax) Hamiltonian is built and factorized once:
+:func:`converge_truncation` hands back the Hamiltonian it built at the size
+it returns, and :func:`revival_phase` and :func:`stability_sweep` accept a
+prebuilt one.
+
 Two structural facts keep the eigenproblem cheap.  The coupling only
 connects states whose total occupation differs by 0 or 2, so the matrix
 splits into an even and an odd parity sector.  And the diagonal phase
@@ -23,8 +30,8 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.special import gammainc
 
-from .classical import flow_matrix
-from .core import J
+from .classical import sample_trajectory
+from .core import J, PhaseSpaceState
 from .designer import SensitivityReport
 from .errors import (
     ConvergenceFailure,
@@ -32,7 +39,6 @@ from .errors import (
     LogBranchFailure,
     TruncationTooSmall,
 )
-from .symplectic import normal_modes
 
 #: rms spread of the ground-state position density, the natural length for
 #: "within one ground-state width" statements.
@@ -374,22 +380,32 @@ def excitation_series(psi0, h, times):
     return ObservableSeries(times, values, label="mean_excitation")
 
 
-def revival_phase(psi0, protocol, nmax=None):
+def _hamiltonian_for(psi0, protocol, h):
+    """``h`` checked against the state's truncation and the protocol's
+    trap, or a newly built Hamiltonian when ``h`` is None."""
+    if h is None:
+        return build_fock_hamiltonian(protocol.config, psi0.nmax)
+    if h.nmax != psi0.nmax or h.config != protocol.config:
+        raise ValueError("Hamiltonian does not match the state's truncation or the protocol")
+    return h
+
+
+def revival_phase(psi0, protocol, h=None):
     """Unit-modulus overlap <psi0|psi(T)> / |<psi0|psi(T)>| after one period.
 
     For a commensurate design the evolution multiplies every stationary
     component by the same sign, so the overlap phase is (-1)**(n1 + n2);
     the zero-point factor exp(-i (O1 + O2) T / 2) equals that same sign at
-    t = T, so no further correction is applied.
+    t = T, so no further correction is applied.  ``h`` may pass the
+    Hamiltonian of ``protocol.config`` at the state's truncation, whose
+    cached factorization is then reused.
 
     Raises
     ------
     DegenerateOverlap
         If |<psi0|psi(T)>| < 1e-6, where the phase carries no information.
     """
-    if nmax is not None and nmax != psi0.nmax:
-        psi0 = expand_state(psi0, nmax)
-    h = build_fock_hamiltonian(protocol.config, psi0.nmax)
+    h = _hamiltonian_for(psi0, protocol, h)
     psi_t = evolve(psi0, h, protocol.duration)
     overlap = np.vdot(psi0.vector, psi_t.vector)
     if abs(overlap) < 1e-6:
@@ -399,6 +415,20 @@ def revival_phase(psi0, protocol, nmax=None):
 
 # ---------------------------------------------------------------------------
 # truncation convergence
+
+
+class Truncation(tuple):
+    """The ``(nmax, trace)`` pair returned by :func:`converge_truncation`.
+
+    ``hamiltonian`` holds the Hamiltonian built at ``nmax`` during the
+    search, its factorization already cached, so the caller need not build
+    and factorize it again.
+    """
+
+    def __new__(cls, nmax, trace, hamiltonian):
+        result = super().__new__(cls, (nmax, trace))
+        result.hamiltonian = hamiltonian
+        return result
 
 
 def converge_truncation(
@@ -412,17 +442,22 @@ def converge_truncation(
     """Double nmax until the revival survival stabilizes.
 
     ``make_state(nmax)`` must return the initial state at a given
-    truncation.  Doubling stops once P(T) changes by less than ``p_tol``
-    between consecutive sizes and the top-shell weight (of both the
-    initial and the final state) stays below ``shell_tol``.
+    truncation.  Doubling stops at the first size n whose survival P(T)
+    differs from that of 2n by less than ``p_tol`` and whose own top-shell
+    weight (the larger of the initial and the final state's) is below
+    ``shell_tol``; n is returned, and both n and 2n are in the trace.  Each
+    size's Hamiltonian is built and factorized once, and the one at n is
+    handed back for reuse.
 
     Returns
     -------
-    (nmax, trace) : converged truncation and a list of per-step records
-        (dicts with nmax, survival, shell_weight).
+    Truncation
+        Unpacks as ``(nmax, trace)``: the converged truncation and a list
+        of per-step records (dicts with nmax, survival, shell_weight).
+        Its ``hamiltonian`` attribute is the Hamiltonian at ``nmax``.
     """
     trace = []
-    prev_p = None
+    prev_h = None
     nmax = int(nmax_start)
     while nmax <= nmax_cap:
         psi0 = make_state(nmax)
@@ -431,9 +466,11 @@ def converge_truncation(
         p_final = survival_probability(psi0, psi_t)
         shell = max(top_shell_weight(psi0), top_shell_weight(psi_t))
         trace.append({"nmax": nmax, "survival": p_final, "shell_weight": shell})
-        if prev_p is not None and abs(p_final - prev_p) < p_tol and shell < shell_tol:
-            return nmax, trace
-        prev_p = p_final
+        if prev_h is not None:
+            prev = trace[-2]
+            if abs(p_final - prev["survival"]) < p_tol and prev["shell_weight"] < shell_tol:
+                return Truncation(prev["nmax"], trace, prev_h)
+        prev_h = h
         nmax *= 2
     raise ConvergenceFailure(
         f"survival not converged below nmax = {nmax_cap}: trace = {trace}"
@@ -477,10 +514,9 @@ class TrackGrid:
 
 def classical_orbit(protocol, centroid, n_samples=1024):
     """Position samples (n, 2) of the classical orbit started at ``centroid``."""
-    modes = normal_modes(protocol.config)
-    v0 = np.asarray(centroid, dtype=float)
     ts = np.linspace(0.0, protocol.duration, n_samples)
-    return np.array([(flow_matrix(modes, t) @ v0)[:2] for t in ts])
+    start = PhaseSpaceState.from_vector(centroid)
+    return sample_trajectory(start, protocol.config, ts).states[:, :2]
 
 
 def _default_track_axes(protocol, psi0, points, pad_widths):
@@ -573,11 +609,13 @@ def wavepacket_track(
 # stability under timing errors
 
 
-def stability_sweep(psi0, protocol, epsilons, nmax=None):
-    """Survival probability P(T + eps) for each timing offset eps."""
-    if nmax is not None and nmax != psi0.nmax:
-        psi0 = expand_state(psi0, nmax)
-    h = build_fock_hamiltonian(protocol.config, psi0.nmax)
+def stability_sweep(psi0, protocol, epsilons, h=None):
+    """Survival probability P(T + eps) for each timing offset eps.
+
+    ``h`` may pass the Hamiltonian of ``protocol.config`` at the state's
+    truncation, whose cached factorization is then reused.
+    """
+    h = _hamiltonian_for(psi0, protocol, h)
     epsilons = np.asarray(epsilons, dtype=float)
     series = survival_series(psi0, h, protocol.duration + epsilons)
     return ObservableSeries(epsilons, series.values, label="survival_vs_offset")
@@ -625,7 +663,7 @@ def measure_sensitivity(protocol, psi0=None, nmax=32, n_eps=25, window_frac=0.01
     variance = energy_variance(psi0, h)
     window = window_frac * protocol.duration
     eps = np.linspace(-window, window, n_eps)
-    sweep = stability_sweep(psi0, protocol, eps)
+    sweep = stability_sweep(psi0, protocol, eps, h)
     fitted = fit_quadratic_decay(sweep)
     return SensitivityReport(
         delta_h_sq=variance,

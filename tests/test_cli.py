@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -251,6 +252,41 @@ class TestStabilityCommand:
             cols = load_columns(tmp_path / f"stability_n2_{n2}.csv")
             mid = cols["survival"][np.argmin(np.abs(cols["eps"]))]
             assert mid == pytest.approx(1.0, abs=1e-6)
+
+
+class TestFactorizationCount:
+    """Within one command each Hamiltonian is factorized once; no
+    factorization is kept from one command to the next."""
+
+    @pytest.fixture()
+    def factorized(self, monkeypatch):
+        digests = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            a = np.ascontiguousarray(a)
+            digests.append(hashlib.blake2b(a.tobytes(), digest_size=16).digest())
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return digests
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--omega1-khz", "1", "--state", "ground", "--samples", "20"],
+            ["stability", "--omega1-khz", "1", "--n2-list", "2,5", "--eps-points", "21"],
+        ],
+        ids=["simulate", "stability"],
+    )
+    def test_each_matrix_once_per_command(self, tmp_path, factorized, argv):
+        assert main(argv + ["--out-dir", str(tmp_path / "first")]) == 0
+        first = list(factorized)
+        assert first
+        assert len(set(first)) == len(first)
+        factorized.clear()
+        assert main(argv + ["--out-dir", str(tmp_path / "second")]) == 0
+        assert factorized == first
 
 
 class TestReproducibility:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,15 @@ class TestCommensurateVelocity:
     def test_ratio_already_exceeded(self):
         with pytest.raises(InfeasibleDesign):
             commensurate_velocity(1.0, 2.5, 1, 2)
+
+    def test_isotropic_trap_closed_form(self):
+        # omega1 = omega2 is allowed input and must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            td, tf = commensurate_velocity(1.0, 1.0, 1, 2)
+        # u = theta_dot^2 = 1/9 gives O1^2 = 4/9, O2^2 = 16/9
+        assert td == pytest.approx(1 / 3, rel=1e-15)
+        assert tf == pytest.approx(np.pi, rel=1e-15)
 
     def test_degenerate_boundary(self):
         with pytest.raises(InfeasibleDesign, match="degenerate"):

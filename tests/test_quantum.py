@@ -297,9 +297,27 @@ class TestConvergence:
         nmax, trace = converge_truncation(
             row1_protocol, lambda n: entangled_state(n), nmax_start=8
         )
-        assert nmax >= 16
+        # the smaller of the two agreeing sizes is returned
+        assert nmax == trace[-2]["nmax"]
+        assert trace[-2]["shell_weight"] < 1e-8
         assert trace[-1]["shell_weight"] < 1e-8
         assert abs(trace[-1]["survival"] - trace[-2]["survival"]) < 1e-8
+
+    def test_ground_state_stops_at_start(self, row1_protocol):
+        result = converge_truncation(row1_protocol, lambda n: fock_state(0, 0, n))
+        nmax, trace = result
+        assert nmax == 16
+        assert [step["nmax"] for step in trace] == [16, 32]
+        assert result.hamiltonian.nmax == 16
+        assert result.hamiltonian.config == row1_protocol.config
+
+    def test_prebuilt_hamiltonian_must_match(self, row1_protocol):
+        h = build_fock_hamiltonian(row1_protocol.config, 12)
+        with pytest.raises(ValueError):
+            revival_phase(entangled_state(16), row1_protocol, h)
+        other = design_protocol(1.0, np.pi / 2, 1, 3)
+        with pytest.raises(ValueError):
+            stability_sweep(entangled_state(12), other, [0.0], h)
 
     def test_cap_failure(self, row1_protocol):
         with pytest.raises(ConvergenceFailure):
