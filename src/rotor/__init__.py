@@ -47,6 +47,7 @@ from .quantum import (
     QuantumState,
     TrackGrid,
     build_fock_hamiltonian,
+    coherent_nmax,
     coherent_state,
     conjugation_check,
     converge_truncation,

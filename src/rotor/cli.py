@@ -6,8 +6,8 @@ manifest.json`` reproduces the outputs from that record.  CSV bodies are
 deterministic (17 significant digits, no timestamps), and each file carries
 the manifest hash in a leading ``#`` comment.
 
-Exit codes: 0 success, 1 usage error, 2 infeasible or invalid physics,
-3 convergence failure.
+Exit codes: 0 success, 1 usage error, 3 ConvergenceFailure or
+TruncationTooSmall, 2 any other RotorError or an invalid value.
 """
 
 import argparse
@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammainc
 
 from . import __version__
 from .classical import sample_trajectory, trajectory_to_csv
@@ -32,12 +31,14 @@ from .designer import (
 from .errors import (
     ConvergenceFailure,
     InfeasibleDesign,
+    RotorError,
     TruncationTooSmall,
     WilliamsonViolation,
 )
 from .quantum import (
     QuantumState,
     build_fock_hamiltonian,
+    coherent_nmax,
     coherent_state,
     converge_truncation,
     default_start_nmax,
@@ -211,8 +212,7 @@ def _state_builder(spec):
 # subcommands
 
 
-def cmd_design(params, out_dir):
-    tolerances = _tolerances()
+def cmd_design(params, out_dir, tolerances):
     theta_f = parse_angle(params["theta_f"])
     n1, n2 = int(params["n1"]), int(params["n2"])
     if params.get("table1"):
@@ -272,7 +272,7 @@ def cmd_design(params, out_dir):
     )
 
 
-def cmd_modes(params, out_dir):
+def cmd_modes(params, out_dir, tolerances):
     omega1, unit = resolve_frequency(params, "omega1")
     omega2, _ = resolve_frequency(params, "omega2")
     sweep = params.get("sweep")
@@ -295,7 +295,7 @@ def cmd_modes(params, out_dir):
         )
     fl = _freq_label(unit)
     header = [f"theta_dot_{fl}", f"omega_cap1_{fl}", f"omega_cap2_{fl}"]
-    manifest = RunManifest("rotor", __version__, "modes", params, _tolerances())
+    manifest = RunManifest("rotor", __version__, "modes", params, tolerances)
     return _finish(
         manifest,
         out_dir,
@@ -303,8 +303,7 @@ def cmd_modes(params, out_dir):
     )
 
 
-def cmd_simulate(params, out_dir):
-    tolerances = _tolerances()
+def cmd_simulate(params, out_dir, tolerances):
     protocol, unit = _protocol_from(params)
     make_state, n0 = _state_builder(params["state"])
     observables = [o.strip().upper() for o in str(params["observables"]).split(",")]
@@ -378,7 +377,7 @@ def _initial_point(params):
     )
 
 
-def cmd_classical(params, out_dir):
+def cmd_classical(params, out_dir, tolerances):
     protocol, unit = _protocol_from(params)
     state0 = _initial_point(params)
     frame = params.get("frame") or "rotating"
@@ -388,7 +387,7 @@ def cmd_classical(params, out_dir):
     if frame == "rotating":
         print(f"|v(T) - v(0)| = {closure:.3e} (closed orbit)")
     name = f"trajectory_{frame}.csv"
-    manifest = RunManifest("rotor", __version__, "classical", params, _tolerances())
+    manifest = RunManifest("rotor", __version__, "classical", params, tolerances)
 
     def _write(path, digest):
         trajectory_to_csv(trajectory, path, comments=[f"manifest sha256: {digest}"])
@@ -396,22 +395,10 @@ def cmd_classical(params, out_dir):
     return _finish(manifest, out_dir, {name: _write})
 
 
-def _auto_track_nmax(a1, a2):
-    """Smallest multiple of 8 whose per-mode Poisson tail is below 1e-10."""
-    need = 16
-    for alpha_sq in (abs(a1) ** 2, abs(a2) ** 2):
-        n = 16
-        while gammainc(n, alpha_sq) >= 1e-10:
-            n += 8
-        need = max(need, n)
-    return need
-
-
-def cmd_track(params, out_dir):
-    tolerances = _tolerances()
+def cmd_track(params, out_dir, tolerances):
     protocol, unit = _protocol_from(params)
     a1, a2 = parse_complex(params["alpha1"]), parse_complex(params["alpha2"])
-    nmax = int(params["nmax"]) if params.get("nmax") else _auto_track_nmax(a1, a2)
+    nmax = int(params["nmax"]) if params.get("nmax") else coherent_nmax(a1, a2)
     psi0 = coherent_state(a1, a2, nmax)
     grid = wavepacket_track(
         psi0,
@@ -457,8 +444,7 @@ def cmd_track(params, out_dir):
     )
 
 
-def cmd_stability(params, out_dir):
-    tolerances = _tolerances()
+def cmd_stability(params, out_dir, tolerances):
     omega1, unit = resolve_frequency(params, "omega1")
     theta_f = parse_angle(params["theta_f"])
     n1 = int(params["n1"])
@@ -501,23 +487,16 @@ def cmd_stability(params, out_dir):
     return _finish(manifest, out_dir, writers)
 
 
-def cmd_rerun(params, out_dir):
+def cmd_rerun(params, out_dir, tolerances):
+    """Repeat a recorded run with its recorded tolerances, which take
+    precedence over ``ROTOR_TOL``."""
     manifest = RunManifest.load(params["manifest"])
     handler = _HANDLERS[manifest.command]
     if params.get("out_dir_override"):
         target = Path(params["out_dir_override"])
     else:
         target = Path(params["manifest"]).parent
-    previous = os.environ.get("ROTOR_TOL")
-    if "convergence" in manifest.tolerances:
-        os.environ["ROTOR_TOL"] = repr(manifest.tolerances["convergence"])
-    try:
-        return handler(manifest.parameters, target)
-    finally:
-        if previous is None:
-            os.environ.pop("ROTOR_TOL", None)
-        else:
-            os.environ["ROTOR_TOL"] = previous
+    return handler(manifest.parameters, target, {**tolerances, **manifest.tolerances})
 
 
 _HANDLERS = {
@@ -633,13 +612,10 @@ def main(argv=None):
     else:
         handler = _HANDLERS[command]
     try:
-        return handler(params, Path(out_dir))
-    except (InfeasibleDesign, WilliamsonViolation, ValueError) as exc:
+        return handler(params, Path(out_dir), _tolerances())
+    except (RotorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConvergenceFailure, TruncationTooSmall) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, (ConvergenceFailure, TruncationTooSmall)) else 2
 
 
 if __name__ == "__main__":

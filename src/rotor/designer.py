@@ -127,7 +127,11 @@ def design_protocol(omega1, theta_f, n1, n2):
         omega2=float(omega2),
         duration=float(duration),
     )
-    assert williamson_valid(protocol.config)
+    if not williamson_valid(protocol.config):
+        raise InfeasibleDesign(
+            f"theta_dot = {theta_dot:.6g} is not below min(omega1, omega2): "
+            "the design violates the Williamson bound"
+        )
     return protocol
 
 

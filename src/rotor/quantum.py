@@ -14,16 +14,20 @@ and lives no longer than that object.  Within one call or command each
 it returns, and :func:`revival_phase` and :func:`stability_sweep` accept a
 prebuilt one.
 
-Two structural facts keep the eigenproblem cheap.  The coupling only
-connects states whose total occupation differs by 0 or 2, so the matrix
-splits into an even and an odd parity sector.  And the diagonal phase
-rotation ``i**n1`` turns every coupling element real, so each sector is a
-real symmetric matrix; both reductions are exact and verified against the
-dense complex solver in the tests.
+Two structural facts keep the eigenproblem cheap.  A quadratic two-mode
+operator only connects states whose total occupation differs by 0 or 2,
+so its matrix splits into an even and an odd parity sector.  And the
+diagonal phase rotation ``i**n1`` turns every coupling element of the
+Hamiltonian real, so each of its sectors is a real symmetric matrix.
+:func:`_sector_eigh` applies both reductions and is the one eigensolver
+for every Fock-space operator: the Hamiltonian and the quadratic
+generators of :func:`conjugation_check`, whose sectors may stay complex.
+The tests check it against ``expm`` of the full dense matrix.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -160,6 +164,20 @@ def _coherent_coefficients(alpha, nmax):
     return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
 
 
+def _coherent_tail(alpha, nmax):
+    """Population of a coherent mode at n >= nmax (Poisson tail, mean |alpha|^2)."""
+    return float(gammainc(nmax, abs(alpha) ** 2))
+
+
+def coherent_nmax(alpha1, alpha2):
+    """Smallest multiple of 8, at least 16, at which :func:`coherent_state`
+    accepts the amplitudes (both tails below 1e-10)."""
+    nmax = 16
+    while max(_coherent_tail(a, nmax) for a in (alpha1, alpha2)) >= _COHERENT_TAIL_TOL:
+        nmax += 8
+    return nmax
+
+
 def coherent_state(alpha1, alpha2, nmax):
     """Two-mode coherent state |alpha1, alpha2>, renormalized after truncation.
 
@@ -170,7 +188,7 @@ def coherent_state(alpha1, alpha2, nmax):
         truncation (Poisson tail with mean |alpha|^2).
     """
     for alpha in (alpha1, alpha2):
-        tail = float(gammainc(nmax, abs(alpha) ** 2))
+        tail = _coherent_tail(alpha, nmax)
         if tail >= _COHERENT_TAIL_TOL:
             raise TruncationTooSmall(
                 f"|alpha|^2 = {abs(alpha)**2:.4g} leaves tail weight {tail:.3e} "
@@ -240,10 +258,13 @@ class FockHamiltonian:
     matrix: sp.csr_matrix
     nmax: int
     config: object
-    _spectral: tuple | None = field(default=None, repr=False, compare=False)
 
     def dense(self):
         return self.matrix.toarray()
+
+    @cached_property
+    def _spectral(self):
+        return _sector_eigh(self.matrix, self.nmax)
 
 
 def build_fock_hamiltonian(config, nmax):
@@ -274,45 +295,39 @@ def build_fock_hamiltonian(config, nmax):
     return FockHamiltonian(matrix=h, nmax=nmax, config=config)
 
 
-def _spectral_decomposition(h):
-    """Eigen-factorization of the Hamiltonian, cached on the instance.
+def _sector_eigh(matrix, nmax):
+    """Eigen-factorization of a Hermitian two-mode operator by parity sector.
 
-    Returns (phases, sectors) where sectors is a list of (indices,
-    eigenvalues, eigenvector matrix).  When the phase rotation i**n1
-    renders the matrix real and the parity sectors decouple (always true
-    for matrices built here), the eigenvector blocks are real and half
-    sized; otherwise a dense complex factorization of the full matrix is
-    used.
+    After the rotation D = diag(i**n1), each sector of even or odd n1 + n2
+    is factorized alone: as a real symmetric block when the rotation makes
+    it real (every Hamiltonian built here), as a complex one otherwise.
+    Returns (phases, sectors): the diagonal of D and one (indices,
+    eigenvalues, eigenvector matrix) per sector.  Raises ValueError if the
+    operator couples the two sectors, which no quadratic operator does.
     """
-    if h._spectral is not None:
-        return h._spectral
-    d = h.nmax**2
-    n1, n2 = _index_grids(h.nmax)
+    n1, n2 = _index_grids(nmax)
     phases = (1j) ** (n1 % 4)
-    rot = (sp.diags(np.conj(phases)) @ h.matrix @ sp.diags(phases)).tocsr()
-    scale = np.abs(h.matrix.data).max()
-    imag_resid = np.abs(rot.imag.data).max() if rot.imag.nnz else 0.0
+    rot = (sp.diags(np.conj(phases)) @ matrix @ sp.diags(phases)).tocsr()
+    # magnitudes are read from ``.data``: abs() of a sparse ``.imag`` view
+    # sorts index arrays it shares with its parent and corrupts the parent
+    tol = 1e-12 * np.abs(matrix.data).max(initial=0.0)
     even = np.where((n1 + n2) % 2 == 0)[0]
     odd = np.where((n1 + n2) % 2 == 1)[0]
-    cross = rot[even][:, odd]
-    cross_resid = np.abs(cross.data).max() if cross.nnz else 0.0
-    if imag_resid <= 1e-12 * scale and cross_resid <= 1e-12 * scale:
-        real = rot.real.tocsr()
-        sectors = []
-        for idx in (even, odd):
-            w, v = np.linalg.eigh(real[idx][:, idx].toarray())
-            sectors.append((idx, w, v))
-    else:
-        w, v = np.linalg.eigh(h.matrix.toarray())
-        phases = np.ones(d)
-        sectors = [(np.arange(d), w, v)]
-    h._spectral = (phases, sectors)
-    return h._spectral
+    if np.abs(rot[even][:, odd].data).max(initial=0.0) > tol:
+        raise ValueError("operator couples the even and odd parity sectors of n1 + n2")
+    sectors = []
+    for idx in (even, odd):
+        block = rot[idx][:, idx]
+        if np.abs(block.data.imag).max(initial=0.0) <= tol:
+            block = block.real
+        w, v = np.linalg.eigh(block.toarray())
+        sectors.append((idx, w, v))
+    return phases, sectors
 
 
 def eigenvalues(h):
     """Sorted eigenvalues of the truncated Hamiltonian."""
-    _, sectors = _spectral_decomposition(h)
+    _, sectors = h._spectral
     return np.sort(np.concatenate([w for _, w, _ in sectors]))
 
 
@@ -326,7 +341,7 @@ def evolve_series(state, h, times):
     if state.nmax != h.nmax:
         raise ValueError("state and Hamiltonian use different truncations")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    phases, sectors = _spectral_decomposition(h)
+    phases, sectors = h._spectral
     u = np.conj(phases) * state.vector
     out = np.empty((h.nmax**2, times.size), dtype=complex)
     for idx, w, v in sectors:
@@ -677,26 +692,21 @@ def measure_sensitivity(protocol, psi0=None, nmax=32, n_eps=25, window_frac=0.01
 
 
 def _quadratic_operator(g, nmax):
-    """Dense matrix of sum_jk g[j,k] v_j v_k on the truncated basis."""
-    ops = [m.toarray() for m in phase_space_operators(nmax)]
-    out = np.zeros((nmax**2, nmax**2), dtype=complex)
-    for j in range(4):
-        mixed = sum(g[j, k] * ops[k] for k in range(4))
-        out += ops[j] @ mixed
-    return out
+    """Sparse matrix of sum_jk g[j,k] v_j v_k on the truncated basis."""
+    ops = phase_space_operators(nmax)
+    return sum(ops[j] @ sum(g[j, k] * ops[k] for k in range(4)) for j in range(4)).tocsr()
 
 
-def _unitary_from_quadratic(g, nmax):
-    """exp(i * v^T g v) via per-parity-sector Hermitian eigendecomposition."""
-    quad = _quadratic_operator(g, nmax)
-    n1, n2 = _index_grids(nmax)
-    u = np.zeros_like(quad)
-    for s in (0, 1):
-        idx = np.where((n1 + n2) % 2 == s)[0]
-        block = quad[np.ix_(idx, idx)]
-        w, v = np.linalg.eigh(block)
-        u[np.ix_(idx, idx)] = (v * np.exp(1j * w)) @ v.conj().T
-    return u
+def _unitary_columns(g, nmax, keep):
+    """Columns ``keep`` of U = exp(i v^T g v) = D V e^{iw} V+ D+, with
+    D, V and w from :func:`_sector_eigh`; each column stays in its sector."""
+    phases, sectors = _sector_eigh(_quadratic_operator(g, nmax), nmax)
+    out = np.zeros((nmax**2, keep.size), dtype=complex)
+    for idx, w, v in sectors:
+        cols = np.isin(keep, idx)
+        vh_keep = v[np.searchsorted(idx, keep[cols])].conj().T
+        out[np.ix_(idx, cols)] = v @ (np.exp(1j * w)[:, None] * vh_keep)
+    return phases[:, None] * out * np.conj(phases[keep])
 
 
 def conjugation_check(g, transform, nmax, levels=8):
@@ -705,7 +715,7 @@ def conjugation_check(g, transform, nmax, levels=8):
     ``g`` must generate ``transform`` through S = exp(2 J G); the unitary
     U = exp(i v^T G v) is built on the truncated basis and the identity is
     evaluated on the sub-block of states with n1, n2 < ``levels``, where
-    truncation effects are negligible.
+    truncation effects are negligible.  Only those columns of U are formed.
 
     Returns
     -------
@@ -720,15 +730,13 @@ def conjugation_check(g, transform, nmax, levels=8):
     if np.abs(expm(2 * J @ g) - s).max() > 1e-10:
         raise LogBranchFailure("generator does not reproduce the transform")
     s_inv = transform.inverse
-    u = _unitary_from_quadratic(g, nmax)
-    ops = [m.toarray() for m in phase_space_operators(nmax)]
     n1, n2 = _index_grids(nmax)
     keep = np.where((n1 < levels) & (n2 < levels))[0]
-    u_dag = u.conj().T
+    u_keep = _unitary_columns(g, nmax, keep)
+    ops = phase_space_operators(nmax)
     worst = 0.0
     for j in range(4):
-        target = sum(s_inv[j, k] * ops[k] for k in range(4))
-        resid = u_dag @ ops[j] @ u - target
-        sub = resid[np.ix_(keep, keep)]
-        worst = max(worst, float(np.linalg.norm(sub, 2)))
+        target = sum(s_inv[j, k] * ops[k] for k in range(4))[keep][:, keep].toarray()
+        resid = u_keep.conj().T @ (ops[j] @ u_keep) - target
+        worst = max(worst, float(np.linalg.norm(resid, 2)))
     return worst

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+from rotor import DegenerateOverlap
 from rotor.cli import RunManifest, main, parse_angle, parse_complex
 
 
@@ -180,6 +182,23 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["tolerances"]["convergence"] == 1e-6
 
+    def test_degenerate_overlap_exit(self, tmp_path, monkeypatch, capsys):
+        def degenerate(*args, **kwargs):
+            raise DegenerateOverlap("overlap too small")
+
+        monkeypatch.setattr("rotor.cli.revival_phase", degenerate)
+        code = main(
+            [
+                "simulate",
+                "--omega1-khz", "1",
+                "--samples", "10",
+                "--nmax", "8",
+                "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert "error: overlap too small" in capsys.readouterr().err
+
 
 class TestClassicalCommand:
     def test_closed_orbit_output(self, tmp_path, capsys):
@@ -322,6 +341,21 @@ class TestReproducibility:
         orig = json.loads((tmp_path / "orig/manifest.json").read_text())
         redo = json.loads((tmp_path / "redo/manifest.json").read_text())
         assert orig == redo
+
+    def test_rerun_uses_recorded_tolerances(self, tmp_path, monkeypatch):
+        args = ["simulate", "--omega1-khz", "1", "--state", "entangled", "--samples", "20"]
+        monkeypatch.setenv("ROTOR_TOL", "1e-8")
+        assert main(args + ["--out-dir", str(tmp_path / "orig")]) == 0
+        monkeypatch.setenv("ROTOR_TOL", "1e-3")
+        code = main(
+            ["rerun", str(tmp_path / "orig/manifest.json"), "--out-dir", str(tmp_path / "redo")]
+        )
+        assert code == 0
+        for name in ("observables.csv", "manifest.json"):
+            assert (tmp_path / "orig" / name).read_bytes() == (
+                tmp_path / "redo" / name
+            ).read_bytes()
+        assert os.environ["ROTOR_TOL"] == "1e-3"
 
     def test_manifest_round_trip(self, tmp_path):
         main(["design", "--table1", "--out-dir", str(tmp_path)])

@@ -112,6 +112,12 @@ class TestDesignProtocol:
             t2 = design_protocol(1.0, np.pi / 2, 2, n2).duration
             assert t2 > t1
 
+    def test_williamson_violation_raises(self, monkeypatch):
+        # kappa_minus = 1 puts theta_dot at omega1; the check must survive -O
+        monkeypatch.setattr("rotor.designer.kappa", lambda n1, n2, theta_f: (1.0, 2.0))
+        with pytest.raises(InfeasibleDesign, match="Williamson"):
+            design_protocol(1.0, np.pi / 2, 1, 2)
+
 
 class TestMinimalTime:
     def test_reference_value(self):

@@ -6,13 +6,17 @@ The vectorised samplers are checked against the per-sample oracles
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotor import (
     InfeasibleDesign,
     PhaseSpaceState,
+    TruncationTooSmall,
     build_rotating_hamiltonian,
+    coherent_nmax,
+    coherent_state,
     commensurate_velocity,
     design_protocol,
     hamiltonian_value,
@@ -98,3 +102,19 @@ def test_commensurate_velocity_recovers_design(protocol):
     assert abs(theta_f / protocol.theta_f - 1) < 1e-10
     o1, o2 = normal_frequencies(protocol.config)
     assert abs((o2 / o1) / (protocol.n2 / protocol.n1) - 1) < 1e-10
+
+
+amplitudes = st.builds(
+    lambda r, phi: r * np.exp(1j * phi), st.floats(0.0, 6.0), st.floats(0.0, 2 * np.pi)
+)
+
+
+@settings(deadline=None)
+@given(amplitudes, amplitudes)
+def test_coherent_nmax_is_the_smallest_accepted_size(alpha1, alpha2):
+    nmax = coherent_nmax(alpha1, alpha2)
+    assert nmax >= 16 and nmax % 8 == 0
+    coherent_state(alpha1, alpha2, nmax)
+    if nmax - 8 >= 16:
+        with pytest.raises(TruncationTooSmall):
+            coherent_state(alpha1, alpha2, nmax - 8)

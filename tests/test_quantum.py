@@ -6,6 +6,7 @@ from scipy.special import eval_hermite, factorial
 from rotor import (
     ConvergenceFailure,
     DegenerateOverlap,
+    FockHamiltonian,
     PhaseSpaceState,
     TrapConfig,
     TruncationTooSmall,
@@ -33,6 +34,10 @@ from rotor.quantum import (
     ObservableSeries,
     QuantumState,
     TrackGrid,
+    _index_grids,
+    _quadratic_operator,
+    _sector_eigh,
+    _unitary_columns,
     eigenvalues,
     energy_variance,
     evolve_series,
@@ -41,6 +46,7 @@ from rotor.quantum import (
     fit_quadratic_decay,
     hermite_functions,
     phase_space_expectations,
+    phase_space_operators,
     survival_series,
     top_shell_weight,
 )
@@ -157,6 +163,17 @@ class TestFockHamiltonian:
             for k in range(5 - j):
                 predicted = o1 * (j + 0.5) + o2 * (k + 0.5)
                 assert np.abs(got - predicted).min() / predicted < 1e-6
+
+    def test_parity_coupling_rejected(self, row1_protocol):
+        # a term linear in q1 changes n1 + n2 by one: not a quadratic operator
+        nmax = 8
+        h = build_fock_hamiltonian(row1_protocol.config, nmax)
+        q1 = phase_space_operators(nmax)[0]
+        coupled = FockHamiltonian(h.matrix + 0.1 * q1, nmax, row1_protocol.config)
+        with pytest.raises(ValueError, match="parity"):
+            eigenvalues(coupled)
+        with pytest.raises(ValueError, match="parity"):
+            evolve(entangled_state(nmax), coupled, 1.0)
 
     def test_spectrum_converges_under_doubling(self, row1_protocol):
         o1, o2 = normal_frequencies(row1_protocol.config)
@@ -442,6 +459,22 @@ class TestConjugation:
         small = conjugation_check(g, s2, 20, levels=8)
         large = conjugation_check(g, s2, 40, levels=8)
         assert large < small
+
+    @pytest.mark.parametrize("nmax", [8, 12])
+    @pytest.mark.parametrize(
+        "step, sector_dtype", [(1, np.float64), (2, np.complex128)], ids=["shear", "squeeze"]
+    )
+    def test_unitary_columns_match_dense_expm(self, row1_protocol, nmax, step, sector_dtype):
+        # the shear generator rotates to real sectors, the squeeze one does not
+        s = step_transforms(row1_protocol.config)[step]
+        g = symplectic_generator(s)
+        quad = _quadratic_operator(g, nmax)
+        _, sectors = _sector_eigh(quad, nmax)
+        assert all(v.dtype == sector_dtype for _, _, v in sectors)
+        n1, n2 = _index_grids(nmax)
+        keep = np.where((n1 < nmax // 2) & (n2 < nmax // 2))[0]
+        dense = expm(1j * quad.toarray())
+        assert np.abs(_unitary_columns(g, nmax, keep) - dense[:, keep]).max() < 1e-12
 
     def test_wrong_generator_rejected(self, row1_protocol):
         from rotor import LogBranchFailure, SymplecticTransform
