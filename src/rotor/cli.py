@@ -6,6 +6,12 @@ manifest.json`` reproduces the outputs from that record.  CSV bodies are
 deterministic (17 significant digits, no timestamps), and each file carries
 the manifest hash in a leading ``#`` comment.
 
+Each ``cmd_*`` handler takes ``(params, tolerances)``, computes, and returns
+``(tables, nmax_trace)`` where ``tables`` maps a file name to
+``(header, rows)``.  No handler writes a file: ``_record`` alone builds the
+manifest, hashes it and writes the CSVs and ``manifest.json``, and ``rerun``
+is one more call to ``_record`` with the recorded command and parameters.
+
 Exit codes: 0 success, 1 usage error, 3 ConvergenceFailure or
 TruncationTooSmall, 2 any other RotorError or an invalid value.
 """
@@ -21,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classical import sample_trajectory, trajectory_to_csv
+from .classical import sample_trajectory
 from .core import PhaseSpaceState, TrapConfig
 from .designer import (
     design_protocol,
@@ -87,31 +93,42 @@ class RunManifest:
 
     @classmethod
     def load(cls, path):
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(**data)
-
-
-def _fmt(x):
-    return f"{float(x):.17g}"
+        """Read a manifest of a command rotor can rerun; a missing, unreadable
+        or malformed file raises ``ValueError``."""
+        try:
+            manifest = cls(**json.loads(Path(path).read_text(encoding="utf-8")))
+            if manifest.command not in _HANDLERS:
+                raise ValueError(f"unknown command {manifest.command!r}")
+        except OSError as exc:
+            raise ValueError(f"cannot read manifest: {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path} is not a rotor manifest: {exc}") from None
+        return manifest
 
 
 def write_csv(path, header, rows, manifest_hash):
-    """Deterministic CSV: '#' comment with the manifest hash, then the body."""
+    """Deterministic CSV: '#' comment with the manifest hash, then the body
+    (each value as a float to 17 significant digits)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# manifest sha256: {manifest_hash}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for row in np.asarray(rows, dtype=float).tolist():
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def _finish(manifest, out_dir, writers):
-    """Hash the manifest (outputs listed, bodies pending), then write files."""
+def _record(command, params, out_dir, tolerances):
+    """Run one command and write its run record: the manifest is hashed with
+    the outputs listed (bodies pending), then every table is written as a CSV
+    carrying that hash, then ``manifest.json``."""
+    tables, nmax_trace = _HANDLERS[command](params, tolerances)
+    manifest = RunManifest(
+        "rotor", __version__, command, params, tolerances, nmax_trace, sorted(tables)
+    )
+    digest = manifest.hash()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest.outputs = sorted(writers)
-    digest = manifest.hash()
-    for name, writer in writers.items():
-        writer(out_dir / name, digest)
+    for name, (header, rows) in tables.items():
+        write_csv(out_dir / name, header, rows, digest)
     manifest.write(out_dir)
     print(f"wrote {', '.join(manifest.outputs)} + manifest.json -> {out_dir}")
     return 0
@@ -128,13 +145,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text):
+    """argparse type for counts: anything but an integer >= 1 is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def parse_angle(text):
     """Angles in radians; accepts forms like 'pi', '2pi', 'pi/2', '3pi/4', '1.2'."""
     s = str(text).strip().lower().replace(" ", "")
     if "pi" in s:
         head, _, tail = s.partition("pi")
         value = float(head) if head not in ("", "+", "-") else float(head + "1")
-        if tail.startswith("/"):
+        if tail.startswith("/") and float(tail[1:]) != 0:
             value /= float(tail[1:])
         elif tail:
             raise ValueError(f"cannot parse angle {text!r}")
@@ -166,7 +191,8 @@ def resolve_frequency(params, name):
     if khz is not None:
         return 2 * np.pi * float(khz), "khz"
     if rad is None:
-        raise InfeasibleDesign(f"missing --{name}-khz or --{name}-rad")
+        flag = name.replace("_", "-")
+        raise InfeasibleDesign(f"missing --{flag}-khz or --{flag}-rad")
     return float(rad), "rad"
 
 
@@ -212,7 +238,7 @@ def _state_builder(spec):
 # subcommands
 
 
-def cmd_design(params, out_dir, tolerances):
+def cmd_design(params, tolerances):
     theta_f = parse_angle(params["theta_f"])
     n1, n2 = int(params["n1"]), int(params["n2"])
     if params.get("table1"):
@@ -264,46 +290,35 @@ def cmd_design(params, out_dir, tolerances):
             f"theta_dot = {row[2]:.4f}, T = {row[3]:.4f} {tl} "
             f"(kappa- = {row[4]:.4f}, kappa+ = {row[5]:.4f})"
         )
-    manifest = RunManifest("rotor", __version__, "design", params, tolerances)
-    return _finish(
-        manifest,
-        out_dir,
-        {"design.csv": lambda path, digest: write_csv(path, header, rows, digest)},
-    )
+    return {"design.csv": (header, rows)}, []
 
 
-def cmd_modes(params, out_dir, tolerances):
+def cmd_modes(params, tolerances):
     omega1, unit = resolve_frequency(params, "omega1")
     omega2, _ = resolve_frequency(params, "omega2")
+    fl = _freq_label(unit)
     sweep = params.get("sweep")
-    rows = []
     if sweep:
-        for td in np.linspace(0.0, omega1, int(sweep), endpoint=False):
-            o1, o2 = normal_frequencies(TrapConfig(omega1, omega2, td))
-            rows.append([_freq_out(td, unit), _freq_out(o1, unit), _freq_out(o2, unit)])
+        velocities = np.linspace(0.0, omega1, int(sweep), endpoint=False)
     else:
         td, _ = resolve_frequency(params, "theta_dot")
         if td >= omega1:
             raise WilliamsonViolation(
                 f"theta_dot at or beyond the maximum allowed rotation velocity "
-                f"(omega1 = {_freq_out(omega1, unit):.6g} {_freq_label(unit)})"
+                f"(omega1 = {_freq_out(omega1, unit):.6g} {fl})"
             )
+        velocities = [td]
+    rows = []
+    for td in velocities:
         o1, o2 = normal_frequencies(TrapConfig(omega1, omega2, td))
         rows.append([_freq_out(td, unit), _freq_out(o1, unit), _freq_out(o2, unit)])
-        print(
-            f"Omega1 = {rows[0][1]:.6f}, Omega2 = {rows[0][2]:.6f} ({_freq_label(unit)})"
-        )
-    fl = _freq_label(unit)
+    if not sweep:
+        print(f"Omega1 = {rows[0][1]:.6f}, Omega2 = {rows[0][2]:.6f} ({fl})")
     header = [f"theta_dot_{fl}", f"omega_cap1_{fl}", f"omega_cap2_{fl}"]
-    manifest = RunManifest("rotor", __version__, "modes", params, tolerances)
-    return _finish(
-        manifest,
-        out_dir,
-        {"modes.csv": lambda path, digest: write_csv(path, header, rows, digest)},
-    )
+    return {"modes.csv": (header, rows)}, []
 
 
-def cmd_simulate(params, out_dir, tolerances):
+def cmd_simulate(params, tolerances):
     protocol, unit = _protocol_from(params)
     make_state, n0 = _state_builder(params["state"])
     observables = [o.strip().upper() for o in str(params["observables"]).split(",")]
@@ -321,7 +336,7 @@ def cmd_simulate(params, out_dir, tolerances):
             nmax_start=default_start_nmax(n0),
             p_tol=tolerances["convergence"],
             shell_tol=tolerances["shell"],
-            nmax_cap=int(params.get("nmax_cap") or 128),
+            nmax_cap=params["nmax_cap"],
         )
         nmax, trace = converged
         h = converged.hamiltonian
@@ -351,14 +366,8 @@ def cmd_simulate(params, out_dir, tolerances):
             worst = max(worst, float(np.abs(mean - classical.states[k]).max()))
         print(f"max |<v>(t) - classical v(t)| = {worst:.3e}")
 
-    rows = list(zip(*columns.values()))
-    header = list(columns.keys())
-    manifest = RunManifest("rotor", __version__, "simulate", params, tolerances, trace)
-    return _finish(
-        manifest,
-        out_dir,
-        {"observables.csv": lambda path, digest: write_csv(path, header, rows, digest)},
-    )
+    table = np.column_stack(list(columns.values()))
+    return {"observables.csv": (list(columns), table)}, trace
 
 
 def _initial_point(params):
@@ -377,7 +386,12 @@ def _initial_point(params):
     )
 
 
-def cmd_classical(params, out_dir, tolerances):
+def _trajectory_table(trajectory):
+    table = np.column_stack([trajectory.times, trajectory.states])
+    return ["t", "q1", "q2", "p1", "p2"], table
+
+
+def cmd_classical(params, tolerances):
     protocol, unit = _protocol_from(params)
     state0 = _initial_point(params)
     frame = params.get("frame") or "rotating"
@@ -386,65 +400,35 @@ def cmd_classical(params, out_dir, tolerances):
     closure = np.linalg.norm(trajectory.states[-1] - trajectory.states[0])
     if frame == "rotating":
         print(f"|v(T) - v(0)| = {closure:.3e} (closed orbit)")
-    name = f"trajectory_{frame}.csv"
-    manifest = RunManifest("rotor", __version__, "classical", params, tolerances)
-
-    def _write(path, digest):
-        trajectory_to_csv(trajectory, path, comments=[f"manifest sha256: {digest}"])
-
-    return _finish(manifest, out_dir, {name: _write})
+    return {f"trajectory_{frame}.csv": _trajectory_table(trajectory)}, []
 
 
-def cmd_track(params, out_dir, tolerances):
+def cmd_track(params, tolerances):
     protocol, unit = _protocol_from(params)
     a1, a2 = parse_complex(params["alpha1"]), parse_complex(params["alpha2"])
     nmax = int(params["nmax"]) if params.get("nmax") else coherent_nmax(a1, a2)
     psi0 = coherent_state(a1, a2, nmax)
-    grid = wavepacket_track(
-        psi0,
-        protocol,
-        time_steps=int(params["steps"]),
-        grid_points=int(params["grid_points"]),
-    )
+    steps, points = int(params["steps"]), int(params["grid_points"])
+    grid = wavepacket_track(psi0, protocol, time_steps=steps, grid_points=points)
     print(
         f"nmax = {nmax}; integral(track)/T = {grid.time_integral() / protocol.duration:.6f}; "
         f"max top-shell weight = {grid.diagnostics['max_top_shell_weight']:.3e}"
     )
     centroid = phase_space_expectations(psi0)
-    times = np.linspace(0.0, protocol.duration, int(params["steps"]) + 1)
+    times = np.linspace(0.0, protocol.duration, steps + 1)
     trajectory = sample_trajectory(
         PhaseSpaceState.from_vector(centroid), protocol.config, times
     )
-    rows = [
-        [q1, q2, grid.density[i, j]]
-        for i, q1 in enumerate(grid.q1_axis)
-        for j, q2 in enumerate(grid.q2_axis)
-    ]
-    manifest = RunManifest(
-        "rotor",
-        __version__,
-        "track",
-        params,
-        tolerances,
-        [{"nmax": nmax, **grid.diagnostics}],
-    )
-
-    def _write_traj(path, digest):
-        trajectory_to_csv(trajectory, path, comments=[f"manifest sha256: {digest}"])
-
-    return _finish(
-        manifest,
-        out_dir,
-        {
-            "track.csv": lambda path, digest: write_csv(
-                path, ["q1", "q2", "density"], rows, digest
-            ),
-            "trajectory_rotating.csv": _write_traj,
-        },
-    )
+    q1, q2 = np.meshgrid(grid.q1_axis, grid.q2_axis, indexing="ij")
+    density = np.column_stack([q1.ravel(), q2.ravel(), grid.density.ravel()])
+    tables = {
+        "track.csv": (["q1", "q2", "density"], density),
+        "trajectory_rotating.csv": _trajectory_table(trajectory),
+    }
+    return tables, [{"nmax": nmax, **grid.diagnostics}]
 
 
-def cmd_stability(params, out_dir, tolerances):
+def cmd_stability(params, tolerances):
     omega1, unit = resolve_frequency(params, "omega1")
     theta_f = parse_angle(params["theta_f"])
     n1 = int(params["n1"])
@@ -453,7 +437,7 @@ def cmd_stability(params, out_dir, tolerances):
     eps_frac = float(params["eps_range"])
     n_eps = int(params["eps_points"])
 
-    writers = {}
+    tables = {}
     trace = []
     for n2 in n2_list:
         protocol = design_protocol(omega1, theta_f, n1, n2)
@@ -463,7 +447,7 @@ def cmd_stability(params, out_dir, tolerances):
             nmax_start=default_start_nmax(n0),
             p_tol=tolerances["convergence"],
             shell_tol=tolerances["shell"],
-            nmax_cap=int(params.get("nmax_cap") or 128),
+            nmax_cap=params["nmax_cap"],
         )
         nmax, conv = converged
         trace.append({"n2": n2, "nmax": nmax, "steps": conv})
@@ -478,25 +462,8 @@ def cmd_stability(params, out_dir, tolerances):
             f"closed form = {predicted:.6e}, rel err = {rel:.3e}"
         )
         rows = list(zip(eps, sweep.values))
-        writers[f"stability_n2_{n2}.csv"] = (
-            lambda path, digest, rows=rows: write_csv(
-                path, ["eps", "survival"], rows, digest
-            )
-        )
-    manifest = RunManifest("rotor", __version__, "stability", params, tolerances, trace)
-    return _finish(manifest, out_dir, writers)
-
-
-def cmd_rerun(params, out_dir, tolerances):
-    """Repeat a recorded run with its recorded tolerances, which take
-    precedence over ``ROTOR_TOL``."""
-    manifest = RunManifest.load(params["manifest"])
-    handler = _HANDLERS[manifest.command]
-    if params.get("out_dir_override"):
-        target = Path(params["out_dir_override"])
-    else:
-        target = Path(params["manifest"]).parent
-    return handler(manifest.parameters, target, {**tolerances, **manifest.tolerances})
+        tables[f"stability_n2_{n2}.csv"] = (["eps", "survival"], rows)
+    return tables, trace
 
 
 _HANDLERS = {
@@ -541,7 +508,7 @@ def build_parser():
     _add_frequency(p, "omega1", required=True)
     _add_frequency(p, "omega2", required=True)
     _add_frequency(p, "theta-dot")
-    p.add_argument("--sweep", type=int, help="sample N velocities in [0, omega1)")
+    p.add_argument("--sweep", type=_positive_int, help="sample N velocities in [0, omega1)")
     add_out(p, "modes")
 
     p = sub.add_parser("simulate", help="quantum observables over one rotation")
@@ -549,9 +516,9 @@ def build_parser():
     p.add_argument("--state", default="ground",
                    help="ground | entangled | coherent:a1,a2")
     p.add_argument("--observables", default="N,P")
-    p.add_argument("--samples", type=int, default=600)
-    p.add_argument("--nmax", type=int, help="fixed truncation (skips convergence)")
-    p.add_argument("--nmax-cap", type=int, default=128,
+    p.add_argument("--samples", type=_positive_int, default=600)
+    p.add_argument("--nmax", type=_positive_int, help="fixed truncation (skips convergence)")
+    p.add_argument("--nmax-cap", type=_positive_int, default=128,
                    help="largest truncation the convergence loop may try")
     p.add_argument("--ehrenfest", action="store_true",
                    help="compare quantum centroid with the classical trajectory")
@@ -566,16 +533,16 @@ def build_parser():
     p.add_argument("--alpha1", help="centroid from a coherent amplitude")
     p.add_argument("--alpha2")
     p.add_argument("--frame", choices=("rotating", "lab", "normal"), default="rotating")
-    p.add_argument("--samples", type=int, default=1001)
+    p.add_argument("--samples", type=_positive_int, default=1001)
     add_out(p, "classical")
 
     p = sub.add_parser("track", help="time-integrated wavepacket density")
     add_protocol(p)
     p.add_argument("--alpha1", required=True)
     p.add_argument("--alpha2", required=True)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--grid-points", type=int, default=201)
-    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--nmax", type=_positive_int)
+    p.add_argument("--grid-points", type=_positive_int, default=201)
+    p.add_argument("--steps", type=_positive_int, default=2000)
     add_out(p, "track")
 
     p = sub.add_parser("stability", help="survival under timing offsets")
@@ -586,14 +553,14 @@ def build_parser():
     p.add_argument("--state", default="ground")
     p.add_argument("--eps-range", type=float, default=0.05,
                    help="half width of the offset sweep as a fraction of T")
-    p.add_argument("--eps-points", type=int, default=101)
-    p.add_argument("--nmax-cap", type=int, default=128,
+    p.add_argument("--eps-points", type=_positive_int, default=101)
+    p.add_argument("--nmax-cap", type=_positive_int, default=128,
                    help="largest truncation the convergence loop may try")
     add_out(p, "stability")
 
     p = sub.add_parser("rerun", help="reproduce a run from its manifest")
     p.add_argument("manifest")
-    p.add_argument("--out-dir", dest="out_dir_override")
+    p.add_argument("--out-dir")
     return parser
 
 
@@ -603,16 +570,16 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
-    command = args.command
     params = {k: v for k, v in vars(args).items() if k not in ("command", "out_dir")}
-    out_dir = getattr(args, "out_dir", None) or getattr(args, "out_dir_override", None)
-    if command == "rerun":
-        handler = cmd_rerun
-        out_dir = args.out_dir_override or "."
-    else:
-        handler = _HANDLERS[command]
     try:
-        return handler(params, Path(out_dir), _tolerances())
+        tolerances = _tolerances()
+        if args.command != "rerun":
+            return _record(args.command, params, args.out_dir, tolerances)
+        manifest = RunManifest.load(args.manifest)
+        out_dir = args.out_dir or Path(args.manifest).parent
+        # the recorded tolerances take precedence over ROTOR_TOL
+        tolerances = {**tolerances, **manifest.tolerances}
+        return _record(manifest.command, manifest.parameters, out_dir, tolerances)
     except (RotorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, (ConvergenceFailure, TruncationTooSmall)) else 2

@@ -37,13 +37,45 @@ class TestParsing:
     def test_angles(self, text, expected):
         assert parse_angle(text) == pytest.approx(expected, rel=1e-15)
 
-    def test_bad_angle(self):
+    @pytest.mark.parametrize("text", ["pix2", "pi/0"])
+    def test_bad_angle(self, text):
         with pytest.raises(ValueError):
-            parse_angle("pix2")
+            parse_angle(text)
 
     def test_complex(self):
         assert parse_complex("0.5") == 0.5
         assert parse_complex("0.5+0.5j") == 0.5 + 0.5j
+
+
+REQUIRED_ARGS = {
+    "modes": ["modes", "--omega1-khz", "1", "--omega2-khz", "2"],
+    "simulate": ["simulate", "--omega1-khz", "1"],
+    "classical": ["classical", "--omega1-khz", "1"],
+    "track": ["track", "--omega1-khz", "1", "--alpha1", "1", "--alpha2", "0.5"],
+    "stability": ["stability", "--omega1-khz", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("simulate", "--samples"),
+        ("simulate", "--nmax"),
+        ("simulate", "--nmax-cap"),
+        ("classical", "--samples"),
+        ("track", "--steps"),
+        ("track", "--grid-points"),
+        ("track", "--nmax"),
+        ("modes", "--sweep"),
+        ("stability", "--eps-points"),
+        ("stability", "--nmax-cap"),
+    ],
+)
+def test_zero_count_is_usage_error(tmp_path, capsys, command, flag):
+    argv = REQUIRED_ARGS[command] + [flag, "0", "--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
 
 
 class TestDesignCommand:
@@ -131,6 +163,13 @@ class TestModesCommand:
         )
         assert code == 2
         assert "maximum allowed" in capsys.readouterr().err
+
+    def test_missing_velocity_names_flag(self, tmp_path, capsys):
+        code = main(
+            ["modes", "--omega1-rad", "1.0", "--omega2-rad", "1.5", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "--theta-dot-khz" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -356,6 +395,52 @@ class TestReproducibility:
                 tmp_path / "redo" / name
             ).read_bytes()
         assert os.environ["ROTOR_TOL"] == "1e-3"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["design", "--omega1-khz", "1"],
+            ["modes", "--omega1-khz", "1", "--omega2-khz", "1.8", "--sweep", "20"],
+            ["simulate", "--omega1-khz", "1", "--samples", "20", "--nmax", "8"],
+            ["classical", "--omega1-khz", "1", "--q1", "1", "--frame", "lab", "--samples", "20"],
+            [
+                "track", "--omega1-khz", "1", "--alpha1", "0.5", "--alpha2", "0.25",
+                "--grid-points", "21", "--steps", "40",
+            ],
+            ["stability", "--omega1-khz", "1", "--n2-list", "2", "--eps-points", "21"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_rerun_reproduces_every_file(self, tmp_path, argv):
+        orig, redo = tmp_path / "orig", tmp_path / "redo"
+        assert main(argv + ["--out-dir", str(orig)]) == 0
+        assert main(["rerun", str(orig / "manifest.json"), "--out-dir", str(redo)]) == 0
+        names = sorted(p.name for p in orig.iterdir())
+        assert "manifest.json" in names
+        assert sorted(p.name for p in redo.iterdir()) == names
+        for name in names:
+            assert (orig / name).read_bytes() == (redo / name).read_bytes(), name
+
+    def test_rerun_missing_manifest(self, tmp_path, capsys):
+        assert main(["rerun", str(tmp_path / "missing.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"tool": "rotor"}', "not json"])
+    def test_rerun_malformed_manifest(self, tmp_path, capsys, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        assert main(["rerun", str(path)]) == 2
+        assert "is not a rotor manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rerun", "no-such-command"])
+    def test_rerun_unknown_command(self, tmp_path, capsys, command):
+        manifest = RunManifest("rotor", "0", command, {})
+        path = tmp_path / "manifest.json"
+        path.write_text(manifest.canonical_json())
+        assert main(["rerun", str(path)]) == 2
+        assert f"unknown command {command!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
     def test_manifest_round_trip(self, tmp_path):
         main(["design", "--table1", "--out-dir", str(tmp_path)])
