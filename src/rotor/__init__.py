@@ -12,7 +12,6 @@ from .classical import (
     propagate_normal,
     propagate_rotating,
     sample_trajectory,
-    trajectory_to_csv,
 )
 from .core import (
     J,

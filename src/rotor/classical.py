@@ -143,18 +143,3 @@ def trajectory_energies(trajectory, config):
     v = trajectory.states
     return np.einsum("ij,jk,ik->i", v, a, v)
 
-
-def trajectory_to_csv(trajectory, path, comments=()):
-    """Write a trajectory as CSV with columns t, q1, q2, p1, p2.
-
-    The frame tag belongs in the file name (e.g. ``trajectory_rotating.csv``);
-    extra comment lines are emitted with a leading ``#``.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write("t,q1,q2,p1,p2\n")
-        for t, (q1, q2, p1, p2) in zip(trajectory.times, trajectory.states):
-            fh.write(
-                f"{t:.17g},{q1:.17g},{q2:.17g},{p1:.17g},{p2:.17g}\n"
-            )

@@ -9,8 +9,9 @@ the manifest hash in a leading ``#`` comment.
 Each ``cmd_*`` handler takes ``(params, tolerances)``, computes, and returns
 ``(tables, nmax_trace)`` where ``tables`` maps a file name to
 ``(header, rows)``.  No handler writes a file: ``_record`` alone builds the
-manifest, hashes it and writes the CSVs and ``manifest.json``, and ``rerun``
-is one more call to ``_record`` with the recorded command and parameters.
+manifest, hashes it and writes the CSVs and ``manifest.json``.  ``rerun`` is
+one more call to ``_record`` with the recorded command and parameters, once
+that command's own sub-parser has read the parameters back unchanged.
 
 Exit codes: 0 success, 1 usage error, 3 ConvergenceFailure or
 TruncationTooSmall, 2 any other RotorError or an invalid value.
@@ -42,7 +43,6 @@ from .errors import (
     WilliamsonViolation,
 )
 from .quantum import (
-    QuantumState,
     build_fock_hamiltonian,
     coherent_nmax,
     coherent_state,
@@ -50,13 +50,13 @@ from .quantum import (
     default_start_nmax,
     entangled_state,
     evolve_series,
-    excitation_series,
     fit_quadratic_decay,
     fock_state,
+    mean_excitation,
     phase_space_expectations,
     revival_phase,
     stability_sweep,
-    survival_series,
+    survival_probability,
     wavepacket_track,
 )
 from .symplectic import normal_frequencies
@@ -93,8 +93,8 @@ class RunManifest:
 
     @classmethod
     def load(cls, path):
-        """Read a manifest of a command rotor can rerun; a missing, unreadable
-        or malformed file raises ``ValueError``."""
+        """Read a manifest of a command rotor can rerun, with parameters that
+        command accepts; anything else raises ``ValueError``."""
         try:
             manifest = cls(**json.loads(Path(path).read_text(encoding="utf-8")))
             if manifest.command not in _HANDLERS:
@@ -103,6 +103,7 @@ class RunManifest:
             raise ValueError(f"cannot read manifest: {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path} is not a rotor manifest: {exc}") from None
+        _check_parameters(manifest.command, manifest.parameters)
         return manifest
 
 
@@ -138,11 +139,40 @@ def _record(command, params, out_dir, tolerances):
 # argument parsing helpers
 
 
+class _UsageError(ValueError):
+    def __init__(self, parser, message):
+        super().__init__(message)
+        self.parser = parser
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        raise _UsageError(self, message)
+
+
+def _parameters(args):
+    """The recorded parameters of parsed arguments."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "out_dir")}
+
+
+def _check_parameters(command, params):
+    """Raise ValueError unless ``command``'s sub-parser reads ``params`` back
+    unchanged, so that no missing, unknown or rejected value reaches a handler."""
+    if not isinstance(params, dict):
+        raise ValueError("parameters must be a JSON object")
+    argv = [command]
+    for key, value in params.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True and not "help".startswith(key):  # a bare --help would exit
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv.append(f"{flag}={value}")
+    try:
+        reparsed = _parameters(build_parser().parse_args(argv))
+    except _UsageError as exc:
+        raise ValueError(f"recorded parameters rejected by rotor {command}: {exc}") from None
+    if reparsed != params:
+        raise ValueError(f"recorded parameters differ from rotor {command}'s parse: {reparsed}")
 
 
 def _positive_int(text):
@@ -342,29 +372,22 @@ def cmd_simulate(params, tolerances):
         h = converged.hamiltonian
     psi0 = make_state(nmax)
     times = np.linspace(0.0, protocol.duration, int(params["samples"]))
+    coeffs = evolve_series(psi0, h, times)
     columns = {"t": times}
     if "N" in observables:
-        n_series = excitation_series(psi0, h, times)
-        columns["mean_excitation"] = n_series.values
-        print(f"<N(T)> - <N(0)> = {n_series.values[-1] - n_series.values[0]:.3e}")
+        n_values = columns["mean_excitation"] = mean_excitation(coeffs)
+        print(f"<N(T)> - <N(0)> = {n_values[-1] - n_values[0]:.3e}")
     if "P" in observables:
-        p_series = survival_series(psi0, h, times)
-        columns["survival"] = p_series.values
-        print(f"1 - P(T) = {1.0 - p_series.values[-1]:.3e}")
+        p_values = columns["survival"] = survival_probability(psi0, coeffs)
+        print(f"1 - P(T) = {1.0 - p_values[-1]:.3e}")
     phase = revival_phase(psi0, protocol, h)
     print(f"revival phase = {phase.real:+.6f} {phase.imag:+.6f}j (nmax = {nmax})")
 
     if params.get("ehrenfest"):
-        coeffs = evolve_series(psi0, h, times)
-        centroid0 = phase_space_expectations(psi0)
-        classical = sample_trajectory(
-            PhaseSpaceState.from_vector(centroid0), protocol.config, times
-        )
-        worst = 0.0
-        for k in range(times.size):
-            mean = phase_space_expectations(QuantumState(coeffs[k]))
-            worst = max(worst, float(np.abs(mean - classical.states[k]).max()))
-        print(f"max |<v>(t) - classical v(t)| = {worst:.3e}")
+        centroid0 = PhaseSpaceState.from_vector(phase_space_expectations(psi0))
+        classical = sample_trajectory(centroid0, protocol.config, times)
+        drift = np.abs(phase_space_expectations(coeffs) - classical.states).max()
+        print(f"max |<v>(t) - classical v(t)| = {drift:.3e}")
 
     table = np.column_stack(list(columns.values()))
     return {"observables.csv": (list(columns), table)}, trace
@@ -565,12 +588,15 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "out_dir")}
+    except _UsageError as exc:
+        exc.parser.print_usage(sys.stderr)
+        print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
+    params = _parameters(args)
     try:
         tolerances = _tolerances()
         if args.command != "rerun":

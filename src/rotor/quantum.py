@@ -14,6 +14,10 @@ and lives no longer than that object.  Within one call or command each
 it returns, and :func:`revival_phase` and :func:`stability_sweep` accept a
 prebuilt one.
 
+Each observable takes one :class:`QuantumState` or a (..., nmax, nmax)
+coefficient stack, the shape :func:`evolve_series` returns, and gives one
+value (four for :func:`phase_space_expectations`) per state.
+
 Two structural facts keep the eigenproblem cheap.  A quadratic two-mode
 operator only connects states whose total occupation differs by 0 or 2,
 so its matrix splits into an even and an odd parity sector.  And the
@@ -209,39 +213,49 @@ def expand_state(state, nmax):
     return QuantumState(c)
 
 
+def _coefficients(state):
+    """The (..., nmax, nmax) coefficients of a state or of a stack of them."""
+    return state.coeffs if isinstance(state, QuantumState) else np.asarray(state)
+
+
+def _per_state(values):
+    """A float for one state, the array of values for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 def top_shell_weight(state):
     """Population on the outermost shell (n1 = nmax-1 or n2 = nmax-1)."""
-    c = state.coeffs
-    return float((np.abs(c[-1, :]) ** 2).sum() + (np.abs(c[:-1, -1]) ** 2).sum())
+    c = _coefficients(state)
+    return _per_state((abs(c[..., -1, :]) ** 2).sum(-1) + (abs(c[..., :-1, -1]) ** 2).sum(-1))
 
 
 def mean_excitation(state):
     """Expected total occupation <a1+ a1 + a2+ a2>."""
-    n1, n2 = _index_grids(state.nmax)
-    return float(np.sum(np.abs(state.vector) ** 2 * (n1 + n2)))
+    c = _coefficients(state)
+    n = np.arange(c.shape[-1])
+    return _per_state(np.sum(np.abs(c) ** 2 * (n[:, None] + n), axis=(-2, -1)))
+
+
+def _overlap(psi0, psit):
+    """<psi_t|psi_0> for a state or a stack ``psit`` on the truncation of ``psi0``."""
+    c = _coefficients(psit)
+    if c.shape[-2:] != psi0.coeffs.shape:
+        raise ValueError("states live on different truncations")
+    return np.tensordot(c.conj(), psi0.coeffs, axes=([-2, -1], [0, 1]))
 
 
 def survival_probability(psi0, psit):
-    """|<psi_t | psi_0>|^2 of two states on the same truncation."""
-    if psi0.nmax != psit.nmax:
-        raise ValueError("states live on different truncations")
-    return float(abs(np.vdot(psit.vector, psi0.vector)) ** 2)
+    """|<psi_t | psi_0>|^2 of a state, or of each state of a stack, against ``psi0``."""
+    return _per_state(np.abs(_overlap(psi0, psit)) ** 2)
 
 
 def phase_space_expectations(state):
-    """(<q1>, <q2>, <p1>, <p2>) of a state, computed mode-wise."""
-    c = state.coeffs
-    n = np.sqrt(np.arange(1, state.nmax))
-    a1 = np.sum(n[:, None] * np.conj(c[:-1, :]) * c[1:, :])
-    a2 = np.sum(n[None, :] * np.conj(c[:, :-1]) * c[:, 1:])
-    return np.array(
-        [
-            np.sqrt(2) * a1.real,
-            np.sqrt(2) * a2.real,
-            np.sqrt(2) * a1.imag,
-            np.sqrt(2) * a2.imag,
-        ]
-    )
+    """(<q1>, <q2>, <p1>, <p2>) of a state, computed mode-wise; shape (..., 4)."""
+    c = _coefficients(state)
+    n = np.sqrt(np.arange(1, c.shape[-1]))
+    a1 = np.sum(n[:, None] * np.conj(c[..., :-1, :]) * c[..., 1:, :], axis=(-2, -1))
+    a2 = np.sum(n * np.conj(c[..., :-1]) * c[..., 1:], axis=(-2, -1))
+    return np.sqrt(2) * np.stack([a1.real, a2.real, a1.imag, a2.imag], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -379,22 +393,6 @@ class ObservableSeries:
             raise ValueError("times and values must have matching shapes")
 
 
-def survival_series(psi0, h, times):
-    """P(t) = |<psi(t)|psi(0)>|^2 on a time grid."""
-    coeffs = evolve_series(psi0, h, times)
-    overlaps = np.tensordot(coeffs.conj(), psi0.coeffs, axes=([1, 2], [0, 1]))
-    return ObservableSeries(times, np.abs(overlaps) ** 2, label="survival")
-
-
-def excitation_series(psi0, h, times):
-    """<N(t)> = <a1+ a1 + a2+ a2>(t) on a time grid."""
-    coeffs = evolve_series(psi0, h, times)
-    n1, n2 = _index_grids(h.nmax)
-    weights = (n1 + n2).reshape(h.nmax, h.nmax)
-    values = np.sum(np.abs(coeffs) ** 2 * weights[None], axis=(1, 2))
-    return ObservableSeries(times, values, label="mean_excitation")
-
-
 def _hamiltonian_for(psi0, protocol, h):
     """``h`` checked against the state's truncation and the protocol's
     trap, or a newly built Hamiltonian when ``h`` is None."""
@@ -421,8 +419,7 @@ def revival_phase(psi0, protocol, h=None):
         If |<psi0|psi(T)>| < 1e-6, where the phase carries no information.
     """
     h = _hamiltonian_for(psi0, protocol, h)
-    psi_t = evolve(psi0, h, protocol.duration)
-    overlap = np.vdot(psi0.vector, psi_t.vector)
+    overlap = complex(np.conj(_overlap(psi0, evolve(psi0, h, protocol.duration))))
     if abs(overlap) < 1e-6:
         raise DegenerateOverlap(f"|overlap| = {abs(overlap):.3e} too small for a phase")
     return overlap / abs(overlap)
@@ -591,15 +588,7 @@ def wavepacket_track(
     for start in range(0, times.size, chunk):
         stop = min(start + chunk, times.size)
         coeffs = evolve_series(psi0, h, times[start:stop])
-        shell_max = max(
-            shell_max,
-            float(
-                np.max(
-                    (np.abs(coeffs[:, -1, :]) ** 2).sum(axis=1)
-                    + (np.abs(coeffs[:, :-1, -1]) ** 2).sum(axis=1)
-                )
-            ),
-        )
+        shell_max = max(shell_max, float(top_shell_weight(coeffs).max()))
         amp = np.matmul(np.matmul(basis1.T[None], coeffs), basis2)
         prob = np.abs(amp) ** 2
         dens_full += np.einsum("t,txy->xy", w_full[start:stop], prob)
@@ -632,8 +621,8 @@ def stability_sweep(psi0, protocol, epsilons, h=None):
     """
     h = _hamiltonian_for(psi0, protocol, h)
     epsilons = np.asarray(epsilons, dtype=float)
-    series = survival_series(psi0, h, protocol.duration + epsilons)
-    return ObservableSeries(epsilons, series.values, label="survival_vs_offset")
+    values = survival_probability(psi0, evolve_series(psi0, h, protocol.duration + epsilons))
+    return ObservableSeries(epsilons, values, label="survival_vs_offset")
 
 
 def fit_quadratic_decay(series, window=None):

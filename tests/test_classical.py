@@ -14,7 +14,6 @@ from rotor import (
     propagate_rotating,
     sample_trajectory,
     to_normal_coords,
-    trajectory_to_csv,
 )
 from rotor.classical import Trajectory, flow_matrix, trajectory_energies
 
@@ -197,21 +196,6 @@ class TestTrajectory:
             Trajectory(times=[0.0], states=np.zeros((2, 4)))
         with pytest.raises(ValueError):
             Trajectory(times=[0.0], states=np.zeros((1, 4)), frame="galactic")
-
-    def test_csv_round_trip(self, tmp_path, row1_protocol):
-        traj = sample_trajectory(
-            PhaseSpaceState(1.0, 2.0, 0.0, 0.0),
-            row1_protocol.config,
-            np.linspace(0, 1, 5),
-        )
-        path = tmp_path / "trajectory_rotating.csv"
-        trajectory_to_csv(traj, path, comments=["check"])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# check"
-        assert lines[1] == "t,q1,q2,p1,p2"
-        data = np.loadtxt(lines[2:], delimiter=",")
-        np.testing.assert_allclose(data[:, 0], traj.times, rtol=1e-15)
-        np.testing.assert_allclose(data[:, 1:], traj.states, rtol=1e-15)
 
 
 def test_hundred_random_closed_orbits(rng, row1_protocol):

@@ -442,6 +442,32 @@ class TestReproducibility:
         assert f"unknown command {command!r}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
+    def test_rerun_missing_parameters(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(RunManifest("rotor", "0", "design", {}).canonical_json())
+        assert main(["rerun", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "theta_f" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [({"samples": 0}, "--samples"), ({"bogus": 1}, "--bogus")],
+        ids=["zero-samples", "unknown-key"],
+    )
+    def test_rerun_rejects_edited_parameters(self, tmp_path, capsys, edit, message):
+        orig, redo = tmp_path / "orig", tmp_path / "redo"
+        argv = ["classical", "--omega1-khz", "1", "--q1", "1", "--samples", "20"]
+        assert main(argv + ["--out-dir", str(orig)]) == 0
+        manifest = json.loads((orig / "manifest.json").read_text())
+        manifest["parameters"].update(edit)
+        (orig / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(orig / "manifest.json"), "--out-dir", str(redo)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not redo.exists()
+
     def test_manifest_round_trip(self, tmp_path):
         main(["design", "--table1", "--out-dir", str(tmp_path)])
         manifest = RunManifest.load(tmp_path / "manifest.json")

@@ -1,8 +1,10 @@
-"""Property tests over random feasible designs and random time grids.
+"""Property tests over random feasible designs, time grids and states.
 
 The vectorised samplers are checked against the per-sample oracles
 (``flow_matrix``, ``_mode_rotation``, ``lab_frame_state`` and
-``hamiltonian_value``), which share none of their array code.
+``hamiltonian_value``), which share none of their array code.  Each Fock
+observable applied to a stack of states is checked against the same
+observable applied to each state alone.
 """
 
 import numpy as np
@@ -12,20 +14,28 @@ from hypothesis import strategies as st
 
 from rotor import (
     InfeasibleDesign,
+    J,
     PhaseSpaceState,
+    QuantumState,
     TruncationTooSmall,
     build_rotating_hamiltonian,
     coherent_nmax,
     coherent_state,
     commensurate_velocity,
     design_protocol,
+    from_normal_coords,
     hamiltonian_value,
+    kappa,
     lab_frame_state,
+    mean_excitation,
     normal_frequencies,
     normal_modes,
     sample_trajectory,
+    survival_probability,
+    to_normal_coords,
 )
 from rotor.classical import _mode_rotation, flow_matrix, trajectory_energies
+from rotor.quantum import phase_space_expectations, top_shell_weight
 
 COPRIME_PAIRS = ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (2, 5), (3, 5))
 REL = 1e-12
@@ -118,3 +128,75 @@ def test_coherent_nmax_is_the_smallest_accepted_size(alpha1, alpha2):
     if nmax - 8 >= 16:
         with pytest.raises(TruncationTooSmall):
             coherent_state(alpha1, alpha2, nmax - 8)
+
+
+@settings(deadline=None)
+@given(protocols())
+def test_design_is_commensurate(protocol):
+    o1, o2 = normal_frequencies(protocol.config)
+    assert abs((o2 / o1) / (protocol.n2 / protocol.n1) - 1) <= REL
+    assert abs(protocol.duration / (2 * np.pi * protocol.n1 / o1) - 1) <= REL
+
+
+@settings(deadline=None)
+@given(protocols(), points)
+def test_normal_modes_symplectic_and_invertible(protocol, v):
+    modes = normal_modes(protocol.config)
+    s = modes.transform.s
+    assert np.abs(s.T @ J @ s - J).max() < 1e-12
+    back = from_normal_coords(to_normal_coords(v, modes), modes)
+    assert np.abs(back.vector - v.vector).max() <= REL * max(1.0, np.abs(v.vector).max())
+
+
+@settings(deadline=None)
+@given(protocols(), points)
+def test_designed_orbits_close(protocol, v0):
+    trajectory = sample_trajectory(v0, protocol.config, [0.0, protocol.duration])
+    assert_rel_close(trajectory.states[-1], trajectory.states[0], rel=1e-10)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(COPRIME_PAIRS),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_kappa_raises_inside_the_excluded_band(pair, u):
+    n1, n2 = pair
+    low, high = np.pi * (n2 - n1), np.pi * (n2 + n1)
+    theta_f = low + u * (high - low)
+    assume(low < theta_f < high)
+    with pytest.raises(InfeasibleDesign):
+        kappa(n1, n2, theta_f)
+
+
+@st.composite
+def stacks(draw):
+    """A random normalized state and a stack of them on the same truncation."""
+    nmax = draw(st.integers(2, 8))
+    lead = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (*lead, nmax, nmax)
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    c /= np.linalg.norm(c, axis=(-2, -1), keepdims=True)
+    psi0 = rng.normal(size=(nmax, nmax)) + 1j * rng.normal(size=(nmax, nmax))
+    return QuantumState(psi0 / np.linalg.norm(psi0)), c
+
+
+@settings(deadline=None)
+@given(stacks())
+def test_stacked_observables_match_single_states(case):
+    psi0, stack = case
+    shell = top_shell_weight(stack)
+    excitation = mean_excitation(stack)
+    means = phase_space_expectations(stack)
+    survival = survival_probability(psi0, stack)
+    assert means.shape == (*stack.shape[:-2], 4)
+    for k in np.ndindex(stack.shape[:-2]):
+        state = QuantumState(stack[k])
+        assert shell[k] == top_shell_weight(state)
+        assert excitation[k] == mean_excitation(state)
+        np.testing.assert_array_equal(means[k], phase_space_expectations(state))
+        assert abs(survival[k] - survival_probability(psi0, state)) <= 1e-15
+    other = np.zeros((1, psi0.nmax + 1, psi0.nmax + 1))
+    with pytest.raises(ValueError, match="different truncations"):
+        survival_probability(psi0, other)

@@ -41,13 +41,11 @@ from rotor.quantum import (
     eigenvalues,
     energy_variance,
     evolve_series,
-    excitation_series,
     expand_state,
     fit_quadratic_decay,
     hermite_functions,
     phase_space_expectations,
     phase_space_operators,
-    survival_series,
     top_shell_weight,
 )
 
@@ -256,10 +254,10 @@ class TestObservables:
         nmax = 24
         h = build_fock_hamiltonian(row1_protocol.config, nmax)
         times = np.linspace(0, row1_protocol.duration, 300)
-        p_ground = survival_series(fock_state(0, 0, nmax), h, times).values
-        p_coherent = survival_series(
-            coherent_state(1 / np.sqrt(2), 1 / np.sqrt(2), nmax), h, times
-        ).values
+        ground = fock_state(0, 0, nmax)
+        coherent = coherent_state(1 / np.sqrt(2), 1 / np.sqrt(2), nmax)
+        p_ground = survival_probability(ground, evolve_series(ground, h, times))
+        p_coherent = survival_probability(coherent, evolve_series(coherent, h, times))
         assert p_ground.min() > p_coherent.min()
 
     def test_transient_excitation_dip(self, row1_protocol):
@@ -267,7 +265,7 @@ class TestObservables:
         h = build_fock_hamiltonian(row1_protocol.config, nmax)
         st = coherent_state(1 / np.sqrt(2), 1 / np.sqrt(2), nmax)
         times = np.linspace(0, row1_protocol.duration, 300)
-        values = excitation_series(st, h, times).values
+        values = mean_excitation(evolve_series(st, h, times))
         assert values.min() < values[0] - 1e-3
 
     def test_ehrenfest_matches_classical(self, row1_protocol):
@@ -276,12 +274,10 @@ class TestObservables:
         h = build_fock_hamiltonian(cfg, nmax)
         psi0 = coherent_state(1 / np.sqrt(2), 1 / np.sqrt(2), nmax)
         times = np.linspace(0, row1_protocol.duration, 40)
-        coeffs = evolve_series(psi0, h, times)
+        means = phase_space_expectations(evolve_series(psi0, h, times))
         centroid = PhaseSpaceState.from_vector(phase_space_expectations(psi0))
         classical = sample_trajectory(centroid, cfg, times)
-        for k in range(times.size):
-            mean = phase_space_expectations(QuantumState(coeffs[k]))
-            assert np.abs(mean - classical.states[k]).max() < 1e-6
+        assert np.abs(means - classical.states).max() < 1e-6
 
 
 class TestRevivalPhase:
@@ -299,6 +295,17 @@ class TestRevivalPhase:
         expected = np.exp(-1j * (o1 + o2) * row1_protocol.duration / 2)
         phase = revival_phase(fock_state(0, 0, 20), row1_protocol)
         assert abs(phase - expected) < 1e-9
+
+    def test_phase_of_overlap_at_any_duration(self, row1_protocol):
+        # off the commensurate period the phase is complex, so its sign is tested
+        fifth = type(row1_protocol)(
+            **{**row1_protocol.__dict__, "duration": row1_protocol.duration / 5}
+        )
+        st = coherent_state(0.7, 0.3j, 16)
+        h = build_fock_hamiltonian(row1_protocol.config, 16)
+        overlap = np.vdot(st.vector, evolve(st, h, fifth.duration).vector)
+        assert abs(overlap.imag) > 0.1
+        assert abs(revival_phase(st, fifth, h) - overlap / abs(overlap)) < 1e-12
 
     def test_degenerate_overlap_raises(self, row1_protocol):
         # at a quarter period the coherent state has moved far from itself
