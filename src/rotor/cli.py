@@ -183,6 +183,15 @@ def _positive_int(text):
     return value
 
 
+def _sample_count(text):
+    """argparse type for --samples: the samples run from t = 0 to t = T, so
+    fewer than two is a usage error."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2 (t = 0 and t = T), got {value}")
+    return value
+
+
 def parse_angle(text):
     """Angles in radians; accepts forms like 'pi', '2pi', 'pi/2', '3pi/4', '1.2'."""
     s = str(text).strip().lower().replace(" ", "")
@@ -244,9 +253,9 @@ def _tolerances():
 
 
 def _protocol_from(params):
-    omega1, unit = resolve_frequency(params, "omega1")
+    omega1, _ = resolve_frequency(params, "omega1")
     theta_f = parse_angle(params["theta_f"])
-    return design_protocol(omega1, theta_f, int(params["n1"]), int(params["n2"])), unit
+    return design_protocol(omega1, theta_f, int(params["n1"]), int(params["n2"]))
 
 
 def _state_builder(spec):
@@ -262,6 +271,21 @@ def _state_builder(spec):
         a1, a2 = (parse_complex(p) for p in parts)
         return (lambda nmax: coherent_state(a1, a2, nmax)), abs(a1) ** 2 + abs(a2) ** 2
     raise InfeasibleDesign(f"unknown state spec {spec!r}")
+
+
+def _converged_state(protocol, make_state, n0, params, tolerances):
+    """``(psi0, h, trace)`` at the truncation :func:`converge_truncation`
+    settles on, ``h`` being the Hamiltonian it built and factorized there."""
+    converged = converge_truncation(
+        protocol,
+        make_state,
+        nmax_start=default_start_nmax(n0),
+        p_tol=tolerances["convergence"],
+        shell_tol=tolerances["shell"],
+        nmax_cap=params["nmax_cap"],
+    )
+    nmax, trace = converged
+    return make_state(nmax), converged.hamiltonian, trace
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +373,7 @@ def cmd_modes(params, tolerances):
 
 
 def cmd_simulate(params, tolerances):
-    protocol, unit = _protocol_from(params)
+    protocol = _protocol_from(params)
     make_state, n0 = _state_builder(params["state"])
     observables = [o.strip().upper() for o in str(params["observables"]).split(",")]
     for o in observables:
@@ -357,20 +381,10 @@ def cmd_simulate(params, tolerances):
             raise InfeasibleDesign(f"unknown observable {o!r} (use N,P)")
 
     if params.get("nmax"):
-        nmax, trace = int(params["nmax"]), []
-        h = build_fock_hamiltonian(protocol.config, nmax)
+        psi0, trace = make_state(int(params["nmax"])), []
+        h = build_fock_hamiltonian(protocol.config, psi0.nmax)
     else:
-        converged = converge_truncation(
-            protocol,
-            make_state,
-            nmax_start=default_start_nmax(n0),
-            p_tol=tolerances["convergence"],
-            shell_tol=tolerances["shell"],
-            nmax_cap=params["nmax_cap"],
-        )
-        nmax, trace = converged
-        h = converged.hamiltonian
-    psi0 = make_state(nmax)
+        psi0, h, trace = _converged_state(protocol, make_state, n0, params, tolerances)
     times = np.linspace(0.0, protocol.duration, int(params["samples"]))
     coeffs = evolve_series(psi0, h, times)
     columns = {"t": times}
@@ -380,8 +394,8 @@ def cmd_simulate(params, tolerances):
     if "P" in observables:
         p_values = columns["survival"] = survival_probability(psi0, coeffs)
         print(f"1 - P(T) = {1.0 - p_values[-1]:.3e}")
-    phase = revival_phase(psi0, protocol, h)
-    print(f"revival phase = {phase.real:+.6f} {phase.imag:+.6f}j (nmax = {nmax})")
+    phase = revival_phase(psi0, coeffs[-1])
+    print(f"revival phase = {phase.real:+.6f} {phase.imag:+.6f}j (nmax = {psi0.nmax})")
 
     if params.get("ehrenfest"):
         centroid0 = PhaseSpaceState.from_vector(phase_space_expectations(psi0))
@@ -415,7 +429,7 @@ def _trajectory_table(trajectory):
 
 
 def cmd_classical(params, tolerances):
-    protocol, unit = _protocol_from(params)
+    protocol = _protocol_from(params)
     state0 = _initial_point(params)
     frame = params.get("frame") or "rotating"
     times = np.linspace(0.0, protocol.duration, int(params["samples"]))
@@ -427,7 +441,7 @@ def cmd_classical(params, tolerances):
 
 
 def cmd_track(params, tolerances):
-    protocol, unit = _protocol_from(params)
+    protocol = _protocol_from(params)
     a1, a2 = parse_complex(params["alpha1"]), parse_complex(params["alpha2"])
     nmax = int(params["nmax"]) if params.get("nmax") else coherent_nmax(a1, a2)
     psi0 = coherent_state(a1, a2, nmax)
@@ -448,11 +462,11 @@ def cmd_track(params, tolerances):
         "track.csv": (["q1", "q2", "density"], density),
         "trajectory_rotating.csv": _trajectory_table(trajectory),
     }
-    return tables, [{"nmax": nmax, **grid.diagnostics}]
+    return tables, [grid.diagnostics]
 
 
 def cmd_stability(params, tolerances):
-    omega1, unit = resolve_frequency(params, "omega1")
+    omega1, _ = resolve_frequency(params, "omega1")
     theta_f = parse_angle(params["theta_f"])
     n1 = int(params["n1"])
     n2_list = [int(x) for x in str(params["n2_list"]).split(",")]
@@ -464,19 +478,10 @@ def cmd_stability(params, tolerances):
     trace = []
     for n2 in n2_list:
         protocol = design_protocol(omega1, theta_f, n1, n2)
-        converged = converge_truncation(
-            protocol,
-            make_state,
-            nmax_start=default_start_nmax(n0),
-            p_tol=tolerances["convergence"],
-            shell_tol=tolerances["shell"],
-            nmax_cap=params["nmax_cap"],
-        )
-        nmax, conv = converged
-        trace.append({"n2": n2, "nmax": nmax, "steps": conv})
-        psi0 = make_state(nmax)
+        psi0, h, conv = _converged_state(protocol, make_state, n0, params, tolerances)
+        trace.append({"n2": n2, "nmax": psi0.nmax, "steps": conv})
         eps = np.linspace(-eps_frac, eps_frac, n_eps) * protocol.duration
-        sweep = stability_sweep(psi0, protocol, eps, converged.hamiltonian)
+        sweep = stability_sweep(psi0, protocol, eps, h)
         fitted = fit_quadratic_decay(sweep, window=0.01 * protocol.duration)
         predicted = ground_state_sensitivity(protocol).delta_h_sq
         rel = abs(fitted - predicted) / predicted
@@ -539,7 +544,7 @@ def build_parser():
     p.add_argument("--state", default="ground",
                    help="ground | entangled | coherent:a1,a2")
     p.add_argument("--observables", default="N,P")
-    p.add_argument("--samples", type=_positive_int, default=600)
+    p.add_argument("--samples", type=_sample_count, default=600)
     p.add_argument("--nmax", type=_positive_int, help="fixed truncation (skips convergence)")
     p.add_argument("--nmax-cap", type=_positive_int, default=128,
                    help="largest truncation the convergence loop may try")
@@ -556,7 +561,7 @@ def build_parser():
     p.add_argument("--alpha1", help="centroid from a coherent amplitude")
     p.add_argument("--alpha2")
     p.add_argument("--frame", choices=("rotating", "lab", "normal"), default="rotating")
-    p.add_argument("--samples", type=_positive_int, default=1001)
+    p.add_argument("--samples", type=_sample_count, default=1001)
     add_out(p, "classical")
 
     p = sub.add_parser("track", help="time-integrated wavepacket density")

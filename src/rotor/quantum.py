@@ -11,8 +11,9 @@ The factorization is cached on the :class:`FockHamiltonian` that owns it
 and lives no longer than that object.  Within one call or command each
 (config, nmax) Hamiltonian is built and factorized once:
 :func:`converge_truncation` hands back the Hamiltonian it built at the size
-it returns, and :func:`revival_phase` and :func:`stability_sweep` accept a
-prebuilt one.
+it returns, and :func:`stability_sweep` accepts a prebuilt one.
+:func:`revival_phase` evolves nothing: it reads the phase from psi(T), the
+state its caller has already evolved.
 
 Each observable takes one :class:`QuantumState` or a (..., nmax, nmax)
 coefficient stack, the shape :func:`evolve_series` returns, and gives one
@@ -80,14 +81,6 @@ def hermite_functions(nmax, x):
     return out
 
 
-def _mode_matrices(nmax):
-    """Single-mode ladder, position and momentum matrices (dense, small)."""
-    a = np.diag(np.sqrt(np.arange(1, nmax)), 1)
-    q = (a + a.T) / np.sqrt(2)
-    p = (a - a.T) / (1j * np.sqrt(2))
-    return a, q, p
-
-
 def _index_grids(nmax):
     n1 = np.repeat(np.arange(nmax), nmax)
     n2 = np.tile(np.arange(nmax), nmax)
@@ -96,7 +89,9 @@ def _index_grids(nmax):
 
 def phase_space_operators(nmax):
     """Sparse (q1, q2, p1, p2) on the two-mode truncated basis."""
-    _, q, p = _mode_matrices(nmax)
+    a = np.diag(np.sqrt(np.arange(1, nmax)), 1)
+    q = (a + a.T) / np.sqrt(2)
+    p = (a - a.T) / (1j * np.sqrt(2))
     eye = sp.identity(nmax, format="csr")
     qs, ps = sp.csr_matrix(q), sp.csr_matrix(p)
     return (
@@ -292,15 +287,11 @@ def build_fock_hamiltonian(config, nmax):
         raise ValueError("nmax must be at least 2")
     w1, w2, td = config.omega1, config.omega2, config.theta_dot
     eta = config.eta
-    _, q, p = _mode_matrices(nmax)
-    number = np.diag(np.arange(nmax, dtype=float))
-    eye = sp.identity(nmax, format="csr")
-    half = sp.csr_matrix(number + np.eye(nmax) / 2)
-    qs, ps = sp.csr_matrix(q), sp.csr_matrix(p)
+    q1, q2, p1, p2 = phase_space_operators(nmax)
+    n1, n2 = _index_grids(nmax)
     h = (
-        w1 * sp.kron(half, eye)
-        + w2 * sp.kron(eye, half)
-        - td * ((1 / eta) * sp.kron(qs, ps) - eta * sp.kron(ps, qs))
+        sp.diags(w1 * (n1 + 0.5) + w2 * (n2 + 0.5))
+        - td * ((1 / eta) * (q1 @ p2) - eta * (p1 @ q2))
     ).tocsr()
     herm = h - h.getH()
     resid = np.abs(herm.data).max() if herm.nnz else 0.0
@@ -393,33 +384,22 @@ class ObservableSeries:
             raise ValueError("times and values must have matching shapes")
 
 
-def _hamiltonian_for(psi0, protocol, h):
-    """``h`` checked against the state's truncation and the protocol's
-    trap, or a newly built Hamiltonian when ``h`` is None."""
-    if h is None:
-        return build_fock_hamiltonian(protocol.config, psi0.nmax)
-    if h.nmax != psi0.nmax or h.config != protocol.config:
-        raise ValueError("Hamiltonian does not match the state's truncation or the protocol")
-    return h
+def revival_phase(psi0, psi_t):
+    """Unit-modulus overlap <psi0|psi_t> / |<psi0|psi_t>|.
 
-
-def revival_phase(psi0, protocol, h=None):
-    """Unit-modulus overlap <psi0|psi(T)> / |<psi0|psi(T)>| after one period.
-
-    For a commensurate design the evolution multiplies every stationary
-    component by the same sign, so the overlap phase is (-1)**(n1 + n2);
-    the zero-point factor exp(-i (O1 + O2) T / 2) equals that same sign at
-    t = T, so no further correction is applied.  ``h`` may pass the
-    Hamiltonian of ``protocol.config`` at the state's truncation, whose
-    cached factorization is then reused.
+    ``psi_t`` is one state (a :class:`QuantumState` or its coefficients) on
+    the truncation of ``psi0``, typically psi(T) after one period.  For a
+    commensurate design the evolution multiplies every stationary component
+    by the same sign, so the overlap phase is (-1)**(n1 + n2); the
+    zero-point factor exp(-i (O1 + O2) T / 2) equals that same sign at
+    t = T, so no further correction is applied.
 
     Raises
     ------
     DegenerateOverlap
-        If |<psi0|psi(T)>| < 1e-6, where the phase carries no information.
+        If |<psi0|psi_t>| < 1e-6, where the phase carries no information.
     """
-    h = _hamiltonian_for(psi0, protocol, h)
-    overlap = complex(np.conj(_overlap(psi0, evolve(psi0, h, protocol.duration))))
+    overlap = complex(np.conj(_overlap(psi0, psi_t)))
     if abs(overlap) < 1e-6:
         raise DegenerateOverlap(f"|overlap| = {abs(overlap):.3e} too small for a phase")
     return overlap / abs(overlap)
@@ -619,7 +599,10 @@ def stability_sweep(psi0, protocol, epsilons, h=None):
     ``h`` may pass the Hamiltonian of ``protocol.config`` at the state's
     truncation, whose cached factorization is then reused.
     """
-    h = _hamiltonian_for(psi0, protocol, h)
+    if h is None:
+        h = build_fock_hamiltonian(protocol.config, psi0.nmax)
+    elif h.nmax != psi0.nmax or h.config != protocol.config:
+        raise ValueError("Hamiltonian does not match the state's truncation or the protocol")
     epsilons = np.asarray(epsilons, dtype=float)
     values = survival_probability(psi0, evolve_series(psi0, h, protocol.duration + epsilons))
     return ObservableSeries(epsilons, values, label="survival_vs_offset")

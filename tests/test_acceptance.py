@@ -180,7 +180,7 @@ def test_c06_quantum_revival():
         psi_t = evolve(psi0, h, protocol.duration)
         assert survival_probability(psi0, psi_t) > 1 - 1e-6, name
         assert abs(mean_excitation(psi_t) - mean_excitation(psi0)) < 1e-6, name
-        phase = revival_phase(psi0, protocol)
+        phase = revival_phase(psi0, psi_t)
         assert abs(phase - expected_phase) < 1e-4, name
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"revival check took {elapsed:.1f} s"

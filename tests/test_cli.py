@@ -56,23 +56,31 @@ REQUIRED_ARGS = {
 }
 
 
+COUNT_CASES = [
+    ("simulate", "--samples", "0"),
+    ("simulate", "--nmax", "0"),
+    ("simulate", "--nmax-cap", "0"),
+    ("classical", "--samples", "0"),
+    ("track", "--steps", "0"),
+    ("track", "--grid-points", "0"),
+    ("track", "--nmax", "0"),
+    ("modes", "--sweep", "0"),
+    ("stability", "--eps-points", "0"),
+    ("stability", "--nmax-cap", "0"),
+    # one sample would report period quantities at t = 0
+    ("simulate", "--samples", "1"),
+    ("classical", "--samples", "1"),
+]
+
+
 @pytest.mark.parametrize(
-    "command, flag",
-    [
-        ("simulate", "--samples"),
-        ("simulate", "--nmax"),
-        ("simulate", "--nmax-cap"),
-        ("classical", "--samples"),
-        ("track", "--steps"),
-        ("track", "--grid-points"),
-        ("track", "--nmax"),
-        ("modes", "--sweep"),
-        ("stability", "--eps-points"),
-        ("stability", "--nmax-cap"),
-    ],
+    "command, flag, value",
+    COUNT_CASES,
+    # the value-0 cases keep their "command-flag" ids
+    ids=["-".join(case[:2] if case[2] == "0" else case) for case in COUNT_CASES],
 )
-def test_zero_count_is_usage_error(tmp_path, capsys, command, flag):
-    argv = REQUIRED_ARGS[command] + [flag, "0", "--out-dir", str(tmp_path)]
+def test_zero_count_is_usage_error(tmp_path, capsys, command, flag, value):
+    argv = REQUIRED_ARGS[command] + [flag, value, "--out-dir", str(tmp_path)]
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
@@ -185,7 +193,8 @@ class TestSimulateCommand:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "revival phase" in out
+        # (-1)**(n1 + n2) for the default n1 = 1, n2 = 2, read at t = T
+        assert "revival phase = -1.000000 " in out
         cols = load_columns(tmp_path / "observables.csv")
         assert abs(cols["survival"][-1] - 1.0) < 1e-6
         assert abs(cols["mean_excitation"][-1] - cols["mean_excitation"][0]) < 1e-6

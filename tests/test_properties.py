@@ -4,7 +4,8 @@ The vectorised samplers are checked against the per-sample oracles
 (``flow_matrix``, ``_mode_rotation``, ``lab_frame_state`` and
 ``hamiltonian_value``), which share none of their array code.  Each Fock
 observable applied to a stack of states is checked against the same
-observable applied to each state alone.
+observable applied to each state alone, and the revival phase against
+``np.vdot``.
 """
 
 import numpy as np
@@ -30,6 +31,7 @@ from rotor import (
     mean_excitation,
     normal_frequencies,
     normal_modes,
+    revival_phase,
     sample_trajectory,
     survival_probability,
     to_normal_coords,
@@ -200,3 +202,24 @@ def test_stacked_observables_match_single_states(case):
     other = np.zeros((1, psi0.nmax + 1, psi0.nmax + 1))
     with pytest.raises(ValueError, match="different truncations"):
         survival_probability(psi0, other)
+
+
+@st.composite
+def pairs(draw):
+    """Two random normalized states on the same truncation."""
+    nmax = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.normal(size=(2, nmax, nmax)) + 1j * rng.normal(size=(2, nmax, nmax))
+    c /= np.linalg.norm(c, axis=(-2, -1), keepdims=True)
+    return QuantumState(c[0]), QuantumState(c[1])
+
+
+@settings(deadline=None)
+@given(pairs())
+def test_revival_phase_is_the_phase_of_vdot(pair):
+    a, b = pair
+    overlap = np.vdot(a.vector, b.vector)
+    assume(abs(overlap) >= 1e-6)
+    want = overlap / abs(overlap)
+    assert abs(revival_phase(a, b) - want) <= 1e-12
+    assert abs(revival_phase(a, b.coeffs) - want) <= 1e-12

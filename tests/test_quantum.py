@@ -280,40 +280,50 @@ class TestObservables:
         assert np.abs(means - classical.states).max() < 1e-6
 
 
+def _phase_after_period(psi0, protocol):
+    h = build_fock_hamiltonian(protocol.config, psi0.nmax)
+    return revival_phase(psi0, evolve(psi0, h, protocol.duration))
+
+
 class TestRevivalPhase:
     def test_sum_odd_gives_minus(self, row1_protocol):
-        phase = revival_phase(entangled_state(20), row1_protocol)
+        phase = _phase_after_period(entangled_state(20), row1_protocol)
         assert abs(phase - (-1.0)) < 1e-4
 
     def test_sum_even_gives_plus(self):
         p13 = design_protocol(1.0, np.pi / 2, 1, 3)
-        phase = revival_phase(entangled_state(20), p13)
+        phase = _phase_after_period(entangled_state(20), p13)
         assert abs(phase - 1.0) < 1e-4
 
     def test_ground_state_carries_zero_point_phase(self, row1_protocol):
         o1, o2 = normal_frequencies(row1_protocol.config)
         expected = np.exp(-1j * (o1 + o2) * row1_protocol.duration / 2)
-        phase = revival_phase(fock_state(0, 0, 20), row1_protocol)
+        phase = _phase_after_period(fock_state(0, 0, 20), row1_protocol)
         assert abs(phase - expected) < 1e-9
 
     def test_phase_of_overlap_at_any_duration(self, row1_protocol):
         # off the commensurate period the phase is complex, so its sign is tested
-        fifth = type(row1_protocol)(
-            **{**row1_protocol.__dict__, "duration": row1_protocol.duration / 5}
-        )
         st = coherent_state(0.7, 0.3j, 16)
         h = build_fock_hamiltonian(row1_protocol.config, 16)
-        overlap = np.vdot(st.vector, evolve(st, h, fifth.duration).vector)
+        psi_t = evolve(st, h, row1_protocol.duration / 5)
+        overlap = np.vdot(st.vector, psi_t.vector)
         assert abs(overlap.imag) > 0.1
-        assert abs(revival_phase(st, fifth, h) - overlap / abs(overlap)) < 1e-12
+        assert abs(revival_phase(st, psi_t) - overlap / abs(overlap)) < 1e-12
 
-    def test_degenerate_overlap_raises(self, row1_protocol):
-        # at a quarter period the coherent state has moved far from itself
-        protocol = row1_protocol
-        st = coherent_state(8 / np.sqrt(2), 0.0, 88)
-        quarter = type(protocol)(**{**protocol.__dict__, "duration": protocol.duration / 4})
+    def test_degenerate_overlap_raises(self):
+        ground = fock_state(0, 0, 4)
         with pytest.raises(DegenerateOverlap):
-            revival_phase(st, quarter)
+            revival_phase(ground, fock_state(1, 0, 4))  # <0,0|1,0> = 0
+
+        def with_ground_amplitude(amplitude):
+            c = np.zeros((4, 4), dtype=complex)
+            c[0, 0], c[1, 0] = amplitude, np.sqrt(1 - abs(amplitude) ** 2)
+            return QuantumState(c)
+
+        # either side of the 1e-6 cut on |<0,0|psi>|
+        with pytest.raises(DegenerateOverlap):
+            revival_phase(ground, with_ground_amplitude(5e-7))
+        assert abs(revival_phase(ground, with_ground_amplitude(2e-6j)) - 1j) < 1e-12
 
 
 class TestConvergence:
@@ -338,7 +348,7 @@ class TestConvergence:
     def test_prebuilt_hamiltonian_must_match(self, row1_protocol):
         h = build_fock_hamiltonian(row1_protocol.config, 12)
         with pytest.raises(ValueError):
-            revival_phase(entangled_state(16), row1_protocol, h)
+            revival_phase(entangled_state(16), entangled_state(12))
         other = design_protocol(1.0, np.pi / 2, 1, 3)
         with pytest.raises(ValueError):
             stability_sweep(entangled_state(12), other, [0.0], h)
