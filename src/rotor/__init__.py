@@ -24,7 +24,6 @@ from .core import (
 )
 from .designer import (
     RotationProtocol,
-    SensitivityReport,
     commensurate_velocity,
     design_protocol,
     ground_state_sensitivity,
@@ -44,6 +43,7 @@ from .quantum import (
     FockHamiltonian,
     ObservableSeries,
     QuantumState,
+    SensitivityReport,
     TrackGrid,
     build_fock_hamiltonian,
     coherent_nmax,

@@ -50,9 +50,9 @@ from .quantum import (
     default_start_nmax,
     entangled_state,
     evolve_series,
-    fit_quadratic_decay,
     fock_state,
     mean_excitation,
+    measure_sensitivity,
     phase_space_expectations,
     revival_phase,
     stability_sweep,
@@ -180,6 +180,15 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _positive_float(text):
+    """argparse type for --eps-range: anything but a finite number above 0
+    is a usage error."""
+    value = float(text)
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
     return value
 
 
@@ -319,7 +328,7 @@ def cmd_design(params, tolerances):
                 n2,
                 theta_f,
                 minimal_time(p.omega1, theta_f),
-                _freq_out(_freq_out(ground_state_sensitivity(p).delta_h_sq, unit), unit),
+                _freq_out(_freq_out(ground_state_sensitivity(p), unit), unit),
             ]
         )
     fl, tl = _freq_label(unit), _time_label(unit)
@@ -431,7 +440,7 @@ def _trajectory_table(trajectory):
 def cmd_classical(params, tolerances):
     protocol = _protocol_from(params)
     state0 = _initial_point(params)
-    frame = params.get("frame") or "rotating"
+    frame = params["frame"]
     times = np.linspace(0.0, protocol.duration, int(params["samples"]))
     trajectory = sample_trajectory(state0, protocol.config, times, frame=frame)
     closure = np.linalg.norm(trajectory.states[-1] - trajectory.states[0])
@@ -466,28 +475,23 @@ def cmd_track(params, tolerances):
 
 
 def cmd_stability(params, tolerances):
-    omega1, _ = resolve_frequency(params, "omega1")
-    theta_f = parse_angle(params["theta_f"])
-    n1 = int(params["n1"])
     n2_list = [int(x) for x in str(params["n2_list"]).split(",")]
-    make_state, n0 = _state_builder(params.get("state") or "ground")
-    eps_frac = float(params["eps_range"])
-    n_eps = int(params["eps_points"])
+    make_state, n0 = _state_builder(params["state"])
+    eps_frac = params["eps_range"]
 
     tables = {}
     trace = []
     for n2 in n2_list:
-        protocol = design_protocol(omega1, theta_f, n1, n2)
+        protocol = _protocol_from({**params, "n2": n2})
         psi0, h, conv = _converged_state(protocol, make_state, n0, params, tolerances)
         trace.append({"n2": n2, "nmax": psi0.nmax, "steps": conv})
-        eps = np.linspace(-eps_frac, eps_frac, n_eps) * protocol.duration
+        eps = np.linspace(-eps_frac, eps_frac, params["eps_points"]) * protocol.duration
         sweep = stability_sweep(psi0, protocol, eps, h)
-        fitted = fit_quadratic_decay(sweep, window=0.01 * protocol.duration)
-        predicted = ground_state_sensitivity(protocol).delta_h_sq
-        rel = abs(fitted - predicted) / predicted
+        # the CSV holds the user's grid; the curvature is fitted on the fixed one
+        report = measure_sensitivity(protocol, psi0, h=h)
         print(
-            f"n2 = {n2}: fitted curvature = {fitted:.6e}, "
-            f"closed form = {predicted:.6e}, rel err = {rel:.3e}"
+            f"n2 = {n2}: fitted curvature = {report.fitted_rate:.6e}, "
+            f"delta_h_sq = {report.delta_h_sq:.6e}, rel err = {report.relative_error:.3e}"
         )
         rows = list(zip(eps, sweep.values))
         tables[f"stability_n2_{n2}.csv"] = (["eps", "survival"], rows)
@@ -579,7 +583,7 @@ def build_parser():
     p.add_argument("--n1", type=int, default=1)
     p.add_argument("--n2-list", default="2,5,10")
     p.add_argument("--state", default="ground")
-    p.add_argument("--eps-range", type=float, default=0.05,
+    p.add_argument("--eps-range", type=_positive_float, default=0.05,
                    help="half width of the offset sweep as a fraction of T")
     p.add_argument("--eps-points", type=_positive_int, default=101)
     p.add_argument("--nmax-cap", type=_positive_int, default=128,

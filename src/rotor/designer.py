@@ -48,20 +48,6 @@ class RotationProtocol:
         return normal_frequencies(self.config)
 
 
-@dataclass
-class SensitivityReport:
-    """Quadratic decay rate of the survival under timing errors.
-
-    ``delta_h_sq`` is the energy variance of the initial state, the
-    predicted curvature of P(T + eps) in eps.  ``fitted_rate`` and
-    ``relative_error`` are filled once a quantum sweep has been fitted.
-    """
-
-    delta_h_sq: float
-    fitted_rate: float | None = None
-    relative_error: float | None = None
-
-
 def kappa(n1, n2, theta_f):
     """Closed-form ratios (kappa_minus, kappa_plus) for integers n1 < n2.
 
@@ -207,7 +193,7 @@ def ground_state_sensitivity(protocol):
     The survival of the ground state after a rotation lasting T + eps
     decays as 1 - delta_h_sq * eps^2 with
     delta_h_sq = theta_dot^2 (omega1 - omega2)^2 / (4 omega1 omega2),
-    in the squared frequency unit of the protocol.
+    in the squared frequency unit of the protocol; returns delta_h_sq.
     """
     w1, w2, td = protocol.omega1, protocol.omega2, protocol.theta_dot
-    return SensitivityReport(delta_h_sq=td**2 * (w1 - w2) ** 2 / (4 * w1 * w2))
+    return td**2 * (w1 - w2) ** 2 / (4 * w1 * w2)

@@ -11,7 +11,8 @@ The factorization is cached on the :class:`FockHamiltonian` that owns it
 and lives no longer than that object.  Within one call or command each
 (config, nmax) Hamiltonian is built and factorized once:
 :func:`converge_truncation` hands back the Hamiltonian it built at the size
-it returns, and :func:`stability_sweep` accepts a prebuilt one.
+it returns, and :func:`stability_sweep` and :func:`measure_sensitivity`
+accept a prebuilt one.
 :func:`revival_phase` evolves nothing: it reads the phase from psi(T), the
 state its caller has already evolved.
 
@@ -41,7 +42,6 @@ from scipy.special import gammainc
 
 from .classical import sample_trajectory
 from .core import J, PhaseSpaceState
-from .designer import SensitivityReport
 from .errors import (
     ConvergenceFailure,
     DegenerateOverlap,
@@ -608,20 +608,13 @@ def stability_sweep(psi0, protocol, epsilons, h=None):
     return ObservableSeries(epsilons, values, label="survival_vs_offset")
 
 
-def fit_quadratic_decay(series, window=None):
-    """Least-squares curvature c of 1 - P = c * eps^2 near eps = 0.
-
-    ``window`` restricts the fit to |eps| <= window (absolute time units).
-    """
+def fit_quadratic_decay(series):
+    """Least-squares curvature c of 1 - P = c * eps^2 over all offsets."""
     eps = series.times
-    loss = 1.0 - series.values
-    if window is not None:
-        keep = np.abs(eps) <= window
-        eps, loss = eps[keep], loss[keep]
     denom = np.sum(eps**4)
     if denom == 0:
         raise ValueError("need nonzero offsets to fit a curvature")
-    return float(np.sum(eps**2 * loss) / denom)
+    return float(np.sum(eps**2 * (1.0 - series.values)) / denom)
 
 
 def energy_variance(psi0, h):
@@ -632,31 +625,42 @@ def energy_variance(psi0, h):
     return float(np.vdot(hv, hv).real - mean**2)
 
 
-def measure_sensitivity(protocol, psi0=None, nmax=32, n_eps=25, window_frac=0.01):
+@dataclass(frozen=True)
+class SensitivityReport:
+    """Quadratic decay of the survival under timing errors.
+
+    ``delta_h_sq`` is the energy variance of the initial state, the
+    predicted curvature of 1 - P(T + eps) in eps; ``fitted_rate`` is the
+    curvature fitted to a quantum sweep and ``relative_error`` their
+    relative difference.
+    """
+
+    delta_h_sq: float
+    fitted_rate: float
+    relative_error: float
+
+
+def measure_sensitivity(protocol, psi0=None, nmax=32, h=None):
     """Fit the quadratic survival decay and compare with the energy variance.
 
-    With no initial state the static-trap ground state is used, whose
-    variance reduces to the closed form of
-    :func:`rotor.designer.ground_state_sensitivity`.
-
-    Returns
-    -------
-    SensitivityReport with delta_h_sq (exact variance), fitted_rate and
-    relative_error filled in.
+    The fit runs over 25 offsets with |eps| <= 0.01 T; the quartic term of
+    1 - P(T + eps) inside that window biases it low, by 0.24 % to 3.1 % for
+    the ground state of the pi/2 designs with n1 = 1 and n2 = 2 to 10.
+    With no initial state the static-trap ground state at ``nmax`` is used,
+    whose variance reduces to the closed form
+    :func:`rotor.designer.ground_state_sensitivity`.  ``h`` may pass the
+    Hamiltonian of ``protocol.config`` at the state's truncation, as for
+    :func:`stability_sweep`.
     """
     if psi0 is None:
         psi0 = fock_state(0, 0, nmax)
-    h = build_fock_hamiltonian(protocol.config, psi0.nmax)
-    variance = energy_variance(psi0, h)
-    window = window_frac * protocol.duration
-    eps = np.linspace(-window, window, n_eps)
-    sweep = stability_sweep(psi0, protocol, eps, h)
+    if h is None:
+        h = build_fock_hamiltonian(protocol.config, psi0.nmax)
+    window = 0.01 * protocol.duration
+    sweep = stability_sweep(psi0, protocol, np.linspace(-window, window, 25), h)
     fitted = fit_quadratic_decay(sweep)
-    return SensitivityReport(
-        delta_h_sq=variance,
-        fitted_rate=fitted,
-        relative_error=abs(fitted - variance) / variance,
-    )
+    variance = energy_variance(psi0, h)
+    return SensitivityReport(variance, fitted, abs(fitted - variance) / variance)
 
 
 # ---------------------------------------------------------------------------

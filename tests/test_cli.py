@@ -70,6 +70,11 @@ COUNT_CASES = [
     # one sample would report period quantities at t = 0
     ("simulate", "--samples", "1"),
     ("classical", "--samples", "1"),
+    # the offset half width must be a finite number above 0
+    ("stability", "--eps-range", "0"),
+    ("stability", "--eps-range", "-0.05"),
+    ("stability", "--eps-range", "nan"),
+    ("stability", "--eps-range", "inf"),
 ]
 
 
@@ -319,6 +324,23 @@ class TestStabilityCommand:
             cols = load_columns(tmp_path / f"stability_n2_{n2}.csv")
             mid = cols["survival"][np.argmin(np.abs(cols["eps"]))]
             assert mid == pytest.approx(1.0, abs=1e-6)
+
+    @staticmethod
+    def _curvature_lines(tmp_path, capsys, *args):
+        argv = ["stability", "--omega1-khz", "1", "--n2-list", "2", *args]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        return [line for line in out.splitlines() if "fitted curvature" in line]
+
+    def test_fit_independent_of_the_csv_grid(self, tmp_path, capsys):
+        coarse = self._curvature_lines(tmp_path / "coarse", capsys, "--eps-points", "3")
+        fine = self._curvature_lines(tmp_path / "fine", capsys, "--eps-points", "21")
+        assert len(coarse) == 1
+        assert coarse == fine
+
+    def test_entangled_state_against_its_own_variance(self, tmp_path, capsys):
+        (line,) = self._curvature_lines(tmp_path, capsys, "--state", "entangled")
+        assert float(line.rsplit("rel err = ", 1)[1]) < 1e-2
 
 
 class TestFactorizationCount:

@@ -352,6 +352,8 @@ class TestConvergence:
         other = design_protocol(1.0, np.pi / 2, 1, 3)
         with pytest.raises(ValueError):
             stability_sweep(entangled_state(12), other, [0.0], h)
+        with pytest.raises(ValueError):
+            measure_sensitivity(other, entangled_state(12), h=h)
 
     def test_cap_failure(self, row1_protocol):
         with pytest.raises(ConvergenceFailure):
@@ -422,7 +424,7 @@ class TestStability:
 
     def test_ground_state_rate(self, row1_protocol):
         report = measure_sensitivity(row1_protocol, nmax=16)
-        predicted = ground_state_sensitivity(row1_protocol).delta_h_sq
+        predicted = ground_state_sensitivity(row1_protocol)
         assert report.delta_h_sq == pytest.approx(predicted, rel=1e-10)
         assert report.relative_error < 0.01
 
