@@ -70,16 +70,13 @@ def propagate_normal(state_v, modes, t):
     return PhaseSpaceState.from_vector(_mode_rotation(modes, t) @ state_v.vector)
 
 
-def propagate_rotating(state, config, t, modes=None):
+def propagate_rotating(state, config, t):
     """Evolve a rotating-frame point under the full coupled dynamics.
 
     Equivalent to transforming to normal modes, rotating each plane and
-    transforming back; ``modes`` may be passed to reuse a prebuilt
-    decomposition across many calls.
+    transforming back.
     """
-    if modes is None:
-        modes = normal_modes(config)
-    return PhaseSpaceState.from_vector(flow_matrix(modes, t) @ state.vector)
+    return PhaseSpaceState.from_vector(flow_matrix(normal_modes(config), t) @ state.vector)
 
 
 def lab_frame_state(state, theta, config=None):

@@ -192,13 +192,22 @@ def _positive_float(text):
     return value
 
 
-def _sample_count(text):
-    """argparse type for --samples: the samples run from t = 0 to t = T, so
-    fewer than two is a usage error."""
+def _two_or_more(text):
+    """argparse type for --samples, which run from t = 0 to t = T, and for
+    --grid-points, whose axes need a spacing: fewer than two is a usage error."""
     value = int(text)
     if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2 (t = 0 and t = T), got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
     return value
+
+
+def _n2_list(text):
+    """argparse type for --n2-list: comma-separated distinct integers.  The
+    text itself is returned, so the manifest records it as given."""
+    values = [int(x) for x in text.split(",")]
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"entries must be distinct, got {text}")
+    return text
 
 
 def parse_angle(text):
@@ -360,15 +369,17 @@ def cmd_modes(params, tolerances):
     omega1, unit = resolve_frequency(params, "omega1")
     omega2, _ = resolve_frequency(params, "omega2")
     fl = _freq_label(unit)
+    # the slower axis bounds the velocity, whichever flag names it
+    bound, name = min((omega1, "omega1"), (omega2, "omega2"))
     sweep = params.get("sweep")
     if sweep:
-        velocities = np.linspace(0.0, omega1, int(sweep), endpoint=False)
+        velocities = np.linspace(0.0, bound, int(sweep), endpoint=False)
     else:
         td, _ = resolve_frequency(params, "theta_dot")
-        if td >= omega1:
+        if td >= bound:
             raise WilliamsonViolation(
                 f"theta_dot at or beyond the maximum allowed rotation velocity "
-                f"(omega1 = {_freq_out(omega1, unit):.6g} {fl})"
+                f"({name} = {_freq_out(bound, unit):.6g} {fl})"
             )
         velocities = [td]
     rows = []
@@ -540,7 +551,8 @@ def build_parser():
     _add_frequency(p, "omega1", required=True)
     _add_frequency(p, "omega2", required=True)
     _add_frequency(p, "theta-dot")
-    p.add_argument("--sweep", type=_positive_int, help="sample N velocities in [0, omega1)")
+    p.add_argument("--sweep", type=_positive_int,
+                   help="sample N velocities in [0, min(omega1, omega2))")
     add_out(p, "modes")
 
     p = sub.add_parser("simulate", help="quantum observables over one rotation")
@@ -548,7 +560,7 @@ def build_parser():
     p.add_argument("--state", default="ground",
                    help="ground | entangled | coherent:a1,a2")
     p.add_argument("--observables", default="N,P")
-    p.add_argument("--samples", type=_sample_count, default=600)
+    p.add_argument("--samples", type=_two_or_more, default=600)
     p.add_argument("--nmax", type=_positive_int, help="fixed truncation (skips convergence)")
     p.add_argument("--nmax-cap", type=_positive_int, default=128,
                    help="largest truncation the convergence loop may try")
@@ -565,7 +577,7 @@ def build_parser():
     p.add_argument("--alpha1", help="centroid from a coherent amplitude")
     p.add_argument("--alpha2")
     p.add_argument("--frame", choices=("rotating", "lab", "normal"), default="rotating")
-    p.add_argument("--samples", type=_sample_count, default=1001)
+    p.add_argument("--samples", type=_two_or_more, default=1001)
     add_out(p, "classical")
 
     p = sub.add_parser("track", help="time-integrated wavepacket density")
@@ -573,7 +585,7 @@ def build_parser():
     p.add_argument("--alpha1", required=True)
     p.add_argument("--alpha2", required=True)
     p.add_argument("--nmax", type=_positive_int)
-    p.add_argument("--grid-points", type=_positive_int, default=201)
+    p.add_argument("--grid-points", type=_two_or_more, default=201)
     p.add_argument("--steps", type=_positive_int, default=2000)
     add_out(p, "track")
 
@@ -581,7 +593,7 @@ def build_parser():
     _add_frequency(p, "omega1", required=True)
     p.add_argument("--theta-f", default="pi/2")
     p.add_argument("--n1", type=int, default=1)
-    p.add_argument("--n2-list", default="2,5,10")
+    p.add_argument("--n2-list", type=_n2_list, default="2,5,10")
     p.add_argument("--state", default="ground")
     p.add_argument("--eps-range", type=_positive_float, default=0.05,
                    help="half width of the offset sweep as a fraction of T")

@@ -14,7 +14,8 @@ and lives no longer than that object.  Within one call or command each
 it returns, and :func:`stability_sweep` and :func:`measure_sensitivity`
 accept a prebuilt one.
 :func:`revival_phase` evolves nothing: it reads the phase from psi(T), the
-state its caller has already evolved.
+state its caller has already evolved.  :func:`measure_sensitivity` refuses
+a state with no energy variance, whose survival does not decay.
 
 Each observable takes one :class:`QuantumState` or a (..., nmax, nmax)
 coefficient stack, the shape :func:`evolve_series` returns, and gives one
@@ -54,6 +55,11 @@ from .errors import (
 GROUND_STATE_WIDTH = 1 / np.sqrt(2)
 
 _COHERENT_TAIL_TOL = 1e-10
+
+#: padding of the track axes beyond the classical orbit, in ground-state widths
+TRACK_PAD_WIDTHS = 3.0
+#: largest relative L1 change of the track when the time step is halved
+TRACK_QUAD_TOL = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +201,6 @@ def coherent_state(alpha1, alpha2, nmax):
             )
     c = np.outer(_coherent_coefficients(alpha1, nmax), _coherent_coefficients(alpha2, nmax))
     return QuantumState(c / np.linalg.norm(c))
-
-
-def expand_state(state, nmax):
-    """Embed a state into a larger truncation (zero padding)."""
-    if nmax < state.nmax:
-        raise ValueError("can only expand to a larger nmax")
-    if nmax == state.nmax:
-        return state
-    c = np.zeros((nmax, nmax), dtype=complex)
-    c[: state.nmax, : state.nmax] = state.coeffs
-    return QuantumState(c)
 
 
 def _coefficients(state):
@@ -375,7 +370,6 @@ class ObservableSeries:
 
     times: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
@@ -511,42 +505,30 @@ def classical_orbit(protocol, centroid, n_samples=1024):
     return sample_trajectory(start, protocol.config, ts).states[:, :2]
 
 
-def _default_track_axes(protocol, psi0, points, pad_widths):
-    orbit = classical_orbit(protocol, phase_space_expectations(psi0))
-    pad = pad_widths * GROUND_STATE_WIDTH
-    q1 = np.linspace(orbit[:, 0].min() - pad, orbit[:, 0].max() + pad, points)
-    q2 = np.linspace(orbit[:, 1].min() - pad, orbit[:, 1].max() + pad, points)
-    return q1, q2
-
-
-def wavepacket_track(
-    psi0,
-    protocol,
-    q1_axis=None,
-    q2_axis=None,
-    time_steps=2000,
-    grid_points=201,
-    pad_widths=3.0,
-    quad_tol=0.01,
-):
+def wavepacket_track(psi0, protocol, time_steps=2000, grid_points=201):
     """Accumulate the position density of an evolving state over one period.
 
     The density is the trapezoidal time quadrature of |psi(q1, q2, t)|^2
     with ``time_steps`` uniform steps on [0, T]; a halved-step comparison
-    must agree to ``quad_tol`` in L1 or the quadrature is deemed
-    unconverged.  Default axes cover the classical orbit of the state's
-    centroid plus ``pad_widths`` ground-state widths.
+    must agree to ``TRACK_QUAD_TOL`` in L1 or the quadrature is deemed
+    unconverged.  The ``grid_points`` x ``grid_points`` axes cover the
+    classical orbit of the state's centroid plus ``TRACK_PAD_WIDTHS``
+    ground-state widths.
 
     Raises
     ------
+    ValueError
+        If ``grid_points`` is below 2, which leaves no grid spacing.
     ConvergenceFailure
         If halving the quadrature step changes the density by more than
-        ``quad_tol`` relative L1.
+        ``TRACK_QUAD_TOL`` relative L1.
     """
-    if q1_axis is None or q2_axis is None:
-        q1_axis, q2_axis = _default_track_axes(protocol, psi0, grid_points, pad_widths)
-    q1_axis = np.asarray(q1_axis, dtype=float)
-    q2_axis = np.asarray(q2_axis, dtype=float)
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
+    orbit = classical_orbit(protocol, phase_space_expectations(psi0))
+    pad = TRACK_PAD_WIDTHS * GROUND_STATE_WIDTH
+    q1_axis = np.linspace(orbit[:, 0].min() - pad, orbit[:, 0].max() + pad, grid_points)
+    q2_axis = np.linspace(orbit[:, 1].min() - pad, orbit[:, 1].max() + pad, grid_points)
     steps = int(time_steps)
     if steps % 2:
         steps += 1
@@ -576,7 +558,7 @@ def wavepacket_track(
 
     l1 = dens_full.sum()
     quad_err = float(np.abs(dens_full - dens_half).sum() / l1)
-    if quad_err > quad_tol:
+    if quad_err > TRACK_QUAD_TOL:
         raise ConvergenceFailure(
             f"time quadrature not converged: halving changes the track by {quad_err:.3e}"
         )
@@ -605,7 +587,7 @@ def stability_sweep(psi0, protocol, epsilons, h=None):
         raise ValueError("Hamiltonian does not match the state's truncation or the protocol")
     epsilons = np.asarray(epsilons, dtype=float)
     values = survival_probability(psi0, evolve_series(psi0, h, protocol.duration + epsilons))
-    return ObservableSeries(epsilons, values, label="survival_vs_offset")
+    return ObservableSeries(epsilons, values)
 
 
 def fit_quadratic_decay(series):
@@ -651,15 +633,22 @@ def measure_sensitivity(protocol, psi0=None, nmax=32, h=None):
     :func:`rotor.designer.ground_state_sensitivity`.  ``h`` may pass the
     Hamiltonian of ``protocol.config`` at the state's truncation, as for
     :func:`stability_sweep`.
+
+    Raises
+    ------
+    ValueError
+        If the state's energy variance is not above 0, before any sweep.
     """
     if psi0 is None:
         psi0 = fock_state(0, 0, nmax)
     if h is None:
         h = build_fock_hamiltonian(protocol.config, psi0.nmax)
+    variance = energy_variance(psi0, h)
+    if not variance > 0:
+        raise ValueError(f"energy variance {variance:.3e}: the survival does not decay")
     window = 0.01 * protocol.duration
     sweep = stability_sweep(psi0, protocol, np.linspace(-window, window, 25), h)
     fitted = fit_quadratic_decay(sweep)
-    variance = energy_variance(psi0, h)
     return SensitivityReport(variance, fitted, abs(fitted - variance) / variance)
 
 

@@ -8,7 +8,8 @@ matrices:
 * a shear that diagonalizes the momentum block,
 * a positive scaling that turns the momentum block into the identity,
 * a simultaneous rotation of both blocks by an angle ``alpha`` that
-  diagonalizes the remaining coordinate block.
+  diagonalizes the remaining coordinate block, slow mode first; its
+  closed form needs no branch test.
 
 The transformation mixes coordinates with momenta, so it is canonical but
 not a point transformation.  The normal frequencies O1 <= O2 also follow in
@@ -26,6 +27,8 @@ from .core import J, PhaseSpaceState, build_rotating_hamiltonian, williamson_val
 from .errors import LogBranchFailure, WilliamsonViolation
 
 SYMPLECTIC_TOL = 1e-12
+#: accuracy :func:`symplectic_generator` demands of G and of exp(2 J G)
+GENERATOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -94,25 +97,20 @@ def normal_frequencies(config):
 
 
 def _rotation_angle(config):
-    """Angle of the final block rotation, branch-fixed so the slow mode
-    lands in the first diagonal slot.  Degenerate forms give alpha = 0."""
+    """Angle in (-pi/2, pi/2] that rotates O1^2 into the first slot.
+
+    arctan2(num, den) / 2, with num = 2b and den = a - d from the block
+    [[a, b], [b, d]] that S0 S1 S2 leave, puts the larger eigenvalue first
+    whenever a != d or b != 0; a quarter turn always swaps it for the
+    smaller one.  A degenerate block (num = den = 0) gives alpha = 0."""
     w1, w2, td = config.omega1, config.omega2, config.theta_dot
-    delta = w1**2 - td**2
-    num = 4 * td * np.sqrt(delta)
+    num = 4 * td * np.sqrt(w1**2 - td**2)
     den = w1**2 - w2**2 - 4 * td**2
     if num == 0.0 and den == 0.0:
         return 0.0
-    alpha = 0.5 * np.arctan2(num, den)
-    # arctan2 fixes 2*alpha only up to pi; pick the representative whose
-    # rotation puts the smaller eigenvalue first, wrapped into (-pi/2, pi/2].
-    a, d = delta, 3 * td**2 + w2**2
-    b = 2 * td * np.sqrt(delta)
-    first = (a + d) / 2 + (a - d) / 2 * np.cos(2 * alpha) + b * np.sin(2 * alpha)
-    omega1_sq = normal_frequencies(config)[0] ** 2
-    if abs(first - omega1_sq) > 1e-9 * max(1.0, abs(first)):
-        alpha += np.pi / 2
-        if alpha > np.pi / 2:
-            alpha -= np.pi
+    alpha = 0.5 * np.arctan2(num, den) + np.pi / 2
+    if alpha > np.pi / 2:
+        alpha -= np.pi
     return alpha
 
 
@@ -193,7 +191,7 @@ def normal_mode_energy(state_v, modes):
     )
 
 
-def symplectic_generator(transform, tol=1e-10):
+def symplectic_generator(transform):
     """Extract the symmetric generator G with S = exp(2 J G).
 
     Uses the principal real matrix logarithm.  The principal branch does
@@ -205,20 +203,21 @@ def symplectic_generator(transform, tol=1e-10):
     ------
     LogBranchFailure
         If the logarithm is complex/inaccurate, the generator is not
-        symmetric to ``tol``, or exp(2 J G) misses S by more than ``tol``.
+        symmetric to ``GENERATOR_TOL``, or exp(2 J G) misses S by more
+        than ``GENERATOR_TOL``.
     """
     s = transform.s
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         log_s = logm(s)
-    if np.abs(np.imag(log_s)).max() > tol:
+    if np.abs(np.imag(log_s)).max() > GENERATOR_TOL:
         raise LogBranchFailure("principal logarithm is not real for this matrix")
     log_s = np.real(log_s)
     g = 0.5 * (-J) @ log_s
-    if np.abs(g - g.T).max() > tol:
+    if np.abs(g - g.T).max() > GENERATOR_TOL:
         raise LogBranchFailure("extracted generator is not symmetric")
     g = (g + g.T) / 2
     recon = expm(2 * J @ g)
-    if np.abs(recon - s).max() > tol:
+    if np.abs(recon - s).max() > GENERATOR_TOL:
         raise LogBranchFailure("exp(2 J G) does not reconstruct the input matrix")
     return g

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from rotor import (
     J,
@@ -105,6 +106,15 @@ class TestPropagateRotating:
             to_normal_coords(v0, modes), modes, t
         ).vector
         assert np.abs(direct - via_modes).max() < 1e-12
+
+    def test_near_isotropic_slow_rotation_against_expm(self):
+        # the normal modes split by ~1e-7 of omega1: the slow one must still
+        # rotate in the first plane of the flow
+        cfg = TrapConfig(0.0117, 0.0117, 1.258e-7 * 0.0117)
+        a = build_rotating_hamiltonian(cfg).a
+        t = 1e3
+        exact = expm(2 * J @ a * t)
+        assert np.abs(flow_matrix(normal_modes(cfg), t) - exact).max() < 1e-12
 
     def test_invalid_config(self):
         with pytest.raises(WilliamsonViolation):

@@ -75,6 +75,11 @@ COUNT_CASES = [
     ("stability", "--eps-range", "-0.05"),
     ("stability", "--eps-range", "nan"),
     ("stability", "--eps-range", "inf"),
+    # a track axis needs a spacing
+    ("track", "--grid-points", "1"),
+    # each n2 runs once: repeated or non-integer entries are rejected
+    ("stability", "--n2-list", "2,2"),
+    ("stability", "--n2-list", "2,x"),
 ]
 
 
@@ -175,6 +180,16 @@ class TestModesCommand:
             ]
         )
         assert code == 2
+        assert "maximum allowed" in capsys.readouterr().err
+
+    def test_swapped_axes_sweep_below_the_slower_axis(self, tmp_path, capsys):
+        argv = ["modes", "--omega1-rad", "2.0", "--omega2-rad", "1.0"]
+        assert main(argv + ["--sweep", "10", "--out-dir", str(tmp_path / "sweep")]) == 0
+        cols = load_columns(tmp_path / "sweep" / "modes.csv")
+        assert cols["theta_dot_rad"].size == 10
+        assert np.all(cols["theta_dot_rad"] < 1.0)
+        point = argv + ["--theta-dot-rad", "1.5", "--out-dir", str(tmp_path / "point")]
+        assert main(point) == 2
         assert "maximum allowed" in capsys.readouterr().err
 
     def test_missing_velocity_names_flag(self, tmp_path, capsys):
@@ -341,6 +356,19 @@ class TestStabilityCommand:
     def test_entangled_state_against_its_own_variance(self, tmp_path, capsys):
         (line,) = self._curvature_lines(tmp_path, capsys, "--state", "entangled")
         assert float(line.rsplit("rel err = ", 1)[1]) < 1e-2
+
+    def test_rerun_rejects_a_repeated_n2(self, tmp_path, capsys):
+        orig, redo = tmp_path / "orig", tmp_path / "redo"
+        argv = ["stability", "--omega1-khz", "1", "--n2-list", "2", "--eps-points", "5"]
+        assert main(argv + ["--out-dir", str(orig)]) == 0
+        manifest = json.loads((orig / "manifest.json").read_text())
+        assert manifest["parameters"]["n2_list"] == "2"
+        manifest["parameters"]["n2_list"] = "2,2"
+        (orig / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(orig / "manifest.json"), "--out-dir", str(redo)]) == 2
+        assert "--n2-list" in capsys.readouterr().err
+        assert not redo.exists()
 
 
 class TestFactorizationCount:

@@ -18,6 +18,7 @@ from rotor import (
     J,
     PhaseSpaceState,
     QuantumState,
+    TrapConfig,
     TruncationTooSmall,
     build_rotating_hamiltonian,
     coherent_nmax,
@@ -148,6 +149,28 @@ def test_normal_modes_symplectic_and_invertible(protocol, v):
     assert np.abs(s.T @ J @ s - J).max() < 1e-12
     back = from_normal_coords(to_normal_coords(v, modes), modes)
     assert np.abs(back.vector - v.vector).max() <= REL * max(1.0, np.abs(v.vector).max())
+
+
+@st.composite
+def near_isotropic_configs(draw):
+    """Traps with omega2 = omega1 or omega2 = omega1 (1 + 10**u), u in
+    [-12, 1], rotating at theta_dot / omega1 from 1e-12 up to 0.3."""
+    omega1 = draw(st.floats(1e-3, 10.0))
+    gap = draw(st.one_of(st.just(0.0), st.floats(-12.0, 1.0).map(lambda u: 10.0**u)))
+    ratio = 10.0 ** draw(st.floats(-12.0, -0.5))
+    return TrapConfig(omega1, omega1 * (1 + gap), omega1 * ratio)
+
+
+@settings(deadline=None)
+@given(near_isotropic_configs())
+def test_slow_mode_fills_the_first_slot(config):
+    """The diagonalized form reads (O1^2, O2^2)/2 in that order, however
+    small the splitting of the coordinate block."""
+    modes = normal_modes(config)
+    o1, o2 = normal_frequencies(config)
+    scale = np.abs(build_rotating_hamiltonian(config).a).max()
+    diag = np.diag(modes.diag)[:2]
+    assert np.abs(diag - np.array([o1**2, o2**2]) / 2).max() <= 1e-12 * scale
 
 
 @settings(deadline=None)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+
+import rotor.quantum
 from scipy.special import eval_hermite, factorial
 
 from rotor import (
@@ -41,7 +43,6 @@ from rotor.quantum import (
     eigenvalues,
     energy_variance,
     evolve_series,
-    expand_state,
     fit_quadratic_decay,
     hermite_functions,
     phase_space_expectations,
@@ -107,10 +108,6 @@ class TestStates:
             coherent_state(8 / np.sqrt(2), 0.0, 32)
 
     def test_expand_and_shell(self):
-        st = entangled_state(4)
-        big = expand_state(st, 8)
-        assert big.nmax == 8
-        assert survival_probability(big, big) == pytest.approx(1.0)
         edge = fock_state(7, 3, 8)
         assert top_shell_weight(edge) == pytest.approx(1.0)
 
@@ -375,14 +372,12 @@ class TestTrack:
         )
         # bypass the designed config: evolve the ground state of a static trap
         psi0 = fock_state(0, 0, 16)
-        axis = np.linspace(-4, 4, 121)
         grid = wavepacket_track(
-            psi0,
-            _StaticProtocol(static, protocol.duration),
-            q1_axis=axis,
-            q2_axis=axis,
-            time_steps=200,
+            psi0, _StaticProtocol(static, protocol.duration), time_steps=200, grid_points=121
         )
+        # the default axes are symmetric about the orbit at the origin
+        axis = grid.q1_axis
+        np.testing.assert_array_equal(grid.q2_axis, axis)
         peak = np.unravel_index(np.argmax(grid.density), grid.density.shape)
         assert abs(axis[peak[0]]) < 0.05 and abs(axis[peak[1]]) < 0.05
         assert grid.time_integral() == pytest.approx(protocol.duration, rel=0.01)
@@ -396,6 +391,15 @@ class TestTrack:
         grid = wavepacket_track(psi0, row1_protocol, time_steps=300, grid_points=101)
         assert grid.time_integral() == pytest.approx(row1_protocol.duration, rel=0.01)
         assert grid.diagnostics["quadrature_rel_change"] < 0.01
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_grid_needs_two_points(self, row1_protocol, monkeypatch, points):
+        def no_build(*args):
+            raise AssertionError("Hamiltonian built for a grid without spacing")
+
+        monkeypatch.setattr(rotor.quantum, "build_fock_hamiltonian", no_build)
+        with pytest.raises(ValueError, match="grid_points"):
+            wavepacket_track(coherent_state(1.5, 0.5, 24), row1_protocol, grid_points=points)
 
     def test_quadrature_guard(self, row1_protocol):
         psi0 = coherent_state(1.5, 0.5, 24)
@@ -434,6 +438,15 @@ class TestStability:
         h = build_fock_hamiltonian(row1_protocol.config, 16)
         assert report.delta_h_sq == pytest.approx(energy_variance(psi0, h), rel=1e-12)
         assert report.relative_error < 0.01
+
+    def test_zero_variance_rejected_before_the_sweep(self, monkeypatch):
+        p = design_protocol(1.0, np.pi / 2, 1, 2)
+        isotropic = type(p)(**{**p.__dict__, "omega2": p.omega1})
+        swept = []
+        monkeypatch.setattr(rotor.quantum, "stability_sweep", lambda *a: swept.append(a))
+        with pytest.raises(ValueError, match="variance"):
+            measure_sensitivity(isotropic, nmax=8)
+        assert not swept
 
     def test_narrowing_with_n2(self):
         curvatures = []
