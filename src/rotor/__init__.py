@@ -48,6 +48,7 @@ from .quantum import (
     build_fock_hamiltonian,
     coherent_nmax,
     coherent_state,
+    coherent_track,
     conjugation_check,
     converge_truncation,
     entangled_state,

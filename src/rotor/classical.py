@@ -41,19 +41,22 @@ class Trajectory:
 
 
 def _mode_rotation(modes, t):
-    """Exact normal-mode flow matrix at time t (4x4, acting on (Q1,Q2,P1,P2))."""
-    m = np.zeros((4, 4))
+    """Exact normal-mode flow matrix at time t, acting on (Q1,Q2,P1,P2):
+    4x4 for a scalar t, one 4x4 matrix per entry for an array of times."""
+    t = np.asarray(t, dtype=float)
+    m = np.zeros(t.shape + (4, 4))
     for j, omega in enumerate((modes.omega_cap1, modes.omega_cap2)):
         c, s = np.cos(omega * t), np.sin(omega * t)
-        m[j, j] = c
-        m[j, j + 2] = s / omega
-        m[j + 2, j] = -omega * s
-        m[j + 2, j + 2] = c
+        m[..., j, j] = c
+        m[..., j, j + 2] = s / omega
+        m[..., j + 2, j] = -omega * s
+        m[..., j + 2, j + 2] = c
     return m
 
 
 def flow_matrix(modes, t):
-    """Time-t map of the rotating-frame dynamics, S . blockrot(t) . S^-1."""
+    """Time-t map of the rotating-frame dynamics, S . blockrot(t) . S^-1:
+    4x4 for a scalar t, shape (T, 4, 4) for T times."""
     s = modes.transform.s
     return s @ _mode_rotation(modes, t) @ modes.transform.inverse
 

@@ -46,6 +46,7 @@ from .quantum import (
     build_fock_hamiltonian,
     coherent_nmax,
     coherent_state,
+    coherent_track,
     converge_truncation,
     default_start_nmax,
     entangled_state,
@@ -57,7 +58,6 @@ from .quantum import (
     revival_phase,
     stability_sweep,
     survival_probability,
-    wavepacket_track,
 )
 from .symplectic import normal_frequencies
 
@@ -464,14 +464,15 @@ def cmd_track(params, tolerances):
     protocol = _protocol_from(params)
     a1, a2 = parse_complex(params["alpha1"]), parse_complex(params["alpha2"])
     nmax = int(params["nmax"]) if params.get("nmax") else coherent_nmax(a1, a2)
-    psi0 = coherent_state(a1, a2, nmax)
     steps, points = int(params["steps"]), int(params["grid_points"])
-    grid = wavepacket_track(psi0, protocol, time_steps=steps, grid_points=points)
+    grid = coherent_track(a1, a2, protocol, nmax, time_steps=steps, grid_points=points)
     print(
         f"nmax = {nmax}; integral(track)/T = {grid.time_integral() / protocol.duration:.6f}; "
-        f"max top-shell weight = {grid.diagnostics['max_top_shell_weight']:.3e}"
+        f"max top-shell weight = {grid.diagnostics['max_top_shell_weight']:.3e}; "
+        f"max norm loss = {grid.diagnostics['max_norm_loss']:.3e}"
     )
-    centroid = phase_space_expectations(psi0)
+    # the centroid of the truncated state, which the track's axes follow too
+    centroid = phase_space_expectations(coherent_state(a1, a2, nmax))
     times = np.linspace(0.0, protocol.duration, steps + 1)
     trajectory = sample_trajectory(
         PhaseSpaceState.from_vector(centroid), protocol.config, times
@@ -490,10 +491,11 @@ def cmd_stability(params, tolerances):
     make_state, n0 = _state_builder(params["state"])
     eps_frac = params["eps_range"]
 
+    # design every protocol first, so an infeasible entry fails before any run
+    protocols = {n2: _protocol_from({**params, "n2": n2}) for n2 in n2_list}
     tables = {}
     trace = []
-    for n2 in n2_list:
-        protocol = _protocol_from({**params, "n2": n2})
+    for n2, protocol in protocols.items():
         psi0, h, conv = _converged_state(protocol, make_state, n0, params, tolerances)
         trace.append({"n2": n2, "nmax": psi0.nmax, "steps": conv})
         eps = np.linspace(-eps_frac, eps_frac, params["eps_points"]) * protocol.duration

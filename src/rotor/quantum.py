@@ -21,6 +21,13 @@ Each observable takes one :class:`QuantumState` or a (..., nmax, nmax)
 coefficient stack, the shape :func:`evolve_series` returns, and gives one
 value (four for :func:`phase_space_expectations`) per state.
 
+The Fock path is the reference.  A coherent state has a cheaper exact
+route: H is quadratic, so the state stays Gaussian, and its amplitudes on
+the truncated basis follow from the classical flow by a recurrence with no
+Hamiltonian matrix and no eigendecomposition.  :func:`coherent_track` uses
+that route; :func:`wavepacket_track` keeps the Fock path for any state and
+is the reference it is checked against.
+
 Two structural facts keep the eigenproblem cheap.  A quadratic two-mode
 operator only connects states whose total occupation differs by 0 or 2,
 so its matrix splits into an even and an odd parity sector.  And the
@@ -41,7 +48,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.special import gammainc
 
-from .classical import sample_trajectory
+from .classical import flow_matrix, sample_trajectory
 from .core import J, PhaseSpaceState
 from .errors import (
     ConvergenceFailure,
@@ -49,6 +56,7 @@ from .errors import (
     LogBranchFailure,
     TruncationTooSmall,
 )
+from .symplectic import normal_modes
 
 #: rms spread of the ground-state position density, the natural length for
 #: "within one ground-state width" statements.
@@ -60,6 +68,13 @@ _COHERENT_TAIL_TOL = 1e-10
 TRACK_PAD_WIDTHS = 3.0
 #: largest relative L1 change of the track when the time step is halved
 TRACK_QUAD_TOL = 0.01
+#: bytes of per-time arrays one chunk of the track quadrature may hold
+_TRACK_CHUNK_BYTES = 2e8
+
+# a = L v and v = K (a; a+) for the ladder operators a = (a1, a2) and the
+# phase-space vector v = (q1, q2, p1, p2)
+_L = np.hstack([np.eye(2), 1j * np.eye(2)]) / np.sqrt(2)
+_K = np.block([[np.eye(2), np.eye(2)], [-1j * np.eye(2), 1j * np.eye(2)]]) / np.sqrt(2)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +375,57 @@ def evolve(state, h, t):
     return QuantumState(evolve_series(state, h, [float(t)])[0])
 
 
+def _coherent_series(alpha1, alpha2, config, nmax, times):
+    """Coefficients of exp(-i H t) |alpha1, alpha2> for every t in ``times``,
+    from the exact Gaussian form of the evolved state; no Hamiltonian matrix.
+
+    H is quadratic, so U a U+ = L F(-t) K (a; a+) = alpha' a + beta' a+ with
+    the classical flow F and F(-t) = -J F(t)^T J, and the evolved state is
+    D(alpha_t) G exp(a+ B a+ / 2)|0> with B = -alpha'^-1 beta' and the
+    evolved mean amplitude alpha_t = L F(t) d0.  Its amplitudes obey
+    sqrt(n_i + 1) c[n + e_i] = gamma_i c[n] + sum_j B_ij sqrt(n_j) c[n - e_j]
+    with gamma = alpha_t - B alpha_t*, from
+    |c[0, 0]| = det(I - B+ B)^(1/4) |exp(-|alpha_t|^2/2 + alpha_t*^T B alpha_t*/2)|.
+
+    Each row equals the matching row of :func:`evolve_series` up to one
+    unit-modulus factor, the phase of G, which is not computed.  The
+    amplitudes are those of the exact state on the truncated basis and are
+    not renormalized: 1 - sum |c|^2 is the probability truncation loses.
+
+    Returns
+    -------
+    ndarray of shape (len(times), nmax, nmax)
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    flow = flow_matrix(normal_modes(config), times)
+    inverse = -J @ flow.transpose(0, 2, 1) @ J
+    ladder = _L @ inverse @ _K
+    b = -np.linalg.solve(ladder[:, :, :2], ladder[:, :, 2:])
+    d0 = np.sqrt(2) * np.array([alpha1.real, alpha2.real, alpha1.imag, alpha2.imag])
+    mean = (flow @ d0) @ _L.T
+    gamma = mean - np.einsum("tij,tj->ti", b, mean.conj())
+    vacuum = np.linalg.det(np.eye(2) - b.conj().transpose(0, 2, 1) @ b).real ** 0.25
+    exponent = -0.5 * (np.abs(mean) ** 2).sum(-1) + 0.5 * np.einsum(
+        "ti,tij,tj->t", mean.conj(), b, mean.conj()
+    )
+
+    root = np.sqrt(np.arange(nmax))
+    c = np.zeros((times.size, nmax, nmax), dtype=complex)
+    c[:, 0, 0] = vacuum * np.exp(exponent.real)
+    for n in range(nmax - 1):
+        c[:, 0, n + 1] = gamma[:, 1] * c[:, 0, n]
+        if n:
+            c[:, 0, n + 1] += b[:, 1, 1] * root[n] * c[:, 0, n - 1]
+        c[:, 0, n + 1] /= root[n + 1]
+    for n in range(nmax - 1):
+        row = gamma[:, 0, None] * c[:, n]
+        row[:, 1:] += b[:, 0, 1, None] * root[1:] * c[:, n, :-1]
+        if n:
+            row += b[:, 0, 0, None] * root[n] * c[:, n - 1]
+        c[:, n + 1] = row / root[n + 1]
+    return c
+
+
 # ---------------------------------------------------------------------------
 # observables over time
 
@@ -505,34 +571,35 @@ def classical_orbit(protocol, centroid, n_samples=1024):
     return sample_trajectory(start, protocol.config, ts).states[:, :2]
 
 
-def wavepacket_track(psi0, protocol, time_steps=2000, grid_points=201):
-    """Accumulate the position density of an evolving state over one period.
+def _track_axes(protocol, centroid, grid_points):
+    """The ``grid_points``-point q1 and q2 axes of a track: the classical
+    orbit of ``centroid`` plus ``TRACK_PAD_WIDTHS`` ground-state widths.
 
-    The density is the trapezoidal time quadrature of |psi(q1, q2, t)|^2
-    with ``time_steps`` uniform steps on [0, T]; a halved-step comparison
-    must agree to ``TRACK_QUAD_TOL`` in L1 or the quadrature is deemed
-    unconverged.  The ``grid_points`` x ``grid_points`` axes cover the
-    classical orbit of the state's centroid plus ``TRACK_PAD_WIDTHS``
-    ground-state widths.
-
-    Raises
-    ------
-    ValueError
-        If ``grid_points`` is below 2, which leaves no grid spacing.
-    ConvergenceFailure
-        If halving the quadrature step changes the density by more than
-        ``TRACK_QUAD_TOL`` relative L1.
+    Raises ValueError if ``grid_points`` is below 2, which leaves no spacing.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be at least 2, got {grid_points}")
-    orbit = classical_orbit(protocol, phase_space_expectations(psi0))
+    orbit = classical_orbit(protocol, centroid)
     pad = TRACK_PAD_WIDTHS * GROUND_STATE_WIDTH
-    q1_axis = np.linspace(orbit[:, 0].min() - pad, orbit[:, 0].max() + pad, grid_points)
-    q2_axis = np.linspace(orbit[:, 1].min() - pad, orbit[:, 1].max() + pad, grid_points)
+    return tuple(
+        np.linspace(orbit[:, k].min() - pad, orbit[:, k].max() + pad, grid_points)
+        for k in (0, 1)
+    )
+
+
+def _track_density(protocol, axes, nmax, amplitudes, time_steps):
+    """Trapezoidal time quadrature of |psi(q1, q2, t)|^2 on ``axes``.
+
+    ``amplitudes(times)`` returns the (len(times), nmax, nmax) coefficients
+    of the state at those times, any phase per time.  Times are taken in
+    chunks whose per-time arrays (coefficients, the half-projected
+    (grid, nmax) stack, the grid amplitudes and their probabilities) fit in
+    ``_TRACK_CHUNK_BYTES``.
+    """
+    q1_axis, q2_axis = axes
     steps = int(time_steps)
     if steps % 2:
         steps += 1
-    h = build_fock_hamiltonian(protocol.config, psi0.nmax)
     times = np.linspace(0.0, protocol.duration, steps + 1)
     dt = times[1] - times[0]
     w_full = np.full(times.size, dt)
@@ -541,20 +608,28 @@ def wavepacket_track(psi0, protocol, time_steps=2000, grid_points=201):
     w_half[::2] = 2 * dt
     w_half[0] = w_half[-1] = dt
 
-    basis1 = hermite_functions(psi0.nmax, q1_axis)
-    basis2 = hermite_functions(psi0.nmax, q2_axis)
+    basis1 = hermite_functions(nmax, q1_axis)
+    basis2 = hermite_functions(nmax, q2_axis)
+    cells = q1_axis.size * q2_axis.size
+    per_time = 16 * (nmax**2 + q1_axis.size * nmax + cells) + 8 * cells
+    chunk = max(1, int(_TRACK_CHUNK_BYTES // per_time))
     dens_full = np.zeros((q1_axis.size, q2_axis.size))
     dens_half = np.zeros_like(dens_full)
-    shell_max = 0.0
-    chunk = max(1, int(2e8 // (q1_axis.size * q2_axis.size * 16)))
+    shell_max = norm_loss = 0.0
     for start in range(0, times.size, chunk):
         stop = min(start + chunk, times.size)
-        coeffs = evolve_series(psi0, h, times[start:stop])
+        coeffs = amplitudes(times[start:stop])
         shell_max = max(shell_max, float(top_shell_weight(coeffs).max()))
+        # real and imaginary parts are views: the norms need no copy
+        norm_sq = sum(np.einsum("tij,tij->t", part, part) for part in (coeffs.real, coeffs.imag))
+        norm_loss = max(norm_loss, float(np.abs(1.0 - norm_sq).max()))
         amp = np.matmul(np.matmul(basis1.T[None], coeffs), basis2)
-        prob = np.abs(amp) ** 2
+        prob = np.abs(amp)
+        prob *= prob
         dens_full += np.einsum("t,txy->xy", w_full[start:stop], prob)
         dens_half += np.einsum("t,txy->xy", w_half[start:stop], prob)
+        # free this chunk before the next one is computed
+        del coeffs, amp, prob
 
     l1 = dens_full.sum()
     quad_err = float(np.abs(dens_full - dens_half).sum() / l1)
@@ -566,9 +641,69 @@ def wavepacket_track(psi0, protocol, time_steps=2000, grid_points=201):
         "time_steps": steps,
         "quadrature_rel_change": quad_err,
         "max_top_shell_weight": shell_max,
-        "nmax": psi0.nmax,
+        "max_norm_loss": norm_loss,
+        "nmax": nmax,
     }
     return TrackGrid(q1_axis, q2_axis, dens_full, diagnostics)
+
+
+def wavepacket_track(psi0, protocol, time_steps=2000, grid_points=201):
+    """Accumulate the position density of an evolving state over one period.
+
+    This is the Fock reference: ``psi0`` evolves by :func:`evolve_series`
+    under the truncated Hamiltonian, so any state can be tracked, at the
+    cost of one sector eigendecomposition.  :func:`coherent_track` gives the
+    same density for a coherent state without one.
+
+    The density is the trapezoidal time quadrature of |psi(q1, q2, t)|^2
+    with ``time_steps`` uniform steps on [0, T]; a halved-step comparison
+    must agree to ``TRACK_QUAD_TOL`` in L1 or the quadrature is deemed
+    unconverged.  The ``grid_points`` x ``grid_points`` axes cover the
+    classical orbit of the state's centroid plus ``TRACK_PAD_WIDTHS``
+    ground-state widths.  The diagnostics record the largest top-shell
+    weight and the largest norm loss |1 - sum |c_t|^2| over the sampled
+    times.
+
+    Raises
+    ------
+    ValueError
+        If ``grid_points`` is below 2, which leaves no grid spacing.
+    ConvergenceFailure
+        If halving the quadrature step changes the density by more than
+        ``TRACK_QUAD_TOL`` relative L1.
+    """
+    axes = _track_axes(protocol, phase_space_expectations(psi0), grid_points)
+    h = build_fock_hamiltonian(protocol.config, psi0.nmax)
+    return _track_density(
+        protocol, axes, psi0.nmax, lambda times: evolve_series(psi0, h, times), time_steps
+    )
+
+
+def coherent_track(alpha1, alpha2, protocol, nmax, time_steps=2000, grid_points=201):
+    """Accumulate the position density of |alpha1, alpha2> over one period
+    from its exact Gaussian amplitudes on the ``nmax`` truncation, with no
+    Hamiltonian matrix and no eigendecomposition.
+
+    Quadrature, axes, diagnostics and errors are those of
+    :func:`wavepacket_track`; the axes follow the centroid of
+    ``coherent_state(alpha1, alpha2, nmax)``, so both tracks of one state
+    share a grid.  The amplitudes are not renormalized, so the diagnostic
+    ``max_norm_loss`` is the probability the truncation lost.
+
+    Raises
+    ------
+    TruncationTooSmall
+        Where :func:`coherent_state` does, before any evolution.
+    """
+    psi0 = coherent_state(alpha1, alpha2, nmax)
+    axes = _track_axes(protocol, phase_space_expectations(psi0), grid_points)
+    return _track_density(
+        protocol,
+        axes,
+        nmax,
+        lambda times: _coherent_series(alpha1, alpha2, protocol.config, nmax, times),
+        time_steps,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import rotor.cli
 from rotor import DegenerateOverlap
 from rotor.cli import RunManifest, main, parse_angle, parse_complex
 
@@ -320,6 +321,24 @@ class TestTrackCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["nmax_trace"][0]["nmax"] == 16
 
+    def test_large_amplitude_without_eigh(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        argv = [
+            "track", "--omega1-khz", "1", "--alpha1", "10", "--alpha2", "0",
+            "--grid-points", "21", "--steps", "200", "--out-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("nmax = 176;")
+        (trace,) = json.loads((tmp_path / "manifest.json").read_text())["nmax_trace"]
+        assert trace["nmax"] == 176
+        assert 0 < trace["max_norm_loss"] < 1e-10
+        assert trace["max_top_shell_weight"] < 1e-10
+        assert f"max norm loss = {trace['max_norm_loss']:.3e}" in out
+
 
 class TestStabilityCommand:
     def test_two_series(self, tmp_path, capsys):
@@ -369,6 +388,19 @@ class TestStabilityCommand:
         assert main(["rerun", str(orig / "manifest.json"), "--out-dir", str(redo)]) == 2
         assert "--n2-list" in capsys.readouterr().err
         assert not redo.exists()
+
+
+    def test_infeasible_entry_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("convergence loop ran")
+
+        monkeypatch.setattr(rotor.cli, "converge_truncation", refuse)
+        argv = ["stability", "--omega1-khz", "1", "--n2-list", "2,5,0", "--eps-points", "5"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestFactorizationCount:

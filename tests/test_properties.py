@@ -5,7 +5,8 @@ The vectorised samplers are checked against the per-sample oracles
 ``hamiltonian_value``), which share none of their array code.  Each Fock
 observable applied to a stack of states is checked against the same
 observable applied to each state alone, and the revival phase against
-``np.vdot``.
+``np.vdot``.  The Gaussian amplitudes of an evolving coherent state are
+checked against :func:`evolve_series` on the truncated Hamiltonian.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from rotor import (
     QuantumState,
     TrapConfig,
     TruncationTooSmall,
+    build_fock_hamiltonian,
     build_rotating_hamiltonian,
     coherent_nmax,
     coherent_state,
@@ -38,7 +40,12 @@ from rotor import (
     to_normal_coords,
 )
 from rotor.classical import _mode_rotation, flow_matrix, trajectory_energies
-from rotor.quantum import phase_space_expectations, top_shell_weight
+from rotor.quantum import (
+    _coherent_series,
+    evolve_series,
+    phase_space_expectations,
+    top_shell_weight,
+)
 
 COPRIME_PAIRS = ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (2, 5), (3, 5))
 REL = 1e-12
@@ -94,6 +101,16 @@ def test_sample_trajectory_matches_per_sample_oracles(protocol, v0, fracs):
 
 
 @settings(deadline=None)
+@given(protocols(), fractions)
+def test_flow_matrix_stack_matches_per_time(protocol, fracs):
+    modes = normal_modes(protocol.config)
+    times = _times(protocol, fracs)
+    stack = flow_matrix(modes, times)
+    assert stack.shape == (times.size, 4, 4)
+    assert_rel_close(stack, np.array([flow_matrix(modes, t) for t in times]))
+
+
+@settings(deadline=None)
 @given(protocols(), points, fractions)
 def test_trajectory_energies_match_per_sample_value(protocol, v0, fracs):
     config = protocol.config
@@ -131,6 +148,43 @@ def test_coherent_nmax_is_the_smallest_accepted_size(alpha1, alpha2):
     if nmax - 8 >= 16:
         with pytest.raises(TruncationTooSmall):
             coherent_state(alpha1, alpha2, nmax - 8)
+
+
+small_amplitudes = st.builds(
+    lambda r, phi: r * np.exp(1j * phi), st.floats(0.0, 2.0), st.floats(0.0, 2 * np.pi)
+)
+
+
+def _converged_fock_series(protocol, alpha1, alpha2, nmax, times):
+    """evolve_series of |alpha1, alpha2> at the first size nmax + 16k whose
+    own top-shell weight stays below 1e-16 at every time, cut to nmax.
+
+    At nmax itself the Fock path is not converged mid-rotation for strongly
+    squeezing designs: the state spreads over the static-trap basis."""
+    for size in range(nmax + 16, 97, 16):
+        h = build_fock_hamiltonian(protocol.config, size)
+        fock = evolve_series(coherent_state(alpha1, alpha2, size), h, times)
+        if top_shell_weight(fock).max() < 1e-16:
+            return fock[:, :nmax, :nmax]
+    raise AssertionError("Fock reference not converged below nmax = 96")
+
+
+@settings(deadline=None, max_examples=25)
+@given(protocols(), small_amplitudes, small_amplitudes, fractions)
+def test_coherent_series_matches_fock_evolution(protocol, alpha1, alpha2, fracs):
+    """At coherent_nmax each row agrees with the converged Fock evolution up
+    to one phase: equal populations, and unit overlap once both rows are
+    normalized (the series is not, so its norm is below 1 by what the
+    truncation lost)."""
+    nmax = coherent_nmax(alpha1, alpha2)
+    times = _times(protocol, fracs)
+    fock = _converged_fock_series(protocol, alpha1, alpha2, nmax, times)
+    exact = _coherent_series(alpha1, alpha2, protocol.config, nmax, times)
+    assert exact.shape == fock.shape
+    assert np.abs(np.abs(exact) ** 2 - np.abs(fock) ** 2).max() <= 1e-12
+    overlap = np.abs(np.einsum("tij,tij->t", exact.conj(), fock))
+    norms = np.linalg.norm(exact, axis=(1, 2)) * np.linalg.norm(fock, axis=(1, 2))
+    assert np.abs(overlap / norms - 1).max() <= 1e-12
 
 
 @settings(deadline=None)

@@ -14,6 +14,7 @@ from rotor import (
     TruncationTooSmall,
     build_fock_hamiltonian,
     coherent_state,
+    coherent_track,
     conjugation_check,
     converge_truncation,
     design_protocol,
@@ -36,6 +37,8 @@ from rotor.quantum import (
     ObservableSeries,
     QuantumState,
     TrackGrid,
+    _coherent_series,
+    _coherent_tail,
     _index_grids,
     _quadratic_operator,
     _sector_eigh,
@@ -411,6 +414,51 @@ class TestTrack:
             TrackGrid(np.arange(3.0), np.arange(3.0), -np.ones((3, 3)))
         with pytest.raises(ValueError):
             TrackGrid(np.arange(3.0), np.arange(4.0), np.zeros((3, 3)))
+
+
+class TestCoherentTrack:
+    """The Gaussian-amplitude track against its Fock reference."""
+
+    @pytest.mark.parametrize("alpha1, alpha2, nmax", [(2.0, 0.0, 16), (1.5j, -1.2 + 1j, 12)])
+    def test_initial_loss_is_the_poisson_tail(self, row1_protocol, alpha1, alpha2, nmax):
+        (c,) = _coherent_series(alpha1, alpha2, row1_protocol.config, nmax, [0.0])
+        kept = (1 - _coherent_tail(alpha1, nmax)) * (1 - _coherent_tail(alpha2, nmax))
+        assert 1 - kept > 1e-7
+        assert 1 - (abs(c) ** 2).sum() == pytest.approx(1 - kept, rel=1e-9)
+
+    def test_matches_the_fock_track(self, row1_protocol):
+        fock = wavepacket_track(
+            coherent_state(1.5, 0.5, 24), row1_protocol, time_steps=300, grid_points=101
+        )
+        grid = coherent_track(1.5, 0.5, row1_protocol, 24, time_steps=300, grid_points=101)
+        np.testing.assert_array_equal(grid.q1_axis, fock.q1_axis)
+        np.testing.assert_array_equal(grid.q2_axis, fock.q2_axis)
+        peak = fock.density.max()
+        assert np.abs(grid.density - fock.density).max() <= 1e-9 * peak
+        assert grid.diagnostics["max_norm_loss"] < 1e-12
+
+    def test_chunks_do_not_change_the_density(self, row1_protocol, monkeypatch):
+        whole = coherent_track(1.0, 0.5j, row1_protocol, 16, time_steps=60, grid_points=31)
+        # at most three times per chunk
+        per_time = 16 * (16**2 + 31 * 16 + 31**2) + 8 * 31**2
+        monkeypatch.setattr(rotor.quantum, "_TRACK_CHUNK_BYTES", 3 * per_time)
+        chunked = coherent_track(1.0, 0.5j, row1_protocol, 16, time_steps=60, grid_points=31)
+        np.testing.assert_allclose(chunked.density, whole.density, rtol=1e-13, atol=0)
+        assert chunked.diagnostics == pytest.approx(whole.diagnostics, rel=1e-12)
+
+    def test_norm_loss_reports_truncation(self, row1_protocol):
+        # |alpha|^2 = 4 leaves a Poisson tail of about 8e-12 above nmax = 24
+        grid = coherent_track(2.0, 0.0, row1_protocol, 24, time_steps=100, grid_points=31)
+        assert _coherent_tail(2.0, 24) <= grid.diagnostics["max_norm_loss"] < 1e-10
+
+    def test_truncation_too_small(self, row1_protocol):
+        with pytest.raises(TruncationTooSmall):
+            coherent_track(3.0, 0.0, row1_protocol, 16, time_steps=100, grid_points=31)
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_grid_needs_two_points(self, row1_protocol, points):
+        with pytest.raises(ValueError, match="grid_points"):
+            coherent_track(1.5, 0.5, row1_protocol, 24, grid_points=points)
 
 
 class _StaticProtocol:
