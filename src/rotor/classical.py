@@ -5,13 +5,17 @@ exact composition S . blockrot(t) . S^-1, where blockrot rotates each
 normal-mode plane (Q_j, P_j) at its frequency O_j.  The flow is therefore
 symplectic and energy conserving to rounding error, and closed orbits of
 commensurate designs close to the same accuracy.
+
+``_mode_rotation`` is the one blockrot, of the single-time maps and of the
+orbit sampler alike, and ``_rotate_pairs`` the one lab rotation R(theta)^-1.
+The energy v^T A v lives in :func:`rotor.core.hamiltonian_value`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseSpaceState, build_rotating_hamiltonian
+from .core import PhaseSpaceState
 from .symplectic import normal_modes
 
 
@@ -82,28 +86,32 @@ def propagate_rotating(state, config, t):
     return PhaseSpaceState.from_vector(flow_matrix(normal_modes(config), t) @ state.vector)
 
 
+def _rotate_pairs(v, theta):
+    """R(theta)^-1 on the pairs (q1, q2) and (p1, p2) of each row of v, with
+    one angle per row (or one for a single point)."""
+    c, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    first, second = v[..., 0::2], v[..., 1::2]
+    out = np.empty_like(v)
+    out[..., 0::2] = c * first - s * second
+    out[..., 1::2] = s * first + c * second
+    return out
+
+
 def lab_frame_state(state, theta, config=None):
     """Rotate a rotating-frame point back to lab coordinates.
 
     Applies the inverse trap rotation R(theta)^-1 to the coordinate pair
-    and to the momentum pair.  By default the dimensionless coordinates are
+    and to the momentum pair, the same rotation ``sample_trajectory``
+    applies in its lab frame.  By default the dimensionless coordinates are
     rotated as they are; passing ``config`` first undoes the per-axis
     dimensionless scaling (hbar = m = 1), producing physical lab
     coordinates (x, y, p_x, p_y).
     """
-    v = state.vector.copy()
+    v = state.vector
     if config is not None:
-        root1, root2 = np.sqrt(config.omega1), np.sqrt(config.omega2)
-        v[0] /= root1
-        v[1] /= root2
-        v[2] *= root1
-        v[3] *= root2
-    c, s = np.cos(theta), np.sin(theta)
-    r_inv = np.array([[c, -s], [s, c]])
-    out = np.empty(4)
-    out[:2] = r_inv @ v[:2]
-    out[2:] = r_inv @ v[2:]
-    return PhaseSpaceState.from_vector(out)
+        roots = np.sqrt([config.omega1, config.omega2])
+        v = np.concatenate([v[:2] / roots, v[2:] * roots])
+    return PhaseSpaceState.from_vector(_rotate_pairs(v, theta))
 
 
 def sample_trajectory(state0, config, t_grid, frame="rotating"):
@@ -112,34 +120,16 @@ def sample_trajectory(state0, config, t_grid, frame="rotating"):
     ``frame`` selects the returned coordinates: "rotating" (default),
     "normal" (decoupled coordinates) or "lab" (rotating each sample back
     by the accumulated trap angle theta_dot * t).  All samples are computed
-    together: the normal-mode planes rotate at their frequencies, one
-    product with S maps them to the rotating frame, and the lab frame
-    applies R(theta_dot * t)^-1 to the coordinate and momentum pairs.
-    :func:`flow_matrix` and :func:`lab_frame_state` give the same points
-    one sample at a time.
+    together: the normal-mode rotations of :func:`flow_matrix`, one per
+    time, act on S^-1 . v0, one product with S maps them to the rotating
+    frame, and the lab frame applies the R(theta_dot * t)^-1 of
+    :func:`lab_frame_state` to each row.
     """
     modes = normal_modes(config)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    omega = np.array([modes.omega_cap1, modes.omega_cap2])
-    phase = np.outer(t_grid, omega)
-    c, s = np.cos(phase), np.sin(phase)
-    q0, p0 = np.split(modes.transform.inverse @ state0.vector, 2)
-    states = np.hstack([c * q0 + s / omega * p0, c * p0 - omega * s * q0])
+    states = _mode_rotation(modes, t_grid) @ (modes.transform.inverse @ state0.vector)
     if frame != "normal":
         states = states @ modes.transform.s.T
     if frame == "lab":
-        theta = config.theta_dot * t_grid
-        c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
-        first, second = states[:, 0::2], states[:, 1::2]
-        states = np.empty_like(states)
-        states[:, 0::2] = c * first - s * second
-        states[:, 1::2] = s * first + c * second
+        states = _rotate_pairs(states, config.theta_dot * t_grid)
     return Trajectory(times=t_grid, states=states, frame=frame)
-
-
-def trajectory_energies(trajectory, config):
-    """Rotating-frame energy v^T A v at every sample (constant for valid input)."""
-    a = build_rotating_hamiltonian(config).a
-    v = trajectory.states
-    return np.einsum("ij,jk,ik->i", v, a, v)
-

@@ -193,8 +193,9 @@ def _positive_float(text):
 
 
 def _two_or_more(text):
-    """argparse type for --samples, which run from t = 0 to t = T, and for
-    --grid-points, whose axes need a spacing: fewer than two is a usage error."""
+    """argparse type for --samples, which run from t = 0 to t = T, for
+    --grid-points, whose axes need a spacing, and for --eps-points, whose
+    sweep runs from -r*T to r*T: fewer than two is a usage error."""
     value = int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
@@ -366,12 +367,20 @@ def cmd_design(params, tolerances):
 
 
 def cmd_modes(params, tolerances):
+    # the output is labelled in omega1's unit, so every frequency must share it
+    given = ["--" + k.replace("_", "-") for k, v in params.items()
+             if v is not None and k.endswith(("_khz", "_rad"))]
+    if len({flag.rsplit("-", 1)[1] for flag in given}) > 1:
+        raise InfeasibleDesign(f"{', '.join(given)}: give every frequency in kHz or every one raw")
+    sweep = params.get("sweep")
+    velocity = [flag for flag in given if flag.startswith("--theta-dot")]
+    if sweep and velocity:
+        raise InfeasibleDesign(f"--sweep, {velocity[0]}: a sweep sets its own velocities")
     omega1, unit = resolve_frequency(params, "omega1")
     omega2, _ = resolve_frequency(params, "omega2")
     fl = _freq_label(unit)
     # the slower axis bounds the velocity, whichever flag names it
     bound, name = min((omega1, "omega1"), (omega2, "omega2"))
-    sweep = params.get("sweep")
     if sweep:
         velocities = np.linspace(0.0, bound, int(sweep), endpoint=False)
     else:
@@ -428,19 +437,15 @@ def cmd_simulate(params, tolerances):
 
 
 def _initial_point(params):
-    if params.get("alpha1") is not None or params.get("alpha2") is not None:
-        a1 = parse_complex(params.get("alpha1") or 0)
-        a2 = parse_complex(params.get("alpha2") or 0)
-        return PhaseSpaceState(
-            np.sqrt(2) * a1.real, np.sqrt(2) * a2.real,
-            np.sqrt(2) * a1.imag, np.sqrt(2) * a2.imag,
-        )
-    return PhaseSpaceState(
-        float(params.get("q1") or 0.0),
-        float(params.get("q2") or 0.0),
-        float(params.get("p1") or 0.0),
-        float(params.get("p2") or 0.0),
-    )
+    alphas = [k for k in ("alpha1", "alpha2") if params.get(k) is not None]
+    coords = [k for k in ("q1", "q2", "p1", "p2") if params.get(k) is not None]
+    if alphas and coords:
+        flags = ", ".join("--" + k for k in alphas + coords)
+        raise InfeasibleDesign(f"{flags}: give coherent amplitudes or coordinates, not both")
+    if alphas:
+        a = np.array([parse_complex(params.get(k) or 0) for k in ("alpha1", "alpha2")])
+        return PhaseSpaceState.from_vector(np.sqrt(2) * np.concatenate([a.real, a.imag]))
+    return PhaseSpaceState.from_vector([params.get(k) or 0.0 for k in ("q1", "q2", "p1", "p2")])
 
 
 def _trajectory_table(trajectory):
@@ -449,8 +454,8 @@ def _trajectory_table(trajectory):
 
 
 def cmd_classical(params, tolerances):
-    protocol = _protocol_from(params)
     state0 = _initial_point(params)
+    protocol = _protocol_from(params)
     frame = params["frame"]
     times = np.linspace(0.0, protocol.duration, int(params["samples"]))
     trajectory = sample_trajectory(state0, protocol.config, times, frame=frame)
@@ -599,7 +604,7 @@ def build_parser():
     p.add_argument("--state", default="ground")
     p.add_argument("--eps-range", type=_positive_float, default=0.05,
                    help="half width of the offset sweep as a fraction of T")
-    p.add_argument("--eps-points", type=_positive_int, default=101)
+    p.add_argument("--eps-points", type=_two_or_more, default=101)
     p.add_argument("--nmax-cap", type=_positive_int, default=128,
                    help="largest truncation the convergence loop may try")
     add_out(p, "stability")

@@ -50,24 +50,22 @@ class TrapConfig:
         additionally needs ``theta_dot < omega1`` (see
         :func:`williamson_valid`), which is checked where required rather
         than at construction so near-critical sweeps stay representable.
-    theta_f : float
-        Target rotation angle in radians.
+
+    The Hamiltonian depends on these three values alone; the target angle
+    belongs to the rotation protocol that drives the trap.
     """
 
     omega1: float
     omega2: float
     theta_dot: float = 0.0
-    theta_f: float = np.pi / 2
     axes_swapped: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        for name in ("omega1", "omega2", "theta_dot", "theta_f"):
+        for name in ("omega1", "omega2", "theta_dot"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.omega1 <= 0 or self.omega2 <= 0:
             raise ValueError("axial frequencies must be positive")
-        if self.theta_f <= 0:
-            raise ValueError("rotation angle must be positive")
         if self.theta_dot < 0:
             raise ValueError("rotation velocity must be non-negative")
         if self.omega1 > self.omega2:
@@ -77,9 +75,9 @@ class TrapConfig:
             object.__setattr__(self, "axes_swapped", True)
 
     @classmethod
-    def from_frequency_hz(cls, f1, f2, f_dot, theta_f=np.pi / 2):
+    def from_frequency_hz(cls, f1, f2, f_dot):
         """Build a config from plain frequencies in Hz (multiplied by 2*pi)."""
-        return cls(2 * np.pi * f1, 2 * np.pi * f2, 2 * np.pi * f_dot, theta_f)
+        return cls(2 * np.pi * f1, 2 * np.pi * f2, 2 * np.pi * f_dot)
 
     @property
     def eta(self):

@@ -42,7 +42,7 @@ class RotationProtocol:
     @property
     def config(self):
         """The trap configuration realizing this protocol."""
-        return TrapConfig(self.omega1, self.omega2, self.theta_dot, self.theta_f)
+        return TrapConfig(self.omega1, self.omega2, self.theta_dot)
 
     def normal_frequencies(self):
         return normal_frequencies(self.config)

@@ -16,7 +16,7 @@ from rotor import (
     sample_trajectory,
     to_normal_coords,
 )
-from rotor.classical import Trajectory, flow_matrix, trajectory_energies
+from rotor.classical import Trajectory, flow_matrix
 
 
 def rk4_reference(v0, config, t, nsteps=100_000):
@@ -95,6 +95,14 @@ class TestPropagateRotating:
             exact = propagate_rotating(PhaseSpaceState.from_vector(v0), cfg, t).vector
             reference = rk4_reference(v0, cfg, t)
             assert np.linalg.norm(exact - reference) < 1e-6 * np.linalg.norm(exact)
+            # the sampler, in both frames, against the same integration
+            c, s = np.cos(cfg.theta_dot * t), np.sin(cfg.theta_dot * t)
+            r_inv = np.array([[c, -s], [s, c]])
+            lab_reference = np.concatenate([r_inv @ reference[:2], r_inv @ reference[2:]])
+            start = PhaseSpaceState.from_vector(v0)
+            for frame, want in (("rotating", reference), ("lab", lab_reference)):
+                got = sample_trajectory(start, cfg, [0.0, t], frame=frame).states[-1]
+                assert np.linalg.norm(got - want) < 1e-6 * np.linalg.norm(want)
 
     def test_equivalent_to_normal_route(self, rng, row1_protocol):
         cfg = row1_protocol.config
@@ -169,7 +177,10 @@ class TestTrajectory:
             cfg,
             np.linspace(0, row1_protocol.duration, 500),
         )
-        energies = trajectory_energies(traj, cfg)
+        form = build_rotating_hamiltonian(cfg)
+        energies = np.array(
+            [hamiltonian_value(form, PhaseSpaceState.from_vector(v)) for v in traj.states]
+        )
         assert np.abs(energies - energies[0]).max() < 1e-10 * abs(energies[0])
 
     def test_closed_lissajous(self, row1_protocol):

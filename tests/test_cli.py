@@ -71,6 +71,8 @@ COUNT_CASES = [
     # one sample would report period quantities at t = 0
     ("simulate", "--samples", "1"),
     ("classical", "--samples", "1"),
+    # one offset would sit at -r*T, with no eps = 0 in the sweep
+    ("stability", "--eps-points", "1"),
     # the offset half width must be a finite number above 0
     ("stability", "--eps-range", "0"),
     ("stability", "--eps-range", "-0.05"),
@@ -200,6 +202,32 @@ class TestModesCommand:
         assert code == 2
         assert "--theta-dot-khz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--omega1-khz", "1", "--omega2-rad", "7"],
+            ["--omega1-khz", "1", "--omega2-rad", "7", "--sweep", "5"],
+            ["--omega1-khz", "1", "--omega2-khz", "2", "--theta-dot-rad", "0.5"],
+        ],
+    )
+    def test_mixed_units_rejected(self, tmp_path, capsys, flags):
+        # a raw value next to a kHz one would be labelled, and bounded, as kHz
+        assert main(["modes", *flags, "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        named = [flag for flag in flags if flag.startswith("--") and flag != "--sweep"]
+        assert captured.err.startswith("error: " + ", ".join(named) + ":")
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_velocity_next_to_sweep_rejected(self, tmp_path, capsys):
+        # the sweep's own velocities would silently replace --theta-dot-khz
+        argv = REQUIRED_ARGS["modes"] + ["--sweep", "3", "--theta-dot-khz", "0.5"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --sweep, --theta-dot-khz:")
+        assert not (tmp_path / "manifest.json").exists()
+
 
 class TestSimulateCommand:
     def test_ground_state_run(self, tmp_path, capsys):
@@ -300,6 +328,15 @@ class TestClassicalCommand:
             ]
         )
         assert (tmp_path / "trajectory_lab.csv").exists()
+
+    def test_amplitudes_and_coordinates_rejected(self, tmp_path, capsys):
+        # the coherent amplitudes would silently replace q1
+        argv = ["classical", "--omega1-khz", "1", "--q1", "3", "--alpha1", "1"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --alpha1, --q1:")
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestTrackCommand:

@@ -28,8 +28,6 @@ class TestTrapConfig:
         with pytest.raises(ValueError):
             TrapConfig(-1.0, 1.0)
         with pytest.raises(ValueError):
-            TrapConfig(1.0, 1.0, theta_f=0.0)
-        with pytest.raises(ValueError):
             TrapConfig(1.0, 1.0, theta_dot=-0.1)
         with pytest.raises(ValueError):
             TrapConfig(np.inf, 1.0)

@@ -1,8 +1,10 @@
 """Property tests over random feasible designs, time grids and states.
 
-The vectorised samplers are checked against the per-sample oracles
-(``flow_matrix``, ``_mode_rotation``, ``lab_frame_state`` and
-``hamiltonian_value``), which share none of their array code.  Each Fock
+The vectorised orbit sampler is checked against the per-sample maps
+(``flow_matrix``, ``_mode_rotation`` and ``lab_frame_state``).  It shares
+the normal-mode rotation and the lab rotation with them, so this checks the
+stacking only; the sampler's independent oracle is the RK4 integrator of
+``test_classical.py::TestPropagateRotating::test_against_integrator``.  Each Fock
 observable applied to a stack of states is checked against the same
 observable applied to each state alone, and the revival phase against
 ``np.vdot``.  The Gaussian amplitudes of an evolving coherent state are
@@ -28,7 +30,6 @@ from rotor import (
     commensurate_velocity,
     design_protocol,
     from_normal_coords,
-    hamiltonian_value,
     kappa,
     lab_frame_state,
     mean_excitation,
@@ -39,7 +40,7 @@ from rotor import (
     survival_probability,
     to_normal_coords,
 )
-from rotor.classical import _mode_rotation, flow_matrix, trajectory_energies
+from rotor.classical import _mode_rotation, flow_matrix
 from rotor.quantum import (
     _coherent_series,
     evolve_series,
@@ -108,18 +109,6 @@ def test_flow_matrix_stack_matches_per_time(protocol, fracs):
     stack = flow_matrix(modes, times)
     assert stack.shape == (times.size, 4, 4)
     assert_rel_close(stack, np.array([flow_matrix(modes, t) for t in times]))
-
-
-@settings(deadline=None)
-@given(protocols(), points, fractions)
-def test_trajectory_energies_match_per_sample_value(protocol, v0, fracs):
-    config = protocol.config
-    trajectory = sample_trajectory(v0, config, _times(protocol, fracs))
-    form = build_rotating_hamiltonian(config)
-    expected = np.array(
-        [hamiltonian_value(form, PhaseSpaceState.from_vector(v)) for v in trajectory.states]
-    )
-    assert_rel_close(trajectory_energies(trajectory, config), expected)
 
 
 @settings(deadline=None)
