@@ -7,11 +7,13 @@ deterministic (17 significant digits, no timestamps), and each file carries
 the manifest hash in a leading ``#`` comment.
 
 Each ``cmd_*`` handler takes ``(params, tolerances)``, computes, and returns
-``(tables, nmax_trace)`` where ``tables`` maps a file name to
-``(header, rows)``.  No handler writes a file: ``_record`` alone builds the
-manifest, hashes it and writes the CSVs and ``manifest.json``.  ``rerun`` is
-one more call to ``_record`` with the recorded command and parameters, once
-that command's own sub-parser has read the parameters back unchanged.
+``(tables, nmax_trace)`` where ``tables`` maps a file name to its columns,
+an ordered ``{column name: 1-D values}`` dict.  No handler writes a file or
+lays out a row: ``_record`` alone builds the manifest, hashes it and passes
+each table to :func:`write_csv`, the one place values become CSV rows, then
+writes ``manifest.json``.  ``rerun`` is one more call to ``_record`` with the
+recorded command and parameters, once that command's own sub-parser has read
+the parameters back unchanged.
 
 Exit codes: 0 success, 1 usage error, 3 ConvergenceFailure or
 TruncationTooSmall, 2 any other RotorError or an invalid value.
@@ -107,13 +109,16 @@ class RunManifest:
         return manifest
 
 
-def write_csv(path, header, rows, manifest_hash):
-    """Deterministic CSV: '#' comment with the manifest hash, then the body
-    (each value as a float to 17 significant digits)."""
+def write_csv(path, columns, manifest_hash):
+    """Deterministic CSV of the table ``columns``, an ordered ``{column name:
+    1-D values}`` dict of equal lengths: '#' comment with the manifest hash,
+    the names, then one row per index (each value as a float to 17
+    significant digits)."""
+    rows = np.column_stack([np.asarray(v, dtype=float) for v in columns.values()])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# manifest sha256: {manifest_hash}\n")
-        fh.write(",".join(header) + "\n")
-        for row in np.asarray(rows, dtype=float).tolist():
+        fh.write(",".join(columns) + "\n")
+        for row in rows.tolist():
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
@@ -128,8 +133,8 @@ def _record(command, params, out_dir, tolerances):
     digest = manifest.hash()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        write_csv(out_dir / name, header, rows, digest)
+    for name, columns in tables.items():
+        write_csv(out_dir / name, columns, digest)
     manifest.write(out_dir)
     print(f"wrote {', '.join(manifest.outputs)} + manifest.json -> {out_dir}")
     return 0
@@ -175,12 +180,19 @@ def _check_parameters(command, params):
         raise ValueError(f"recorded parameters differ from rotor {command}'s parse: {reparsed}")
 
 
-def _positive_int(text):
-    """argparse type for counts: anything but an integer >= 1 is a usage error."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _count(least, parity=None):
+    """argparse type for a count: an integer of at least ``least`` and, when
+    ``parity`` is ``"odd"`` or ``"even"``, of that parity; anything else is
+    a usage error."""
+
+    def count(text):
+        value = int(text)
+        if value < least or (parity and value % 2 != (parity == "odd")):
+            kind = f"an {parity} count" if parity else "an integer"
+            raise argparse.ArgumentTypeError(f"must be {kind} of at least {least}, got {value}")
+        return value
+
+    return count
 
 
 def _positive_float(text):
@@ -189,16 +201,6 @@ def _positive_float(text):
     value = float(text)
     if not 0 < value < np.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
-    return value
-
-
-def _two_or_more(text):
-    """argparse type for --samples, which run from t = 0 to t = T, for
-    --grid-points, whose axes need a spacing, and for --eps-points, whose
-    sweep runs from -r*T to r*T: fewer than two is a usage error."""
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
     return value
 
 
@@ -320,50 +322,38 @@ def cmd_design(params, tolerances):
     else:
         omega1, unit = resolve_frequency(params, "omega1")
         freqs = [omega1]
-    rows = []
-    for omega1 in freqs:
-        p = design_protocol(omega1, theta_f, n1, n2)
-        o1, o2 = p.normal_frequencies()
-        rows.append(
-            [
-                _freq_out(p.omega1, unit),
-                _freq_out(p.omega2, unit),
-                _freq_out(p.theta_dot, unit),
-                p.duration,
-                p.kappa_minus,
-                p.kappa_plus,
-                _freq_out(o1, unit),
-                _freq_out(o2, unit),
-                n1,
-                n2,
-                theta_f,
-                minimal_time(p.omega1, theta_f),
-                _freq_out(_freq_out(ground_state_sensitivity(p), unit), unit),
-            ]
-        )
+    protocols = [design_protocol(omega1, theta_f, n1, n2) for omega1 in freqs]
+    omega1, omega2, theta_dot, o1, o2, sensitivity = _freq_out(np.transpose(
+        [(p.omega1, p.omega2, p.theta_dot, *p.normal_frequencies(), ground_state_sensitivity(p))
+         for p in protocols]
+    ), unit)
+    duration, kappa_minus, kappa_plus, t_min = np.transpose(
+        [(p.duration, p.kappa_minus, p.kappa_plus, minimal_time(p.omega1, theta_f))
+         for p in protocols]
+    )
     fl, tl = _freq_label(unit), _time_label(unit)
-    header = [
-        f"omega1_{fl}",
-        f"omega2_{fl}",
-        f"theta_dot_{fl}",
-        f"duration_{tl}",
-        "kappa_minus",
-        "kappa_plus",
-        f"omega_cap1_{fl}",
-        f"omega_cap2_{fl}",
-        "n1",
-        "n2",
-        "theta_f_rad",
-        f"minimal_time_{tl}",
-        f"delta_h_sq_{fl}_sq",
-    ]
-    for row in rows:
+    columns = {
+        f"omega1_{fl}": omega1,
+        f"omega2_{fl}": omega2,
+        f"theta_dot_{fl}": theta_dot,
+        f"duration_{tl}": duration,
+        "kappa_minus": kappa_minus,
+        "kappa_plus": kappa_plus,
+        f"omega_cap1_{fl}": o1,
+        f"omega_cap2_{fl}": o2,
+        "n1": np.full(len(protocols), n1),
+        "n2": np.full(len(protocols), n2),
+        "theta_f_rad": np.full(len(protocols), theta_f),
+        f"minimal_time_{tl}": t_min,
+        f"delta_h_sq_{fl}_sq": _freq_out(sensitivity, unit),
+    }
+    for i in range(len(protocols)):
         print(
-            f"omega1 = {row[0]:.4f} ({fl}) -> omega2 = {row[1]:.4f}, "
-            f"theta_dot = {row[2]:.4f}, T = {row[3]:.4f} {tl} "
-            f"(kappa- = {row[4]:.4f}, kappa+ = {row[5]:.4f})"
+            f"omega1 = {omega1[i]:.4f} ({fl}) -> omega2 = {omega2[i]:.4f}, "
+            f"theta_dot = {theta_dot[i]:.4f}, T = {duration[i]:.4f} {tl} "
+            f"(kappa- = {kappa_minus[i]:.4f}, kappa+ = {kappa_plus[i]:.4f})"
         )
-    return {"design.csv": (header, rows)}, []
+    return {"design.csv": columns}, []
 
 
 def cmd_modes(params, tolerances):
@@ -390,15 +380,19 @@ def cmd_modes(params, tolerances):
                 f"theta_dot at or beyond the maximum allowed rotation velocity "
                 f"({name} = {_freq_out(bound, unit):.6g} {fl})"
             )
-        velocities = [td]
-    rows = []
-    for td in velocities:
-        o1, o2 = normal_frequencies(TrapConfig(omega1, omega2, td))
-        rows.append([_freq_out(td, unit), _freq_out(o1, unit), _freq_out(o2, unit)])
+        velocities = np.array([td])
+    o1, o2 = np.transpose(
+        [normal_frequencies(TrapConfig(omega1, omega2, td)) for td in velocities]
+    )
+    columns = {
+        f"theta_dot_{fl}": _freq_out(velocities, unit),
+        f"omega_cap1_{fl}": _freq_out(o1, unit),
+        f"omega_cap2_{fl}": _freq_out(o2, unit),
+    }
     if not sweep:
-        print(f"Omega1 = {rows[0][1]:.6f}, Omega2 = {rows[0][2]:.6f} ({fl})")
-    header = [f"theta_dot_{fl}", f"omega_cap1_{fl}", f"omega_cap2_{fl}"]
-    return {"modes.csv": (header, rows)}, []
+        print(f"Omega1 = {columns[f'omega_cap1_{fl}'][0]:.6f}, "
+              f"Omega2 = {columns[f'omega_cap2_{fl}'][0]:.6f} ({fl})")
+    return {"modes.csv": columns}, []
 
 
 def cmd_simulate(params, tolerances):
@@ -432,8 +426,7 @@ def cmd_simulate(params, tolerances):
         drift = np.abs(phase_space_expectations(coeffs) - classical.states).max()
         print(f"max |<v>(t) - classical v(t)| = {drift:.3e}")
 
-    table = np.column_stack(list(columns.values()))
-    return {"observables.csv": (list(columns), table)}, trace
+    return {"observables.csv": columns}, trace
 
 
 def _initial_point(params):
@@ -449,8 +442,8 @@ def _initial_point(params):
 
 
 def _trajectory_table(trajectory):
-    table = np.column_stack([trajectory.times, trajectory.states])
-    return ["t", "q1", "q2", "p1", "p2"], table
+    q1, q2, p1, p2 = trajectory.states.T
+    return {"t": trajectory.times, "q1": q1, "q2": q2, "p1": p1, "p2": p2}
 
 
 def cmd_classical(params, tolerances):
@@ -483,9 +476,8 @@ def cmd_track(params, tolerances):
         PhaseSpaceState.from_vector(centroid), protocol.config, times
     )
     q1, q2 = np.meshgrid(grid.q1_axis, grid.q2_axis, indexing="ij")
-    density = np.column_stack([q1.ravel(), q2.ravel(), grid.density.ravel()])
     tables = {
-        "track.csv": (["q1", "q2", "density"], density),
+        "track.csv": {"q1": q1.ravel(), "q2": q2.ravel(), "density": grid.density.ravel()},
         "trajectory_rotating.csv": _trajectory_table(trajectory),
     }
     return tables, [grid.diagnostics]
@@ -511,8 +503,7 @@ def cmd_stability(params, tolerances):
             f"n2 = {n2}: fitted curvature = {report.fitted_rate:.6e}, "
             f"delta_h_sq = {report.delta_h_sq:.6e}, rel err = {report.relative_error:.3e}"
         )
-        rows = list(zip(eps, sweep.values))
-        tables[f"stability_n2_{n2}.csv"] = (["eps", "survival"], rows)
+        tables[f"stability_n2_{n2}.csv"] = {"eps": eps, "survival": sweep.values}
     return tables, trace
 
 
@@ -558,7 +549,7 @@ def build_parser():
     _add_frequency(p, "omega1", required=True)
     _add_frequency(p, "omega2", required=True)
     _add_frequency(p, "theta-dot")
-    p.add_argument("--sweep", type=_positive_int,
+    p.add_argument("--sweep", type=_count(1),
                    help="sample N velocities in [0, min(omega1, omega2))")
     add_out(p, "modes")
 
@@ -567,9 +558,10 @@ def build_parser():
     p.add_argument("--state", default="ground",
                    help="ground | entangled | coherent:a1,a2")
     p.add_argument("--observables", default="N,P")
-    p.add_argument("--samples", type=_two_or_more, default=600)
-    p.add_argument("--nmax", type=_positive_int, help="fixed truncation (skips convergence)")
-    p.add_argument("--nmax-cap", type=_positive_int, default=128,
+    # samples run from t = 0 to t = T, where the period quantities are read
+    p.add_argument("--samples", type=_count(2), default=600)
+    p.add_argument("--nmax", type=_count(1), help="fixed truncation (skips convergence)")
+    p.add_argument("--nmax-cap", type=_count(1), default=128,
                    help="largest truncation the convergence loop may try")
     p.add_argument("--ehrenfest", action="store_true",
                    help="compare quantum centroid with the classical trajectory")
@@ -584,16 +576,17 @@ def build_parser():
     p.add_argument("--alpha1", help="centroid from a coherent amplitude")
     p.add_argument("--alpha2")
     p.add_argument("--frame", choices=("rotating", "lab", "normal"), default="rotating")
-    p.add_argument("--samples", type=_two_or_more, default=1001)
+    p.add_argument("--samples", type=_count(2), default=1001)
     add_out(p, "classical")
 
     p = sub.add_parser("track", help="time-integrated wavepacket density")
     add_protocol(p)
     p.add_argument("--alpha1", required=True)
     p.add_argument("--alpha2", required=True)
-    p.add_argument("--nmax", type=_positive_int)
-    p.add_argument("--grid-points", type=_two_or_more, default=201)
-    p.add_argument("--steps", type=_positive_int, default=2000)
+    p.add_argument("--nmax", type=_count(1))
+    # each axis needs a spacing; the halved-step check takes every other step
+    p.add_argument("--grid-points", type=_count(2), default=201)
+    p.add_argument("--steps", type=_count(2, "even"), default=2000)
     add_out(p, "track")
 
     p = sub.add_parser("stability", help="survival under timing offsets")
@@ -604,8 +597,9 @@ def build_parser():
     p.add_argument("--state", default="ground")
     p.add_argument("--eps-range", type=_positive_float, default=0.05,
                    help="half width of the offset sweep as a fraction of T")
-    p.add_argument("--eps-points", type=_two_or_more, default=101)
-    p.add_argument("--nmax-cap", type=_positive_int, default=128,
+    # an odd count puts eps = 0 at the centre of the sweep from -r*T to r*T
+    p.add_argument("--eps-points", type=_count(3, "odd"), default=101)
+    p.add_argument("--nmax-cap", type=_count(1), default=128,
                    help="largest truncation the convergence loop may try")
     add_out(p, "stability")
 

@@ -16,7 +16,7 @@ or, in matrix form over the phase-space vector v = (q1, q2, p1, p2),
 :func:`build_rotating_hamiltonian`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,7 @@ class TrapConfig:
     omega1, omega2 : float
         Axial angular frequencies, any consistent unit (rad/s, rad/ms, or
         dimensionless).  Inputs with ``omega1 > omega2`` are normalized by
-        relabeling the axes; ``axes_swapped`` records that this happened so
-        reports can restore the caller's labels.
+        relabeling the axes.
     theta_dot : float
         Constant rotation angular velocity, same unit.  ``theta_dot = 0``
         (static trap) is valid everywhere; the symplectic construction
@@ -58,7 +57,6 @@ class TrapConfig:
     omega1: float
     omega2: float
     theta_dot: float = 0.0
-    axes_swapped: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         for name in ("omega1", "omega2", "theta_dot"):
@@ -72,7 +70,6 @@ class TrapConfig:
             w1, w2 = self.omega1, self.omega2
             object.__setattr__(self, "omega1", w2)
             object.__setattr__(self, "omega2", w1)
-            object.__setattr__(self, "axes_swapped", True)
 
     @classmethod
     def from_frequency_hz(cls, f1, f2, f_dot):

@@ -571,24 +571,31 @@ def classical_orbit(protocol, centroid, n_samples=1024):
     return sample_trajectory(start, protocol.config, ts).states[:, :2]
 
 
-def _track_axes(protocol, centroid, grid_points):
-    """The ``grid_points``-point q1 and q2 axes of a track: the classical
-    orbit of ``centroid`` plus ``TRACK_PAD_WIDTHS`` ground-state widths.
+def _track_grid(protocol, centroid, grid_points, time_steps):
+    """``(axes, times)`` of a track: the ``grid_points``-point q1 and q2
+    axes over the classical orbit of ``centroid`` plus ``TRACK_PAD_WIDTHS``
+    ground-state widths, and ``time_steps`` uniform steps over [0, T].
 
-    Raises ValueError if ``grid_points`` is below 2, which leaves no spacing.
+    Raises ValueError if ``grid_points`` is below 2, which leaves no
+    spacing, or if ``time_steps`` is not a positive even count, which the
+    halved-step check needs.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be at least 2, got {grid_points}")
+    if time_steps < 2 or time_steps % 2:
+        raise ValueError(f"time_steps must be a positive even count, got {time_steps}")
     orbit = classical_orbit(protocol, centroid)
     pad = TRACK_PAD_WIDTHS * GROUND_STATE_WIDTH
-    return tuple(
+    axes = tuple(
         np.linspace(orbit[:, k].min() - pad, orbit[:, k].max() + pad, grid_points)
         for k in (0, 1)
     )
+    return axes, np.linspace(0.0, protocol.duration, time_steps + 1)
 
 
-def _track_density(protocol, axes, nmax, amplitudes, time_steps):
-    """Trapezoidal time quadrature of |psi(q1, q2, t)|^2 on ``axes``.
+def _track_density(axes, times, nmax, amplitudes):
+    """Trapezoidal time quadrature of |psi(q1, q2, t)|^2 on ``axes`` over
+    the uniform ``times``.
 
     ``amplitudes(times)`` returns the (len(times), nmax, nmax) coefficients
     of the state at those times, any phase per time.  Times are taken in
@@ -597,10 +604,6 @@ def _track_density(protocol, axes, nmax, amplitudes, time_steps):
     ``_TRACK_CHUNK_BYTES``.
     """
     q1_axis, q2_axis = axes
-    steps = int(time_steps)
-    if steps % 2:
-        steps += 1
-    times = np.linspace(0.0, protocol.duration, steps + 1)
     dt = times[1] - times[0]
     w_full = np.full(times.size, dt)
     w_full[0] = w_full[-1] = dt / 2
@@ -638,7 +641,7 @@ def _track_density(protocol, axes, nmax, amplitudes, time_steps):
             f"time quadrature not converged: halving changes the track by {quad_err:.3e}"
         )
     diagnostics = {
-        "time_steps": steps,
+        "time_steps": times.size - 1,
         "quadrature_rel_change": quad_err,
         "max_top_shell_weight": shell_max,
         "max_norm_loss": norm_loss,
@@ -667,16 +670,15 @@ def wavepacket_track(psi0, protocol, time_steps=2000, grid_points=201):
     Raises
     ------
     ValueError
-        If ``grid_points`` is below 2, which leaves no grid spacing.
+        If ``grid_points`` is below 2, which leaves no grid spacing, or
+        ``time_steps`` is not a positive even count.
     ConvergenceFailure
         If halving the quadrature step changes the density by more than
         ``TRACK_QUAD_TOL`` relative L1.
     """
-    axes = _track_axes(protocol, phase_space_expectations(psi0), grid_points)
+    axes, times = _track_grid(protocol, phase_space_expectations(psi0), grid_points, time_steps)
     h = build_fock_hamiltonian(protocol.config, psi0.nmax)
-    return _track_density(
-        protocol, axes, psi0.nmax, lambda times: evolve_series(psi0, h, times), time_steps
-    )
+    return _track_density(axes, times, psi0.nmax, lambda t: evolve_series(psi0, h, t))
 
 
 def coherent_track(alpha1, alpha2, protocol, nmax, time_steps=2000, grid_points=201):
@@ -696,13 +698,9 @@ def coherent_track(alpha1, alpha2, protocol, nmax, time_steps=2000, grid_points=
         Where :func:`coherent_state` does, before any evolution.
     """
     psi0 = coherent_state(alpha1, alpha2, nmax)
-    axes = _track_axes(protocol, phase_space_expectations(psi0), grid_points)
+    axes, times = _track_grid(protocol, phase_space_expectations(psi0), grid_points, time_steps)
     return _track_density(
-        protocol,
-        axes,
-        nmax,
-        lambda times: _coherent_series(alpha1, alpha2, protocol.config, nmax, times),
-        time_steps,
+        axes, times, nmax, lambda t: _coherent_series(alpha1, alpha2, protocol.config, nmax, t)
     )
 
 

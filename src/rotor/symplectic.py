@@ -78,6 +78,14 @@ class NormalModes:
     diag: np.ndarray
 
 
+def _require_williamson(config):
+    """Raise WilliamsonViolation unless :func:`williamson_valid` holds."""
+    if not williamson_valid(config):
+        raise WilliamsonViolation(
+            f"theta_dot = {config.theta_dot} must be below omega1 = {config.omega1}"
+        )
+
+
 def normal_frequencies(config):
     """Closed-form normal-mode frequencies (O1, O2) of a valid config.
 
@@ -86,10 +94,7 @@ def normal_frequencies(config):
     WilliamsonViolation
         If theta_dot >= omega1, where the slow mode turns complex.
     """
-    if not williamson_valid(config):
-        raise WilliamsonViolation(
-            f"theta_dot = {config.theta_dot} must be below omega1 = {config.omega1}"
-        )
+    _require_williamson(config)
     w1sq, w2sq, tdsq = config.omega1**2, config.omega2**2, config.theta_dot**2
     mean = tdsq + (w1sq + w2sq) / 2
     root = np.sqrt(8 * tdsq * (w1sq + w2sq) + (w1sq - w2sq) ** 2) / 2
@@ -141,10 +146,7 @@ def step_transforms(config):
     diagonal, S2 scales it to the identity and S3 rotates both blocks by
     the closed-form angle.  Each factor is individually symplectic.
     """
-    if not williamson_valid(config):
-        raise WilliamsonViolation(
-            f"theta_dot = {config.theta_dot} must be below omega1 = {config.omega1}"
-        )
+    _require_williamson(config)
     mats = _step_matrices(config, _rotation_angle(config))
     return tuple(SymplecticTransform(s) for s in mats)
 

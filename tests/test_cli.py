@@ -7,7 +7,7 @@ import pytest
 
 import rotor.cli
 from rotor import DegenerateOverlap
-from rotor.cli import RunManifest, main, parse_angle, parse_complex
+from rotor.cli import RunManifest, main, parse_angle, parse_complex, write_csv
 
 
 def read_body(path):
@@ -71,8 +71,10 @@ COUNT_CASES = [
     # one sample would report period quantities at t = 0
     ("simulate", "--samples", "1"),
     ("classical", "--samples", "1"),
-    # one offset would sit at -r*T, with no eps = 0 in the sweep
+    # only an odd count puts eps = 0 at the centre of the sweep
     ("stability", "--eps-points", "1"),
+    ("stability", "--eps-points", "2"),
+    ("stability", "--eps-points", "4"),
     # the offset half width must be a finite number above 0
     ("stability", "--eps-range", "0"),
     ("stability", "--eps-range", "-0.05"),
@@ -80,6 +82,8 @@ COUNT_CASES = [
     ("stability", "--eps-range", "inf"),
     # a track axis needs a spacing
     ("track", "--grid-points", "1"),
+    # the halved-step quadrature check needs an even step count
+    ("track", "--steps", "41"),
     # each n2 runs once: repeated or non-integer entries are rejected
     ("stability", "--n2-list", "2,2"),
     ("stability", "--n2-list", "2,x"),
@@ -608,3 +612,74 @@ class TestReproducibility:
         manifest = RunManifest.load(tmp_path / "manifest.json")
         first = (tmp_path / "design.csv").read_text().splitlines()[0]
         assert manifest.hash() in first
+
+
+TRAJECTORY_HEADER = "t,q1,q2,p1,p2"
+
+
+class TestTableLayout:
+    """Each command's CSV columns, in order, and the value format of every
+    file."""
+
+    @pytest.mark.parametrize(
+        "argv, headers",
+        [
+            (
+                ["design", "--omega1-khz", "1"],
+                {"design.csv": "omega1_2pi_khz,omega2_2pi_khz,theta_dot_2pi_khz,duration_ms,"
+                 "kappa_minus,kappa_plus,omega_cap1_2pi_khz,omega_cap2_2pi_khz,n1,n2,"
+                 "theta_f_rad,minimal_time_ms,delta_h_sq_2pi_khz_sq"},
+            ),
+            (
+                ["design", "--omega1-rad", "1.3", "--theta-f", "2pi", "--n1", "2", "--n2", "7"],
+                {"design.csv": "omega1_rad,omega2_rad,theta_dot_rad,duration_inverse_omega1_units,"
+                 "kappa_minus,kappa_plus,omega_cap1_rad,omega_cap2_rad,n1,n2,theta_f_rad,"
+                 "minimal_time_inverse_omega1_units,delta_h_sq_rad_sq"},
+            ),
+            (
+                ["modes", "--omega1-khz", "1", "--omega2-khz", "1.79", "--sweep", "5"],
+                {"modes.csv": "theta_dot_2pi_khz,omega_cap1_2pi_khz,omega_cap2_2pi_khz"},
+            ),
+            (
+                ["simulate", "--omega1-khz", "1", "--nmax", "8", "--samples", "5"],
+                {"observables.csv": "t,mean_excitation,survival"},
+            ),
+            (
+                ["simulate", "--omega1-khz", "1", "--nmax", "8", "--samples", "5",
+                 "--observables", "P"],
+                {"observables.csv": "t,survival"},
+            ),
+            (
+                ["classical", "--omega1-khz", "1", "--q1", "1", "--samples", "5"],
+                {"trajectory_rotating.csv": TRAJECTORY_HEADER},
+            ),
+            (
+                ["track", "--omega1-khz", "1", "--alpha1", "1", "--alpha2", "0.5j",
+                 "--grid-points", "21", "--steps", "40"],
+                {"track.csv": "q1,q2,density", "trajectory_rotating.csv": TRAJECTORY_HEADER},
+            ),
+            (
+                ["stability", "--omega1-khz", "1", "--n2-list", "2,5", "--eps-points", "3"],
+                {"stability_n2_2.csv": "eps,survival", "stability_n2_5.csv": "eps,survival"},
+            ),
+        ],
+        ids=["design-khz", "design-rad", "modes", "simulate", "simulate-P", "classical",
+             "track", "stability"],
+    )
+    def test_header(self, tmp_path, argv, headers):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        found = {p.name: read_body(p)[0] for p in tmp_path.glob("*.csv")}
+        assert found == headers
+
+    def test_write_csv_text(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv(path, {"z": [-0.0, 3, 1 / 3, 1e-300, 2.5e300], "a": np.arange(5)}, "abc")
+        assert path.read_text() == (
+            "# manifest sha256: abc\n"
+            "z,a\n"
+            "-0,0\n"
+            "3,1\n"
+            "0.33333333333333331,2\n"
+            "1e-300,3\n"
+            "2.5000000000000001e+300,4\n"
+        )

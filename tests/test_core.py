@@ -35,8 +35,6 @@ class TestTrapConfig:
     def test_axis_normalization(self):
         cfg = TrapConfig(2.0, 1.0, 0.3)
         assert cfg.omega1 == 1.0 and cfg.omega2 == 2.0
-        assert cfg.axes_swapped
-        assert not TrapConfig(1.0, 2.0).axes_swapped
 
     def test_eta(self):
         assert TrapConfig(1.0, 4.0).eta == pytest.approx(0.5)

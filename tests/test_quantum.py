@@ -460,6 +460,18 @@ class TestCoherentTrack:
         with pytest.raises(ValueError, match="grid_points"):
             coherent_track(1.5, 0.5, row1_protocol, 24, grid_points=points)
 
+    def test_odd_steps_rejected_before_any_evolution(self, row1_protocol, monkeypatch):
+        def no_evolution(*args):
+            raise AssertionError("state evolved for an odd step count")
+
+        monkeypatch.setattr(rotor.quantum, "build_fock_hamiltonian", no_evolution)
+        monkeypatch.setattr(rotor.quantum, "_coherent_series", no_evolution)
+        psi0 = coherent_state(1.5, 0.5, 24)
+        with pytest.raises(ValueError, match="time_steps"):
+            wavepacket_track(psi0, row1_protocol, time_steps=41, grid_points=31)
+        with pytest.raises(ValueError, match="time_steps"):
+            coherent_track(1.5, 0.5, row1_protocol, 24, time_steps=41, grid_points=31)
+
 
 class _StaticProtocol:
     """Minimal protocol stand-in for non-rotating tracks."""
