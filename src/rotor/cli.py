@@ -50,10 +50,8 @@ from .quantum import (
     coherent_state,
     coherent_track,
     converge_truncation,
-    default_start_nmax,
     entangled_state,
     evolve_series,
-    fock_state,
     mean_excitation,
     measure_sensitivity,
     phase_space_expectations,
@@ -280,27 +278,31 @@ def _protocol_from(params):
 
 
 def _state_builder(spec):
+    """``(make_state, nmax_start)``, the start being :func:`coherent_nmax` of
+    the state's amplitudes; ground is the coherent state at 0, 0, and
+    entangled starts where it does."""
     spec = str(spec)
-    if spec == "ground":
-        return (lambda nmax: fock_state(0, 0, nmax)), 0.0
     if spec == "entangled":
-        return entangled_state, 1.0
-    if spec.startswith("coherent:"):
+        return entangled_state, coherent_nmax(0, 0)
+    if spec == "ground":
+        a1 = a2 = 0
+    elif spec.startswith("coherent:"):
         parts = spec[len("coherent:"):].split(",")
         if len(parts) != 2:
             raise InfeasibleDesign("coherent state spec must be coherent:a1,a2")
         a1, a2 = (parse_complex(p) for p in parts)
-        return (lambda nmax: coherent_state(a1, a2, nmax)), abs(a1) ** 2 + abs(a2) ** 2
-    raise InfeasibleDesign(f"unknown state spec {spec!r}")
+    else:
+        raise InfeasibleDesign(f"unknown state spec {spec!r}")
+    return (lambda nmax: coherent_state(a1, a2, nmax)), coherent_nmax(a1, a2)
 
 
-def _converged_state(protocol, make_state, n0, params, tolerances):
+def _converged_state(protocol, make_state, nmax_start, params, tolerances):
     """``(psi0, h, trace)`` at the truncation :func:`converge_truncation`
     settles on, ``h`` being the Hamiltonian it built and factorized there."""
     converged = converge_truncation(
         protocol,
         make_state,
-        nmax_start=default_start_nmax(n0),
+        nmax_start=nmax_start,
         p_tol=tolerances["convergence"],
         shell_tol=tolerances["shell"],
         nmax_cap=params["nmax_cap"],
@@ -314,6 +316,9 @@ def _converged_state(protocol, make_state, n0, params, tolerances):
 
 
 def cmd_design(params, tolerances):
+    given = [f"--omega1-{u}" for u in ("khz", "rad") if params.get(f"omega1_{u}") is not None]
+    if params.get("table1") and given:
+        raise InfeasibleDesign(f"--table1, {given[0]}: the reference rows set their own frequencies")
     theta_f = parse_angle(params["theta_f"])
     n1, n2 = int(params["n1"]), int(params["n2"])
     if params.get("table1"):
@@ -397,7 +402,7 @@ def cmd_modes(params, tolerances):
 
 def cmd_simulate(params, tolerances):
     protocol = _protocol_from(params)
-    make_state, n0 = _state_builder(params["state"])
+    make_state, nmax_start = _state_builder(params["state"])
     observables = [o.strip().upper() for o in str(params["observables"]).split(",")]
     for o in observables:
         if o not in ("N", "P"):
@@ -407,7 +412,7 @@ def cmd_simulate(params, tolerances):
         psi0, trace = make_state(int(params["nmax"])), []
         h = build_fock_hamiltonian(protocol.config, psi0.nmax)
     else:
-        psi0, h, trace = _converged_state(protocol, make_state, n0, params, tolerances)
+        psi0, h, trace = _converged_state(protocol, make_state, nmax_start, params, tolerances)
     times = np.linspace(0.0, protocol.duration, int(params["samples"]))
     coeffs = evolve_series(psi0, h, times)
     columns = {"t": times}
@@ -485,7 +490,7 @@ def cmd_track(params, tolerances):
 
 def cmd_stability(params, tolerances):
     n2_list = [int(x) for x in str(params["n2_list"]).split(",")]
-    make_state, n0 = _state_builder(params["state"])
+    make_state, nmax_start = _state_builder(params["state"])
     eps_frac = params["eps_range"]
 
     # design every protocol first, so an infeasible entry fails before any run
@@ -493,7 +498,7 @@ def cmd_stability(params, tolerances):
     tables = {}
     trace = []
     for n2, protocol in protocols.items():
-        psi0, h, conv = _converged_state(protocol, make_state, n0, params, tolerances)
+        psi0, h, conv = _converged_state(protocol, make_state, nmax_start, params, tolerances)
         trace.append({"n2": n2, "nmax": psi0.nmax, "steps": conv})
         eps = np.linspace(-eps_frac, eps_frac, params["eps_points"]) * protocol.duration
         sweep = stability_sweep(psi0, protocol, eps, h)

@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.special import gammainc
+from scipy.special import gammainc, xlogy
 
 from .classical import flow_matrix, sample_trajectory
 from .core import J, PhaseSpaceState
@@ -63,6 +63,8 @@ from .symplectic import normal_modes
 GROUND_STATE_WIDTH = 1 / np.sqrt(2)
 
 _COHERENT_TAIL_TOL = 1e-10
+#: log of the smallest normal double, below which exp() underflows
+_LOG_TINY = np.log(np.finfo(float).tiny)
 
 #: padding of the track axes beyond the classical orbit, in ground-state widths
 TRACK_PAD_WIDTHS = 3.0
@@ -172,30 +174,54 @@ def entangled_state(nmax):
 
 def _coherent_coefficients(alpha, nmax):
     n = np.arange(nmax)
-    if alpha == 0:
-        out = np.zeros(nmax, dtype=complex)
-        out[0] = 1.0
-        return out
     log_mag = (
-        n * np.log(abs(alpha))
+        xlogy(n, abs(alpha))
         - 0.5 * np.array([math.lgamma(k + 1) for k in n])
         - abs(alpha) ** 2 / 2
     )
     return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
 
 
+def _coherent_mean(alpha):
+    """|alpha|^2, the mean occupation of a coherent mode.
+
+    Raises ValueError if it is not finite (nan, inf or an overflow).
+    """
+    with np.errstate(over="ignore"):
+        mean = np.abs(np.complex128(alpha)) ** 2
+    if not np.isfinite(mean):
+        raise ValueError(f"coherent amplitude {alpha} has no finite |alpha|^2")
+    return mean
+
+
 def _coherent_tail(alpha, nmax):
     """Population of a coherent mode at n >= nmax (Poisson tail, mean |alpha|^2)."""
-    return float(gammainc(nmax, abs(alpha) ** 2))
+    return float(gammainc(nmax, _coherent_mean(alpha)))
 
 
 def coherent_nmax(alpha1, alpha2):
     """Smallest multiple of 8, at least 16, at which :func:`coherent_state`
-    accepts the amplitudes (both tails below 1e-10)."""
-    nmax = 16
-    while max(_coherent_tail(a, nmax) for a in (alpha1, alpha2)) >= _COHERENT_TAIL_TOL:
-        nmax += 8
-    return nmax
+    accepts the amplitudes (both tails below 1e-10).
+
+    Only the larger amplitude, whose tail is the larger, is tested.  No
+    size at or below its mean |alpha|^2 holds such a tail, so the search
+    starts there and takes O(log |alpha|) tests.  Raises ValueError if
+    either |alpha|^2 is not finite.
+    """
+    alpha = max((alpha1, alpha2), key=_coherent_mean)
+
+    def fails(k):
+        return _coherent_tail(alpha, 8 * k) >= _COHERENT_TAIL_TOL
+
+    # 8 lo is below 16 or at most the mean, too small either way; the
+    # stride doubles until 8 (lo + step) fits, then halves down to 1
+    lo, step = max(1, int(_coherent_mean(alpha) // 8)), 1
+    while fails(lo + step):
+        lo, step = lo + step, 2 * step
+    while step > 1:
+        step //= 2
+        lo += step if fails(lo + step) else 0
+    return 8 * (lo + 1)
 
 
 def coherent_state(alpha1, alpha2, nmax):
@@ -206,12 +232,14 @@ def coherent_state(alpha1, alpha2, nmax):
     TruncationTooSmall
         If either mode leaves more than 1e-10 of its population above the
         truncation (Poisson tail with mean |alpha|^2).
+    ValueError
+        If either |alpha|^2 is not finite.
     """
     for alpha in (alpha1, alpha2):
         tail = _coherent_tail(alpha, nmax)
         if tail >= _COHERENT_TAIL_TOL:
             raise TruncationTooSmall(
-                f"|alpha|^2 = {abs(alpha)**2:.4g} leaves tail weight {tail:.3e} "
+                f"|alpha|^2 = {_coherent_mean(alpha):.4g} leaves tail weight {tail:.3e} "
                 f"above nmax = {nmax}"
             )
     c = np.outer(_coherent_coefficients(alpha1, nmax), _coherent_coefficients(alpha2, nmax))
@@ -395,6 +423,12 @@ def _coherent_series(alpha1, alpha2, config, nmax, times):
     Returns
     -------
     ndarray of shape (len(times), nmax, nmax)
+
+    Raises
+    ------
+    ValueError
+        If |c[0, 0]| underflows at any time (|alpha_t| above about 37.6),
+        which would zero every amplitude, before the recurrence.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     flow = flow_matrix(normal_modes(config), times)
@@ -409,19 +443,25 @@ def _coherent_series(alpha1, alpha2, config, nmax, times):
         "ti,tij,tj->t", mean.conj(), b, mean.conj()
     )
 
+    if exponent.real.min() < _LOG_TINY:
+        raise ValueError(
+            f"vacuum amplitude exp({exponent.real.min():.4g}) underflows: "
+            "the coherent amplitudes are too large for the Gaussian recurrence"
+        )
+
+    # root[0] = 0 drops the n - 1 terms of the first step, which read the
+    # still-zero last row and column
     root = np.sqrt(np.arange(nmax))
     c = np.zeros((times.size, nmax, nmax), dtype=complex)
     c[:, 0, 0] = vacuum * np.exp(exponent.real)
     for n in range(nmax - 1):
-        c[:, 0, n + 1] = gamma[:, 1] * c[:, 0, n]
-        if n:
-            c[:, 0, n + 1] += b[:, 1, 1] * root[n] * c[:, 0, n - 1]
-        c[:, 0, n + 1] /= root[n + 1]
+        c[:, 0, n + 1] = (
+            gamma[:, 1] * c[:, 0, n] + b[:, 1, 1] * root[n] * c[:, 0, n - 1]
+        ) / root[n + 1]
     for n in range(nmax - 1):
         row = gamma[:, 0, None] * c[:, n]
         row[:, 1:] += b[:, 0, 1, None] * root[1:] * c[:, n, :-1]
-        if n:
-            row += b[:, 0, 0, None] * root[n] * c[:, n - 1]
+        row += b[:, 0, 0, None] * root[n] * c[:, n - 1]
         c[:, n + 1] = row / root[n + 1]
     return c
 
@@ -529,11 +569,6 @@ def converge_truncation(
     )
 
 
-def default_start_nmax(states_mean_excitation):
-    """Starting truncation heuristic, 4 <N(0)> + 10 floored at 16."""
-    return max(16, int(np.ceil(4 * states_mean_excitation + 10)))
-
-
 # ---------------------------------------------------------------------------
 # wavepacket track
 
@@ -636,7 +671,8 @@ def _track_density(axes, times, nmax, amplitudes):
 
     l1 = dens_full.sum()
     quad_err = float(np.abs(dens_full - dens_half).sum() / l1)
-    if quad_err > TRACK_QUAD_TOL:
+    # an all-zero density gives 0/0, which must fail too
+    if not quad_err <= TRACK_QUAD_TOL:
         raise ConvergenceFailure(
             f"time quadrature not converged: halving changes the track by {quad_err:.3e}"
         )
@@ -696,6 +732,8 @@ def coherent_track(alpha1, alpha2, protocol, nmax, time_steps=2000, grid_points=
     ------
     TruncationTooSmall
         Where :func:`coherent_state` does, before any evolution.
+    ValueError
+        Where :func:`coherent_state` or :func:`_coherent_series` does.
     """
     psi0 = coherent_state(alpha1, alpha2, nmax)
     axes, times = _track_grid(protocol, phase_space_expectations(psi0), grid_points, time_steps)

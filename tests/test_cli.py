@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import rotor.cli
-from rotor import DegenerateOverlap
+from rotor import ConvergenceFailure, DegenerateOverlap
 from rotor.cli import RunManifest, main, parse_angle, parse_complex, write_csv
 
 
@@ -143,6 +143,26 @@ class TestDesignCommand:
     def test_usage_error_exit_code(self, capsys):
         assert main(["design", "--omega1-khz", "oops"]) == 1
         assert main(["no-such-command"]) == 1
+
+    @pytest.mark.parametrize("flag", ["--omega1-khz", "--omega1-rad"])
+    def test_frequency_next_to_table_rejected(self, tmp_path, capsys, flag):
+        # the reference rows would silently replace the given frequency
+        assert main(["design", "--table1", flag, "3", "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --table1, {flag}:")
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_rerun_rejects_a_frequency_next_to_the_table(self, tmp_path, capsys):
+        orig, redo = tmp_path / "orig", tmp_path / "redo"
+        assert main(["design", "--table1", "--out-dir", str(orig)]) == 0
+        manifest = json.loads((orig / "manifest.json").read_text())
+        manifest["parameters"]["omega1_khz"] = 3.0
+        (orig / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(orig / "manifest.json"), "--out-dir", str(redo)]) == 2
+        assert capsys.readouterr().err.startswith("error: --table1, --omega1-khz:")
+        assert not redo.exists()
 
 
 class TestModesCommand:
@@ -282,6 +302,15 @@ class TestSimulateCommand:
         )
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["tolerances"]["convergence"] == 1e-6
+
+    def test_moderate_amplitude_converges_below_the_cap(self, tmp_path, capsys):
+        # |alpha|^2 = 4 starts at coherent_nmax = 24, so 2 * 24 fits below 50
+        argv = ["simulate", "--omega1-khz", "1", "--state", "coherent:2,0", "--samples", "5",
+                "--nmax-cap", "50", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [step["nmax"] for step in manifest["nmax_trace"]] == [24, 48]
+        assert "(nmax = 24)" in capsys.readouterr().out
 
     def test_degenerate_overlap_exit(self, tmp_path, monkeypatch, capsys):
         def degenerate(*args, **kwargs):
@@ -441,6 +470,63 @@ class TestStabilityCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert not (tmp_path / "manifest.json").exists()
+
+
+class TestStateInputs:
+    """Where the truncation convergence starts, and which amplitudes are
+    refused before anything runs."""
+
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            (["simulate", "--state", "coherent:3,1j"], 40),
+            (["stability", "--state", "coherent:3,1j", "--n2-list", "2"], 40),
+            (["simulate", "--state", "ground"], 16),
+            (["stability", "--state", "ground", "--n2-list", "2"], 16),
+            (["simulate", "--state", "entangled"], 16),
+            (["stability", "--state", "entangled", "--n2-list", "2"], 16),
+        ],
+        ids=lambda x: "-".join(x[:3:2]) if isinstance(x, list) else str(x),
+    )
+    def test_convergence_starts_at_coherent_nmax(self, tmp_path, monkeypatch, argv, start):
+        starts = []
+
+        def record(protocol, make_state, nmax_start, **kwargs):
+            starts.append(nmax_start)
+            raise ConvergenceFailure("stopped after the start was recorded")
+
+        monkeypatch.setattr(rotor.cli, "converge_truncation", record)
+        full = argv[:1] + ["--omega1-khz", "1"] + argv[1:] + ["--out-dir", str(tmp_path)]
+        assert main(full) == 3
+        assert starts == [start]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--omega1-khz", "1", "--state", "coherent:1e200,0"],
+            ["stability", "--omega1-khz", "1", "--state", "coherent:0,1e200"],
+            ["simulate", "--omega1-khz", "1", "--state", "coherent:nan,0"],
+            ["track", "--omega1-khz", "1", "--alpha1", "1e200", "--alpha2", "0"],
+            ["track", "--omega1-khz", "1", "--alpha1", "1e200", "--alpha2", "0", "--nmax", "16"],
+        ],
+        ids=["simulate", "stability", "simulate-nan", "track", "track-nmax"],
+    )
+    def test_non_finite_mean_rejected(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "finite |alpha|^2" in captured.err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_underflowing_track_rejected(self, tmp_path, capsys):
+        # every Gaussian amplitude would underflow to 0 and the track read 0
+        argv = ["track", "--omega1-khz", "1", "--alpha1", "40", "--alpha2", "0",
+                "--grid-points", "3", "--steps", "2", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: vacuum amplitude")
         assert not (tmp_path / "manifest.json").exists()
 
 

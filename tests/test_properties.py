@@ -124,7 +124,7 @@ def test_commensurate_velocity_recovers_design(protocol):
 
 
 amplitudes = st.builds(
-    lambda r, phi: r * np.exp(1j * phi), st.floats(0.0, 6.0), st.floats(0.0, 2 * np.pi)
+    lambda r, phi: r * np.exp(1j * phi), st.floats(0.0, 12.0), st.floats(0.0, 2 * np.pi)
 )
 
 

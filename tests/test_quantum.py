@@ -13,6 +13,7 @@ from rotor import (
     TrapConfig,
     TruncationTooSmall,
     build_fock_hamiltonian,
+    coherent_nmax,
     coherent_state,
     coherent_track,
     conjugation_check,
@@ -42,6 +43,8 @@ from rotor.quantum import (
     _index_grids,
     _quadratic_operator,
     _sector_eigh,
+    _track_density,
+    _track_grid,
     _unitary_columns,
     eigenvalues,
     energy_variance,
@@ -87,6 +90,32 @@ class TestStates:
     def test_coherent_trivial(self):
         st = coherent_state(0.0, 0.0, 8)
         assert survival_probability(st, fock_state(0, 0, 8)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("nmax", [1, 2, 8, 16, 33])
+    def test_zero_amplitudes_give_the_ground_state_bit_for_bit(self, nmax):
+        for alpha1, alpha2 in [(0, 0), (0j, 0.0)]:
+            coeffs = coherent_state(alpha1, alpha2, nmax).coeffs
+            assert coeffs.tobytes() == fock_state(0, 0, nmax).coeffs.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200, complex(0, np.nan), 1e200j])
+    def test_non_finite_mean_rejected(self, bad):
+        for call in (coherent_nmax, lambda a1, a2: coherent_state(a1, a2, 16)):
+            for alpha1, alpha2 in [(bad, 0.5), (0.5, bad)]:
+                with pytest.raises(ValueError, match="finite"):
+                    call(alpha1, alpha2)
+
+    def test_coherent_nmax_search_is_logarithmic(self, monkeypatch):
+        calls = []
+
+        def counting(alpha, nmax):
+            calls.append(nmax)
+            return _coherent_tail(alpha, nmax)
+
+        monkeypatch.setattr(rotor.quantum, "_coherent_tail", counting)
+        nmax = coherent_nmax(1e4, 0.5)  # |alpha|^2 = 1e8
+        assert len(calls) < 10**4
+        assert _coherent_tail(1e4, nmax) < 1e-10 <= _coherent_tail(1e4, nmax - 8)
+        assert nmax % 8 == 0
 
     def test_coherent_mean_excitation(self):
         st = coherent_state(1 / np.sqrt(2), 1 / np.sqrt(2), 24)
@@ -454,6 +483,17 @@ class TestCoherentTrack:
     def test_truncation_too_small(self, row1_protocol):
         with pytest.raises(TruncationTooSmall):
             coherent_track(3.0, 0.0, row1_protocol, 16, time_steps=100, grid_points=31)
+
+    def test_vacuum_underflow_rejected(self, row1_protocol):
+        # exp(-|alpha|^2 / 2) = exp(-800) is below the smallest normal double
+        with pytest.raises(ValueError, match="underflows"):
+            _coherent_series(40, 0, row1_protocol.config, 16, [0.0])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # the 0/0 itself
+    def test_all_zero_amplitudes_fail_the_quadrature_check(self, row1_protocol):
+        axes, times = _track_grid(row1_protocol, np.zeros(4), grid_points=5, time_steps=4)
+        with pytest.raises(ConvergenceFailure):
+            _track_density(axes, times, 8, lambda t: np.zeros((t.size, 8, 8), dtype=complex))
 
     @pytest.mark.parametrize("points", [0, 1])
     def test_grid_needs_two_points(self, row1_protocol, points):
