@@ -73,4 +73,4 @@ from .symplectic import (
     to_normal_coords,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

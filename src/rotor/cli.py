@@ -94,7 +94,8 @@ class RunManifest:
     @classmethod
     def load(cls, path):
         """Read a manifest of a command rotor can rerun, with parameters that
-        command accepts; anything else raises ``ValueError``."""
+        command accepts and valid tolerances; anything else raises
+        ``ValueError``."""
         try:
             manifest = cls(**json.loads(Path(path).read_text(encoding="utf-8")))
             if manifest.command not in _HANDLERS:
@@ -104,6 +105,7 @@ class RunManifest:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path} is not a rotor manifest: {exc}") from None
         _check_parameters(manifest.command, manifest.parameters)
+        _check_tolerances(manifest.tolerances)
         return manifest
 
 
@@ -266,9 +268,25 @@ def _freq_out(value, unit):
     return value / (2 * np.pi) if unit == "khz" else value
 
 
+def _check_tolerances(tolerances):
+    """``tolerances`` if it maps "convergence" and "shell", and nothing else,
+    each to a finite number of at least 0; ValueError otherwise."""
+    if not isinstance(tolerances, dict) or sorted(tolerances) != ["convergence", "shell"]:
+        raise ValueError(f"tolerances must hold convergence and shell alone, got {tolerances!r}")
+    for key, value in tolerances.items():
+        if type(value) not in (int, float) or not 0 <= value < np.inf:
+            raise ValueError(f"tolerance {key} must be a finite number >= 0, got {value!r}")
+    return tolerances
+
+
 def _tolerances():
-    tol = float(os.environ.get("ROTOR_TOL", DEFAULT_CONVERGENCE_TOL))
-    return {"convergence": tol, "shell": tol}
+    """The tolerances of a new run: ROTOR_TOL, or 1e-8, for both."""
+    text = os.environ.get("ROTOR_TOL")
+    try:
+        tol = DEFAULT_CONVERGENCE_TOL if text is None else float(text)
+        return _check_tolerances({"convergence": tol, "shell": tol})
+    except ValueError as exc:
+        raise ValueError(f"ROTOR_TOL={text}: {exc}") from None
 
 
 def _protocol_from(params):
@@ -441,8 +459,8 @@ def _initial_point(params):
         flags = ", ".join("--" + k for k in alphas + coords)
         raise InfeasibleDesign(f"{flags}: give coherent amplitudes or coordinates, not both")
     if alphas:
-        a = np.array([parse_complex(params.get(k) or 0) for k in ("alpha1", "alpha2")])
-        return PhaseSpaceState.from_vector(np.sqrt(2) * np.concatenate([a.real, a.imag]))
+        a1, a2 = (parse_complex(params.get(k) or 0) for k in ("alpha1", "alpha2"))
+        return PhaseSpaceState.from_amplitudes(a1, a2)
     return PhaseSpaceState.from_vector([params.get(k) or 0.0 for k in ("q1", "q2", "p1", "p2")])
 
 
@@ -466,24 +484,18 @@ def cmd_classical(params, tolerances):
 def cmd_track(params, tolerances):
     protocol = _protocol_from(params)
     a1, a2 = parse_complex(params["alpha1"]), parse_complex(params["alpha2"])
-    nmax = int(params["nmax"]) if params.get("nmax") else coherent_nmax(a1, a2)
     steps, points = int(params["steps"]), int(params["grid_points"])
-    grid = coherent_track(a1, a2, protocol, nmax, time_steps=steps, grid_points=points)
+    grid = coherent_track(a1, a2, protocol, time_steps=steps, grid_points=points)
     print(
-        f"nmax = {nmax}; integral(track)/T = {grid.time_integral() / protocol.duration:.6f}; "
+        f"nmax = {grid.diagnostics['nmax']}; "
+        f"integral(track)/T = {grid.time_integral() / protocol.duration:.6f}; "
         f"max top-shell weight = {grid.diagnostics['max_top_shell_weight']:.3e}; "
         f"max norm loss = {grid.diagnostics['max_norm_loss']:.3e}"
-    )
-    # the centroid of the truncated state, which the track's axes follow too
-    centroid = phase_space_expectations(coherent_state(a1, a2, nmax))
-    times = np.linspace(0.0, protocol.duration, steps + 1)
-    trajectory = sample_trajectory(
-        PhaseSpaceState.from_vector(centroid), protocol.config, times
     )
     q1, q2 = np.meshgrid(grid.q1_axis, grid.q2_axis, indexing="ij")
     tables = {
         "track.csv": {"q1": q1.ravel(), "q2": q2.ravel(), "density": grid.density.ravel()},
-        "trajectory_rotating.csv": _trajectory_table(trajectory),
+        "trajectory_rotating.csv": _trajectory_table(grid.trajectory),
     }
     return tables, [grid.diagnostics]
 
@@ -588,7 +600,6 @@ def build_parser():
     add_protocol(p)
     p.add_argument("--alpha1", required=True)
     p.add_argument("--alpha2", required=True)
-    p.add_argument("--nmax", type=_count(1))
     # each axis needs a spacing; the halved-step check takes every other step
     p.add_argument("--grid-points", type=_count(2), default=201)
     p.add_argument("--steps", type=_count(2, "even"), default=2000)
@@ -625,14 +636,12 @@ def main(argv=None):
         return 1
     params = _parameters(args)
     try:
-        tolerances = _tolerances()
         if args.command != "rerun":
-            return _record(args.command, params, args.out_dir, tolerances)
+            return _record(args.command, params, args.out_dir, _tolerances())
+        # a rerun takes the recorded tolerances and never reads ROTOR_TOL
         manifest = RunManifest.load(args.manifest)
         out_dir = args.out_dir or Path(args.manifest).parent
-        # the recorded tolerances take precedence over ROTOR_TOL
-        tolerances = {**tolerances, **manifest.tolerances}
-        return _record(manifest.command, manifest.parameters, out_dir, tolerances)
+        return _record(manifest.command, manifest.parameters, out_dir, manifest.tolerances)
     except (RotorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, (ConvergenceFailure, TruncationTooSmall)) else 2

@@ -108,6 +108,12 @@ class PhaseSpaceState:
         q1, q2, p1, p2 = np.asarray(v, dtype=float)
         return cls(q1, q2, p1, p2)
 
+    @classmethod
+    def from_amplitudes(cls, alpha1, alpha2):
+        """The centroid sqrt(2) (Re alpha, Im alpha) of the coherent state |alpha1, alpha2>."""
+        a = np.array([alpha1, alpha2], dtype=complex)
+        return cls.from_vector(np.sqrt(2) * np.concatenate([a.real, a.imag]))
+
 
 @dataclass(frozen=True)
 class QuadraticForm:

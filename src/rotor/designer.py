@@ -54,14 +54,15 @@ def kappa(n1, n2, theta_f):
     Raises
     ------
     InfeasibleDesign
-        When the inner radicand turns negative, which happens exactly for
+        When theta_f is not a finite number above 0, when the inner
+        radicand turns negative, which happens exactly for
         theta_f in (pi*(n2 - n1), pi*(n2 + n1)), or when kappa_minus <= 1
         (the rotation would need theta_dot >= omega1).
     """
     if not (0 < n1 < n2):
         raise InfeasibleDesign(f"need integers 0 < n1 < n2, got ({n1}, {n2})")
-    if theta_f <= 0:
-        raise InfeasibleDesign("rotation angle must be positive")
+    if not 0 < theta_f < np.inf:
+        raise InfeasibleDesign(f"rotation angle theta_f must be finite and positive, got {theta_f}")
     d_plus = n1**2 + n2**2
     d_minus = n1**2 - n2**2
     tf2 = theta_f**2

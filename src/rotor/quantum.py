@@ -48,7 +48,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.special import gammainc, xlogy
 
-from .classical import flow_matrix, sample_trajectory
+from .classical import Trajectory, flow_matrix, sample_trajectory
 from .core import J, PhaseSpaceState
 from .errors import (
     ConvergenceFailure,
@@ -435,7 +435,7 @@ def _coherent_series(alpha1, alpha2, config, nmax, times):
     inverse = -J @ flow.transpose(0, 2, 1) @ J
     ladder = _L @ inverse @ _K
     b = -np.linalg.solve(ladder[:, :, :2], ladder[:, :, 2:])
-    d0 = np.sqrt(2) * np.array([alpha1.real, alpha2.real, alpha1.imag, alpha2.imag])
+    d0 = PhaseSpaceState.from_amplitudes(alpha1, alpha2).vector
     mean = (flow @ d0) @ _L.T
     gamma = mean - np.einsum("tij,tj->ti", b, mean.conj())
     vacuum = np.linalg.det(np.eye(2) - b.conj().transpose(0, 2, 1) @ b).real ** 0.25
@@ -579,12 +579,14 @@ class TrackGrid:
 
     ``density[i, j]`` is the integral of |psi(q1_i, q2_j, t)|^2 dt over one
     rotation, so the full grid integrates to the duration T (up to grid and
-    truncation loss).  ``diagnostics`` records quadrature convergence data.
+    truncation loss).  ``trajectory`` is the centroid's classical orbit at the
+    quadrature times.  ``diagnostics`` records quadrature convergence data.
     """
 
     q1_axis: np.ndarray
     q2_axis: np.ndarray
     density: np.ndarray
+    trajectory: Trajectory | None = field(default=None, compare=False)
     diagnostics: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -599,7 +601,7 @@ class TrackGrid:
         return float(self.density.sum() * dq1 * dq2)
 
 
-def classical_orbit(protocol, centroid, n_samples=1024):
+def classical_orbit(protocol, centroid, n_samples):
     """Position samples (n, 2) of the classical orbit started at ``centroid``."""
     ts = np.linspace(0.0, protocol.duration, n_samples)
     start = PhaseSpaceState.from_vector(centroid)
@@ -607,9 +609,9 @@ def classical_orbit(protocol, centroid, n_samples=1024):
 
 
 def _track_grid(protocol, centroid, grid_points, time_steps):
-    """``(axes, times)`` of a track: the ``grid_points``-point q1 and q2
-    axes over the classical orbit of ``centroid`` plus ``TRACK_PAD_WIDTHS``
-    ground-state widths, and ``time_steps`` uniform steps over [0, T].
+    """``(axes, orbit)``: the rotating-frame :class:`Trajectory` of ``centroid``
+    at ``time_steps`` uniform steps over [0, T], and ``grid_points``-point q1
+    and q2 axes over it plus ``TRACK_PAD_WIDTHS`` ground-state widths.
 
     Raises ValueError if ``grid_points`` is below 2, which leaves no
     spacing, or if ``time_steps`` is not a positive even count, which the
@@ -619,18 +621,17 @@ def _track_grid(protocol, centroid, grid_points, time_steps):
         raise ValueError(f"grid_points must be at least 2, got {grid_points}")
     if time_steps < 2 or time_steps % 2:
         raise ValueError(f"time_steps must be a positive even count, got {time_steps}")
-    orbit = classical_orbit(protocol, centroid)
+    times = np.linspace(0.0, protocol.duration, time_steps + 1)
+    orbit = sample_trajectory(PhaseSpaceState.from_vector(centroid), protocol.config, times)
     pad = TRACK_PAD_WIDTHS * GROUND_STATE_WIDTH
-    axes = tuple(
-        np.linspace(orbit[:, k].min() - pad, orbit[:, k].max() + pad, grid_points)
-        for k in (0, 1)
-    )
-    return axes, np.linspace(0.0, protocol.duration, time_steps + 1)
+    low, high = orbit.states[:, :2].min(0) - pad, orbit.states[:, :2].max(0) + pad
+    axes = tuple(np.linspace(low[k], high[k], grid_points) for k in (0, 1))
+    return axes, orbit
 
 
-def _track_density(axes, times, nmax, amplitudes):
+def _track_density(axes, orbit, nmax, amplitudes):
     """Trapezoidal time quadrature of |psi(q1, q2, t)|^2 on ``axes`` over
-    the uniform ``times``.
+    the uniform times of the trajectory ``orbit``, which the grid carries.
 
     ``amplitudes(times)`` returns the (len(times), nmax, nmax) coefficients
     of the state at those times, any phase per time.  Times are taken in
@@ -639,6 +640,7 @@ def _track_density(axes, times, nmax, amplitudes):
     ``_TRACK_CHUNK_BYTES``.
     """
     q1_axis, q2_axis = axes
+    times = orbit.times
     dt = times[1] - times[0]
     w_full = np.full(times.size, dt)
     w_full[0] = w_full[-1] = dt / 2
@@ -683,7 +685,7 @@ def _track_density(axes, times, nmax, amplitudes):
         "max_norm_loss": norm_loss,
         "nmax": nmax,
     }
-    return TrackGrid(q1_axis, q2_axis, dens_full, diagnostics)
+    return TrackGrid(q1_axis, q2_axis, dens_full, orbit, diagnostics)
 
 
 def wavepacket_track(psi0, protocol, time_steps=2000, grid_points=201):
@@ -712,33 +714,31 @@ def wavepacket_track(psi0, protocol, time_steps=2000, grid_points=201):
         If halving the quadrature step changes the density by more than
         ``TRACK_QUAD_TOL`` relative L1.
     """
-    axes, times = _track_grid(protocol, phase_space_expectations(psi0), grid_points, time_steps)
+    axes, orbit = _track_grid(protocol, phase_space_expectations(psi0), grid_points, time_steps)
     h = build_fock_hamiltonian(protocol.config, psi0.nmax)
-    return _track_density(axes, times, psi0.nmax, lambda t: evolve_series(psi0, h, t))
+    return _track_density(axes, orbit, psi0.nmax, lambda t: evolve_series(psi0, h, t))
 
 
-def coherent_track(alpha1, alpha2, protocol, nmax, time_steps=2000, grid_points=201):
+def coherent_track(alpha1, alpha2, protocol, time_steps=2000, grid_points=201):
     """Accumulate the position density of |alpha1, alpha2> over one period
-    from its exact Gaussian amplitudes on the ``nmax`` truncation, with no
-    Hamiltonian matrix and no eigendecomposition.
+    from its exact Gaussian amplitudes on the :func:`coherent_nmax`
+    truncation, with no Hamiltonian matrix and no eigendecomposition.
 
     Quadrature, axes, diagnostics and errors are those of
-    :func:`wavepacket_track`; the axes follow the centroid of
-    ``coherent_state(alpha1, alpha2, nmax)``, so both tracks of one state
-    share a grid.  The amplitudes are not renormalized, so the diagnostic
-    ``max_norm_loss`` is the probability the truncation lost.
+    :func:`wavepacket_track`; the axes follow the exact centroid
+    :meth:`PhaseSpaceState.from_amplitudes`.  The amplitudes are not
+    renormalized, so ``max_norm_loss`` is the probability truncation lost.
 
     Raises
     ------
-    TruncationTooSmall
-        Where :func:`coherent_state` does, before any evolution.
     ValueError
-        Where :func:`coherent_state` or :func:`_coherent_series` does.
+        Where :func:`coherent_nmax` or :func:`_coherent_series` does.
     """
-    psi0 = coherent_state(alpha1, alpha2, nmax)
-    axes, times = _track_grid(protocol, phase_space_expectations(psi0), grid_points, time_steps)
+    nmax = coherent_nmax(alpha1, alpha2)
+    centroid = PhaseSpaceState.from_amplitudes(alpha1, alpha2).vector
+    axes, orbit = _track_grid(protocol, centroid, grid_points, time_steps)
     return _track_density(
-        axes, times, nmax, lambda t: _coherent_series(alpha1, alpha2, protocol.config, nmax, t)
+        axes, orbit, nmax, lambda t: _coherent_series(alpha1, alpha2, protocol.config, nmax, t)
     )
 
 

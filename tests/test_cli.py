@@ -1,11 +1,16 @@
 import hashlib
 import json
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rotor.cli
+import rotor.quantum
 from rotor import ConvergenceFailure, DegenerateOverlap
 from rotor.cli import RunManifest, main, parse_angle, parse_complex, write_csv
 
@@ -64,7 +69,6 @@ COUNT_CASES = [
     ("classical", "--samples", "0"),
     ("track", "--steps", "0"),
     ("track", "--grid-points", "0"),
-    ("track", "--nmax", "0"),
     ("modes", "--sweep", "0"),
     ("stability", "--eps-points", "0"),
     ("stability", "--nmax-cap", "0"),
@@ -139,6 +143,14 @@ class TestDesignCommand:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("angle", ["nan", "inf"])
+    def test_non_finite_angle_named(self, tmp_path, capsys, angle):
+        argv = ["design", "--omega1-khz", "1", "--theta-f", angle, "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: rotation angle theta_f must be finite")
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["design", "--omega1-khz", "oops"]) == 1
@@ -409,6 +421,72 @@ class TestTrackCommand:
         assert trace["max_top_shell_weight"] < 1e-10
         assert f"max norm loss = {trace['max_norm_loss']:.3e}" in out
 
+    def test_trajectory_is_the_classical_orbit_of_the_amplitudes(self, tmp_path):
+        amplitudes = ["--omega1-khz", "1", "--alpha1", "3.4641", "--alpha2", "0.866j"]
+        track = ["track", *amplitudes, "--grid-points", "21", "--steps", "40"]
+        classical = ["classical", *amplitudes, "--frame", "rotating", "--samples", "41"]
+        assert main(track + ["--out-dir", str(tmp_path / "track")]) == 0
+        assert main(classical + ["--out-dir", str(tmp_path / "classical")]) == 0
+        name = "trajectory_rotating.csv"
+        assert read_body(tmp_path / "track" / name) == read_body(tmp_path / "classical" / name)
+
+    def test_one_orbit_and_no_truncated_state(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the track built a truncated state or resampled its orbit")
+
+        for name in ("coherent_state", "phase_space_expectations", "classical_orbit"):
+            monkeypatch.setattr(rotor.quantum, name, refuse)
+            monkeypatch.setattr(rotor.cli, name, refuse, raising=False)
+        calls = []
+        sample = rotor.quantum.sample_trajectory
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(rotor.quantum, "sample_trajectory", counted)
+        monkeypatch.setattr(rotor.cli, "sample_trajectory", counted)
+        argv = REQUIRED_ARGS["track"] + ["--grid-points", "21", "--steps", "40"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    def test_underflow_refused_before_any_nmax_squared_array(self, tmp_path):
+        # nmax is 3992 at |alpha| = 60: one nmax x nmax complex array is 255 MB
+        argv = ["track", "--omega1-khz", "1", "--alpha1", "60", "--alpha2", "0",
+                "--grid-points", "3", "--steps", "2", "--out-dir", str(tmp_path)]
+        # a child measures its own child, so no other process counts
+        script = (
+            "import resource, subprocess, sys\n"
+            "code = subprocess.call([sys.executable, '-m', 'rotor.cli', *sys.argv[1:]])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", script, *argv],
+                             capture_output=True, text=True, check=True)
+        code, peak_kb = map(int, run.stdout.split())
+        assert code == 2
+        assert "error: vacuum amplitude" in run.stderr
+        assert peak_kb < 200 * 1024
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_truncation_is_not_an_option(self, tmp_path, capsys):
+        argv = REQUIRED_ARGS["track"] + ["--nmax", "16", "--out-dir", str(tmp_path)]
+        assert main(argv) == 1
+        assert "unrecognized arguments: --nmax 16" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_rerun_rejects_a_recorded_nmax(self, tmp_path, capsys):
+        # a track manifest of version 0.1.0 records "nmax", null
+        orig, redo = tmp_path / "orig", tmp_path / "redo"
+        argv = REQUIRED_ARGS["track"] + ["--grid-points", "21", "--steps", "40"]
+        assert main(argv + ["--out-dir", str(orig)]) == 0
+        manifest = json.loads((orig / "manifest.json").read_text())
+        manifest["parameters"]["nmax"] = None
+        (orig / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(orig / "manifest.json"), "--out-dir", str(redo)]) == 2
+        assert capsys.readouterr().err.startswith("error: recorded parameters differ")
+        assert not redo.exists()
+
 
 class TestStabilityCommand:
     def test_two_series(self, tmp_path, capsys):
@@ -508,9 +586,8 @@ class TestStateInputs:
             ["stability", "--omega1-khz", "1", "--state", "coherent:0,1e200"],
             ["simulate", "--omega1-khz", "1", "--state", "coherent:nan,0"],
             ["track", "--omega1-khz", "1", "--alpha1", "1e200", "--alpha2", "0"],
-            ["track", "--omega1-khz", "1", "--alpha1", "1e200", "--alpha2", "0", "--nmax", "16"],
         ],
-        ids=["simulate", "stability", "simulate-nan", "track", "track-nmax"],
+        ids=["simulate", "stability", "simulate-nan", "track"],
     )
     def test_non_finite_mean_rejected(self, tmp_path, capsys, argv):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
@@ -638,6 +715,50 @@ class TestReproducibility:
         assert sorted(p.name for p in redo.iterdir()) == names
         for name in names:
             assert (orig / name).read_bytes() == (redo / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "tolerances",
+        [
+            [],
+            {"convergence": "abc", "shell": 1e-8},
+            {"convergence": None, "shell": 1e-8},
+            {"convergence": -1, "shell": 1e-8},
+            {"convergence": float("nan"), "shell": 1e-8},
+            {"convergence": True, "shell": 1e-8},
+            {"convergence": 1e-8, "shell": 1e-8, "unknown": 1e-8},
+            {"convergence": 1e-8},
+        ],
+        ids=["list", "text", "null", "negative", "nan", "bool", "unknown-key", "missing-key"],
+    )
+    def test_rerun_rejects_bad_tolerances(self, tmp_path, capsys, monkeypatch, tolerances):
+        orig, redo = tmp_path / "orig", tmp_path / "redo"
+        argv = ["simulate", "--omega1-khz", "1", "--samples", "5"]
+        assert main(argv + ["--out-dir", str(orig)]) == 0
+        manifest = json.loads((orig / "manifest.json").read_text())
+        manifest["tolerances"] = tolerances
+        (orig / "manifest.json").write_text(json.dumps(manifest))
+        monkeypatch.setattr(rotor.cli, "converge_truncation", None)  # nothing may run
+        capsys.readouterr()
+        assert main(["rerun", str(orig / "manifest.json"), "--out-dir", str(redo)]) == 2
+        assert capsys.readouterr().err.startswith("error: tolerance")
+        assert not redo.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+    def test_bad_tolerance_env_rejected(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("ROTOR_TOL", value)
+        monkeypatch.setattr(rotor.cli, "converge_truncation", None)  # nothing may run
+        argv = ["simulate", "--omega1-khz", "1", "--samples", "5", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: ROTOR_TOL={value}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rerun_ignores_the_tolerance_env(self, tmp_path, monkeypatch):
+        orig, redo = tmp_path / "orig", tmp_path / "redo"
+        assert main(["design", "--omega1-khz", "1", "--out-dir", str(orig)]) == 0
+        monkeypatch.setenv("ROTOR_TOL", "nan")
+        assert main(["rerun", str(orig / "manifest.json"), "--out-dir", str(redo)]) == 0
+        for name in ("design.csv", "manifest.json"):
+            assert (orig / name).read_bytes() == (redo / name).read_bytes()
 
     def test_rerun_missing_manifest(self, tmp_path, capsys):
         assert main(["rerun", str(tmp_path / "missing.json")]) == 2
@@ -769,3 +890,10 @@ class TestTableLayout:
             "1e-300,3\n"
             "2.5000000000000001e+300,4\n"
         )
+
+
+def test_version_matches_pyproject():
+    # a regex read: Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    (version,) = re.findall(r'^version = "([^"]+)"$', text, flags=re.MULTILINE)
+    assert version == rotor.__version__

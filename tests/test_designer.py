@@ -59,6 +59,12 @@ class TestKappa:
         with pytest.raises(InfeasibleDesign):
             kappa(1, 2, -1.0)
 
+    @pytest.mark.parametrize("theta_f", [np.nan, np.inf])
+    def test_non_finite_angle_named(self, theta_f):
+        # either would reach TrapConfig as a non-finite omega2
+        with pytest.raises(InfeasibleDesign, match="theta_f"):
+            kappa(1, 2, theta_f)
+
 
 class TestDesignProtocol:
     @pytest.mark.parametrize(
