@@ -2,8 +2,8 @@
 
 Design commensurate-frequency rotation protocols by symplectically
 decoupling the rotating-frame dynamics into normal modes, then verify the
-designs with exact classical propagation and truncated Fock-space quantum
-simulation.
+designs with exact classical propagation, closed-form quantum evolution of
+Gaussian and one-quantum states, and truncated Fock-space simulation.
 """
 
 from .classical import (
@@ -40,6 +40,7 @@ from .errors import (
     WilliamsonViolation,
 )
 from .quantum import (
+    ClosedFormState,
     FockHamiltonian,
     ObservableSeries,
     QuantumState,
@@ -73,4 +74,4 @@ from .symplectic import (
     to_normal_coords,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

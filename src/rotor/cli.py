@@ -45,6 +45,7 @@ from .errors import (
     WilliamsonViolation,
 )
 from .quantum import (
+    ClosedFormState,
     build_fock_hamiltonian,
     coherent_nmax,
     coherent_state,
@@ -53,10 +54,8 @@ from .quantum import (
     entangled_state,
     evolve_series,
     mean_excitation,
-    measure_sensitivity,
     phase_space_expectations,
     revival_phase,
-    stability_sweep,
     survival_probability,
 )
 from .symplectic import normal_frequencies
@@ -295,38 +294,29 @@ def _protocol_from(params):
     return design_protocol(omega1, theta_f, int(params["n1"]), int(params["n2"]))
 
 
-def _state_builder(spec):
-    """``(make_state, nmax_start)``, the start being :func:`coherent_nmax` of
-    the state's amplitudes; ground is the coherent state at 0, 0, and
-    entangled starts where it does."""
+def _initial_state(spec):
+    """The :class:`ClosedFormState` a ``--state`` names: ``ground`` (the
+    coherent state at 0, 0), ``entangled`` or ``coherent:a1,a2``."""
     spec = str(spec)
     if spec == "entangled":
-        return entangled_state, coherent_nmax(0, 0)
+        return ClosedFormState(entangled=True)
     if spec == "ground":
-        a1 = a2 = 0
-    elif spec.startswith("coherent:"):
+        return ClosedFormState()
+    if spec.startswith("coherent:"):
         parts = spec[len("coherent:"):].split(",")
         if len(parts) != 2:
             raise InfeasibleDesign("coherent state spec must be coherent:a1,a2")
-        a1, a2 = (parse_complex(p) for p in parts)
-    else:
-        raise InfeasibleDesign(f"unknown state spec {spec!r}")
+        return ClosedFormState(*(parse_complex(p) for p in parts))
+    raise InfeasibleDesign(f"unknown state spec {spec!r}")
+
+
+def _fock_states(state):
+    """``(make_state, nmax_start)`` of ``state`` on the Fock path, the start
+    being :func:`coherent_nmax` of its amplitudes (16 for entangled)."""
+    if state.entangled:
+        return entangled_state, coherent_nmax(0, 0)
+    a1, a2 = state.alpha1, state.alpha2
     return (lambda nmax: coherent_state(a1, a2, nmax)), coherent_nmax(a1, a2)
-
-
-def _converged_state(protocol, make_state, nmax_start, params, tolerances):
-    """``(psi0, h, trace)`` at the truncation :func:`converge_truncation`
-    settles on, ``h`` being the Hamiltonian it built and factorized there."""
-    converged = converge_truncation(
-        protocol,
-        make_state,
-        nmax_start=nmax_start,
-        p_tol=tolerances["convergence"],
-        shell_tol=tolerances["shell"],
-        nmax_cap=params["nmax_cap"],
-    )
-    nmax, trace = converged
-    return make_state(nmax), converged.hamiltonian, trace
 
 
 # ---------------------------------------------------------------------------
@@ -419,29 +409,49 @@ def cmd_modes(params, tolerances):
 
 
 def cmd_simulate(params, tolerances):
+    """Closed forms, unless ``--nmax`` or ``--ehrenfest`` asks for a Fock run."""
     protocol = _protocol_from(params)
-    make_state, nmax_start = _state_builder(params["state"])
+    state = _initial_state(params["state"])
     observables = [o.strip().upper() for o in str(params["observables"]).split(",")]
     for o in observables:
         if o not in ("N", "P"):
             raise InfeasibleDesign(f"unknown observable {o!r} (use N,P)")
 
-    if params.get("nmax"):
-        psi0, trace = make_state(int(params["nmax"])), []
-        h = build_fock_hamiltonian(protocol.config, psi0.nmax)
-    else:
-        psi0, h, trace = _converged_state(protocol, make_state, nmax_start, params, tolerances)
     times = np.linspace(0.0, protocol.duration, int(params["samples"]))
-    coeffs = evolve_series(psi0, h, times)
+    if params.get("nmax") or params.get("ehrenfest"):
+        make_state, nmax_start = _fock_states(state)
+        if params.get("nmax"):
+            psi0, trace = make_state(int(params["nmax"])), []
+            h = build_fock_hamiltonian(protocol.config, psi0.nmax)
+        else:
+            # the Hamiltonian built and factorized at the size the loop settles on
+            converged = converge_truncation(
+                protocol,
+                make_state,
+                nmax_start=nmax_start,
+                p_tol=tolerances["convergence"],
+                shell_tol=tolerances["shell"],
+                nmax_cap=params["nmax_cap"],
+            )
+            (nmax, trace), h = converged, converged.hamiltonian
+            psi0 = make_state(nmax)
+        coeffs = evolve_series(psi0, h, times)
+        series = {"N": mean_excitation(coeffs), "P": survival_probability(psi0, coeffs)}
+        phase, source = revival_phase(psi0, coeffs[-1]), f"nmax = {psi0.nmax}"
+    else:
+        series = {
+            "N": state.mean_excitation(protocol.config, times),
+            "P": state.survival(protocol.config, times),
+        }
+        phase, source, trace = state.revival_phase(protocol), "closed form", []
     columns = {"t": times}
     if "N" in observables:
-        n_values = columns["mean_excitation"] = mean_excitation(coeffs)
+        n_values = columns["mean_excitation"] = series["N"]
         print(f"<N(T)> - <N(0)> = {n_values[-1] - n_values[0]:.3e}")
     if "P" in observables:
-        p_values = columns["survival"] = survival_probability(psi0, coeffs)
+        p_values = columns["survival"] = series["P"]
         print(f"1 - P(T) = {1.0 - p_values[-1]:.3e}")
-    phase = revival_phase(psi0, coeffs[-1])
-    print(f"revival phase = {phase.real:+.6f} {phase.imag:+.6f}j (nmax = {psi0.nmax})")
+    print(f"revival phase = {phase.real:+.6f} {phase.imag:+.6f}j ({source})")
 
     if params.get("ehrenfest"):
         centroid0 = PhaseSpaceState.from_vector(phase_space_expectations(psi0))
@@ -502,26 +512,23 @@ def cmd_track(params, tolerances):
 
 def cmd_stability(params, tolerances):
     n2_list = [int(x) for x in str(params["n2_list"]).split(",")]
-    make_state, nmax_start = _state_builder(params["state"])
+    state = _initial_state(params["state"])
     eps_frac = params["eps_range"]
 
     # design every protocol first, so an infeasible entry fails before any run
     protocols = {n2: _protocol_from({**params, "n2": n2}) for n2 in n2_list}
     tables = {}
-    trace = []
     for n2, protocol in protocols.items():
-        psi0, h, conv = _converged_state(protocol, make_state, nmax_start, params, tolerances)
-        trace.append({"n2": n2, "nmax": psi0.nmax, "steps": conv})
         eps = np.linspace(-eps_frac, eps_frac, params["eps_points"]) * protocol.duration
-        sweep = stability_sweep(psi0, protocol, eps, h)
+        survival = state.survival(protocol.config, protocol.duration + eps)
         # the CSV holds the user's grid; the curvature is fitted on the fixed one
-        report = measure_sensitivity(protocol, psi0, h=h)
+        report = state.sensitivity(protocol)
         print(
             f"n2 = {n2}: fitted curvature = {report.fitted_rate:.6e}, "
             f"delta_h_sq = {report.delta_h_sq:.6e}, rel err = {report.relative_error:.3e}"
         )
-        tables[f"stability_n2_{n2}.csv"] = {"eps": eps, "survival": sweep.values}
-    return tables, trace
+        tables[f"stability_n2_{n2}.csv"] = {"eps": eps, "survival": survival}
+    return tables, []
 
 
 _HANDLERS = {
@@ -577,11 +584,14 @@ def build_parser():
     p.add_argument("--observables", default="N,P")
     # samples run from t = 0 to t = T, where the period quantities are read
     p.add_argument("--samples", type=_count(2), default=600)
-    p.add_argument("--nmax", type=_count(1), help="fixed truncation (skips convergence)")
+    p.add_argument("--nmax", type=_count(1),
+                   help="run on the Fock basis at this fixed truncation (skips convergence)")
     p.add_argument("--nmax-cap", type=_count(1), default=128,
-                   help="largest truncation the convergence loop may try")
+                   help="largest truncation the --ehrenfest convergence loop may try")
     p.add_argument("--ehrenfest", action="store_true",
-                   help="compare quantum centroid with the classical trajectory")
+                   help="compare the quantum centroid with the classical trajectory; runs on "
+                   "the Fock basis at the converged nmax, since a closed-form centroid "
+                   "would compare flow_matrix with itself")
     add_out(p, "simulate")
 
     p = sub.add_parser("classical", help="exact classical trajectory")
@@ -615,8 +625,6 @@ def build_parser():
                    help="half width of the offset sweep as a fraction of T")
     # an odd count puts eps = 0 at the centre of the sweep from -r*T to r*T
     p.add_argument("--eps-points", type=_count(3, "odd"), default=101)
-    p.add_argument("--nmax-cap", type=_count(1), default=128,
-                   help="largest truncation the convergence loop may try")
     add_out(p, "stability")
 
     p = sub.add_parser("rerun", help="reproduce a run from its manifest")

@@ -56,8 +56,9 @@ def kappa(n1, n2, theta_f):
     InfeasibleDesign
         When theta_f is not a finite number above 0, when the inner
         radicand turns negative, which happens exactly for
-        theta_f in (pi*(n2 - n1), pi*(n2 + n1)), or when kappa_minus <= 1
-        (the rotation would need theta_dot >= omega1).
+        theta_f in (pi*(n2 - n1), pi*(n2 + n1)), when kappa_minus <= 1
+        (the rotation would need theta_dot >= omega1), or when theta_f is
+        so far from 1 (about 1e-154 or 1e78) that the squares overflow.
     """
     if not (0 < n1 < n2):
         raise InfeasibleDesign(f"need integers 0 < n1 < n2, got ({n1}, {n2})")
@@ -65,16 +66,26 @@ def kappa(n1, n2, theta_f):
         raise InfeasibleDesign(f"rotation angle theta_f must be finite and positive, got {theta_f}")
     d_plus = n1**2 + n2**2
     d_minus = n1**2 - n2**2
-    tf2 = theta_f**2
-    radicand = np.pi**4 * d_minus**2 - 2 * np.pi**2 * d_plus * tf2 + tf2**2
+    # theta_f^2 and 1/theta_f^2 each overflow for an angle far enough from 1
+    out_of_range = InfeasibleDesign(
+        f"rotation angle theta_f = {theta_f:.6g} puts kappa out of double-precision range"
+    )
+    try:
+        tf2 = theta_f**2
+        radicand = np.pi**4 * d_minus**2 - 2 * np.pi**2 * d_plus * tf2 + tf2**2
+        base = -1 + 2 * np.pi**2 * d_plus / tf2
+    except (OverflowError, ZeroDivisionError):
+        raise out_of_range from None
     if radicand < 0:
         raise InfeasibleDesign(
             f"no commensurate solution for theta_f = {theta_f:.6g}: angles in "
             f"(pi*{n2 - n1}, pi*{n2 + n1}) are excluded for (n1, n2) = ({n1}, {n2})"
         )
-    base = -1 + 2 * np.pi**2 * d_plus / tf2
-    shift = 2 * np.sqrt(radicand) / tf2
-    km_sq, kp_sq = base - shift, base + shift
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = 2 * np.sqrt(radicand) / tf2
+        km_sq, kp_sq = base - shift, base + shift
+    if not np.isfinite(kp_sq):
+        raise out_of_range
     if km_sq <= 1:
         raise InfeasibleDesign(
             f"kappa_minus^2 = {km_sq:.6g} <= 1: rotation velocity would reach omega1"

@@ -21,12 +21,25 @@ Each observable takes one :class:`QuantumState` or a (..., nmax, nmax)
 coefficient stack, the shape :func:`evolve_series` returns, and gives one
 value (four for :func:`phase_space_expectations`) per state.
 
-The Fock path is the reference.  A coherent state has a cheaper exact
-route: H is quadratic, so the state stays Gaussian, and its amplitudes on
-the truncated basis follow from the classical flow by a recurrence with no
-Hamiltonian matrix and no eigendecomposition.  :func:`coherent_track` uses
-that route; :func:`wavepacket_track` keeps the Fock path for any state and
-is the reference it is checked against.
+The Fock path is the reference.  H is quadratic, so U(t) = exp(-i H t)
+maps the ladder operators linearly through the classical flow F(t)
+(:class:`_LadderFlow`, the one Gaussian layer over
+:func:`rotor.classical.flow_matrix`), and the states the command line
+starts from have exact routes with no Hamiltonian matrix, no truncation and
+no eigendecomposition:
+
+* :class:`ClosedFormState` evaluates the survival, <N>, the overlap
+  <psi0|U(t)|psi0> (the zero-point factor G0 = det(alpha')^(-1/2) on its
+  branch), the revival phase, the energy variance and the timing-error fit
+  of a coherent state (the ground state at 0, 0) or of A+|0> in closed form.
+  ``rotor simulate`` and ``rotor stability`` use it unless a run asks for a
+  truncation.
+* :func:`_coherent_series` gives the amplitudes of an evolving coherent
+  state on the truncated basis by a recurrence; :func:`coherent_track`
+  uses it, and :func:`wavepacket_track` keeps the Fock path for any state
+  as the reference it is checked against.
+
+The tests check every closed form against :func:`evolve_series`.
 
 Two structural facts keep the eigenproblem cheap.  A quadratic two-mode
 operator only connects states whose total occupation differs by 0 or 2,
@@ -42,6 +55,7 @@ The tests check it against ``expm`` of the full dense matrix.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,7 +63,7 @@ from scipy.linalg import expm
 from scipy.special import gammainc, xlogy
 
 from .classical import Trajectory, flow_matrix, sample_trajectory
-from .core import J, PhaseSpaceState
+from .core import J, PhaseSpaceState, build_rotating_hamiltonian
 from .errors import (
     ConvergenceFailure,
     DegenerateOverlap,
@@ -403,20 +417,50 @@ def evolve(state, h, t):
     return QuantumState(evolve_series(state, h, [float(t)])[0])
 
 
+class _LadderFlow(NamedTuple):
+    """The exact action of U(t) = exp(-i H t) at each of a list of times.
+
+    H is quadratic, so U a U+ = L F(-t) K (a; a+) = alpha' a + beta' a+ with
+    the classical flow ``flow`` = F(t) and F(-t) = -J F(t)^T J; ``alpha``
+    and ``beta`` are the (times, 2, 2) blocks alpha' and beta'.  The evolved
+    vacuum is U|0> = G0 exp(a+ B a+ / 2)|0> with ``b`` = B = -alpha'^-1 beta'
+    and G0 = <0|U|0> = det(alpha')^(-1/2), whose branch starts at 1 at t = 0
+    (:meth:`ClosedFormState.overlap` follows it).  The zero-point energy is
+    inside the determinant because H is Weyl-ordered.
+    """
+
+    flow: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    b: np.ndarray
+
+    def mean(self, d0):
+        """The evolved mean amplitudes alpha_t = L F(t) d0, shape (times, 2),
+        of a state centred at the phase-space point ``d0``."""
+        return (self.flow @ d0) @ _L.T
+
+
+def _ladder_flow(config, times):
+    """The :class:`_LadderFlow` of ``config`` at ``times`` (a scalar counts as one)."""
+    flow = flow_matrix(normal_modes(config), np.atleast_1d(np.asarray(times, dtype=float)))
+    inverse = -J @ flow.transpose(0, 2, 1) @ J
+    ladder = _L @ inverse @ _K
+    alpha, beta = ladder[:, :, :2], ladder[:, :, 2:]
+    return _LadderFlow(flow, alpha, beta, -np.linalg.solve(alpha, beta))
+
+
 def _coherent_series(alpha1, alpha2, config, nmax, times):
     """Coefficients of exp(-i H t) |alpha1, alpha2> for every t in ``times``,
     from the exact Gaussian form of the evolved state; no Hamiltonian matrix.
 
-    H is quadratic, so U a U+ = L F(-t) K (a; a+) = alpha' a + beta' a+ with
-    the classical flow F and F(-t) = -J F(t)^T J, and the evolved state is
-    D(alpha_t) G exp(a+ B a+ / 2)|0> with B = -alpha'^-1 beta' and the
-    evolved mean amplitude alpha_t = L F(t) d0.  Its amplitudes obey
+    With the :class:`_LadderFlow` of the times the evolved state is
+    D(alpha_t) G0 exp(a+ B a+ / 2)|0>.  Its amplitudes obey
     sqrt(n_i + 1) c[n + e_i] = gamma_i c[n] + sum_j B_ij sqrt(n_j) c[n - e_j]
     with gamma = alpha_t - B alpha_t*, from
     |c[0, 0]| = det(I - B+ B)^(1/4) |exp(-|alpha_t|^2/2 + alpha_t*^T B alpha_t*/2)|.
 
     Each row equals the matching row of :func:`evolve_series` up to one
-    unit-modulus factor, the phase of G, which is not computed.  The
+    unit-modulus factor, the phase of G0, which is not computed.  The
     amplitudes are those of the exact state on the truncated basis and are
     not renormalized: 1 - sum |c|^2 is the probability truncation loses.
 
@@ -430,13 +474,9 @@ def _coherent_series(alpha1, alpha2, config, nmax, times):
         If |c[0, 0]| underflows at any time (|alpha_t| above about 37.6),
         which would zero every amplitude, before the recurrence.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    flow = flow_matrix(normal_modes(config), times)
-    inverse = -J @ flow.transpose(0, 2, 1) @ J
-    ladder = _L @ inverse @ _K
-    b = -np.linalg.solve(ladder[:, :, :2], ladder[:, :, 2:])
-    d0 = PhaseSpaceState.from_amplitudes(alpha1, alpha2).vector
-    mean = (flow @ d0) @ _L.T
+    ladder = _ladder_flow(config, times)
+    b = ladder.b
+    mean = ladder.mean(PhaseSpaceState.from_amplitudes(alpha1, alpha2).vector)
     gamma = mean - np.einsum("tij,tj->ti", b, mean.conj())
     vacuum = np.linalg.det(np.eye(2) - b.conj().transpose(0, 2, 1) @ b).real ** 0.25
     exponent = -0.5 * (np.abs(mean) ** 2).sum(-1) + 0.5 * np.einsum(
@@ -452,7 +492,7 @@ def _coherent_series(alpha1, alpha2, config, nmax, times):
     # root[0] = 0 drops the n - 1 terms of the first step, which read the
     # still-zero last row and column
     root = np.sqrt(np.arange(nmax))
-    c = np.zeros((times.size, nmax, nmax), dtype=complex)
+    c = np.zeros((b.shape[0], nmax, nmax), dtype=complex)
     c[:, 0, 0] = vacuum * np.exp(exponent.real)
     for n in range(nmax - 1):
         c[:, 0, n + 1] = (
@@ -499,7 +539,11 @@ def revival_phase(psi0, psi_t):
     DegenerateOverlap
         If |<psi0|psi_t>| < 1e-6, where the phase carries no information.
     """
-    overlap = complex(np.conj(_overlap(psi0, psi_t)))
+    return _unit_phase(complex(np.conj(_overlap(psi0, psi_t))))
+
+
+def _unit_phase(overlap):
+    """overlap / |overlap|; DegenerateOverlap if |overlap| < 1e-6."""
     if abs(overlap) < 1e-6:
         raise DegenerateOverlap(f"|overlap| = {abs(overlap):.3e} too small for a phase")
     return overlap / abs(overlap)
@@ -814,13 +858,142 @@ def measure_sensitivity(protocol, psi0=None, nmax=32, h=None):
         psi0 = fock_state(0, 0, nmax)
     if h is None:
         h = build_fock_hamiltonian(protocol.config, psi0.nmax)
-    variance = energy_variance(psi0, h)
+    return _fit_sensitivity(
+        protocol, energy_variance(psi0, h), lambda eps: stability_sweep(psi0, protocol, eps, h)
+    )
+
+
+def _fit_sensitivity(protocol, variance, sweep):
+    """The :class:`SensitivityReport` of ``variance`` against the curvature
+    fitted to ``sweep(eps)``, the survival series at T + eps over 25 offsets
+    with |eps| <= 0.01 T.  Raises ValueError, before any sweep, if the
+    variance is not above 0."""
     if not variance > 0:
         raise ValueError(f"energy variance {variance:.3e}: the survival does not decay")
     window = 0.01 * protocol.duration
-    sweep = stability_sweep(psi0, protocol, np.linspace(-window, window, 25), h)
-    fitted = fit_quadratic_decay(sweep)
+    fitted = fit_quadratic_decay(sweep(np.linspace(-window, window, 25)))
     return SensitivityReport(variance, fitted, abs(fitted - variance) / variance)
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+
+
+#: A+ = w . a+ creates the one quantum of the entangled state A+|0>
+_W = np.array([1.0, 1.0]) / np.sqrt(2)
+
+
+@dataclass(frozen=True)
+class ClosedFormState:
+    """The coherent state |alpha1, alpha2> (the ground state at 0, 0) or,
+    when ``entangled``, the one-quantum state A+|0> of :func:`entangled_state`,
+    evolved exactly through the :class:`_LadderFlow` of the protocol.
+
+    No observable needs a truncation or an eigendecomposition.  With
+    G0 = det(alpha')^(-1/2) the overlap <psi0|U|psi0> is G0 times
+    exp(i Im(alpha_t . alpha*) + d*^T B d* / 2 - |d|^2 / 2), d = alpha - alpha_t,
+    for a coherent state, and G0 (w^T alpha'* w + w^T beta'* B w) for A+|0>.
+    Second moments follow the classical flow, Sigma(t) = F Sigma0 F^T.
+
+    Raises ValueError if either |alpha|^2 is not finite, or if an entangled
+    state is given amplitudes.
+    """
+
+    alpha1: complex = 0
+    alpha2: complex = 0
+    entangled: bool = False
+
+    def __post_init__(self):
+        if self.entangled and (self.alpha1 or self.alpha2):
+            raise ValueError("the entangled state A+|0> takes no coherent amplitudes")
+        for alpha in (self.alpha1, self.alpha2):
+            _coherent_mean(alpha)
+
+    @property
+    def centroid(self):
+        """The phase-space mean d0 = <v>."""
+        return PhaseSpaceState.from_amplitudes(self.alpha1, self.alpha2).vector
+
+    @property
+    def covariance(self):
+        """The symmetrized covariance Sigma0 of v: I/2, plus w w^T in the
+        q and in the p block for A+|0>."""
+        extra = np.kron(np.eye(2), np.outer(_W, _W)) if self.entangled else 0
+        return np.eye(4) / 2 + extra
+
+    def _reduced_overlap(self, ladder):
+        """<psi0|U|psi0> / G0 at each time of the :class:`_LadderFlow` ``ladder``."""
+        if self.entangled:
+            # U A+ U+ = w (alpha'* a+ + beta'* a), and a U|0> = B a+ U|0>
+            pairing = ladder.alpha.conj() + ladder.beta.conj() @ ladder.b
+            return np.einsum("i,tij,j->t", _W, pairing, _W)
+        alpha = np.array([self.alpha1, self.alpha2], dtype=complex)
+        mean = ladder.mean(self.centroid)
+        d = alpha - mean
+        return np.exp(
+            1j * (mean @ alpha.conj()).imag
+            + 0.5 * np.einsum("ti,tij,tj->t", d.conj(), ladder.b, d.conj())
+            - 0.5 * (np.abs(d) ** 2).sum(-1)
+        )
+
+    def survival(self, config, times):
+        """P(t) = |<psi0|U(t)|psi0>|^2 at each of ``times``; |G0|^2 = 1/|det alpha'|."""
+        ladder = _ladder_flow(config, times)
+        return np.abs(self._reduced_overlap(ladder)) ** 2 / np.abs(np.linalg.det(ladder.alpha))
+
+    def mean_excitation(self, config, times):
+        """<N>(t) = (tr F Sigma0 F^T + |F d0|^2 - 2) / 2 at each of ``times``."""
+        flow = flow_matrix(normal_modes(config), np.atleast_1d(np.asarray(times, dtype=float)))
+        spread = np.einsum("tij,jk,tik->t", flow, self.covariance, flow)
+        return (spread + ((flow @ self.centroid) ** 2).sum(-1) - 2) / 2
+
+    def overlap(self, config, t):
+        """<psi0|U(t)|psi0>, with G0 on the branch that is 1 at 0.
+
+        arg det alpha' is followed over a uniform grid on [0, t] whose step
+        count doubles from 64 until no step moves it by pi/2 or more.
+        """
+        steps = 64
+        while True:
+            ladder = _ladder_flow(config, np.linspace(0.0, t, steps + 1))
+            det = np.linalg.det(ladder.alpha)
+            turns = np.angle(det[1:] * det[:-1].conj())
+            if not np.abs(turns).max() >= np.pi / 2:
+                break
+            steps *= 2
+        g0 = np.exp(-0.5j * turns.sum()) / np.sqrt(np.abs(det[-1]))
+        return complex(g0 * self._reduced_overlap(ladder)[-1])
+
+    def revival_phase(self, protocol):
+        """The unit-modulus <psi0|U(T)|psi0> / |<psi0|U(T)|psi0>|, as
+        :func:`revival_phase` reads it on Fock; DegenerateOverlap below 1e-6."""
+        return _unit_phase(self.overlap(protocol.config, protocol.duration))
+
+    def energy_variance(self, config):
+        """<H^2> - <H>^2 with H = v^T A v.
+
+        Of a Gaussian state with covariance S and mean d it is
+        2 tr(A S A S) + tr(A J A J) / 2 + 4 d^T A S A d; at S = I/2 that is
+        tr(A (A + J A J)) / 2 + 2 |A d|^2, whose diagonal blocks of
+        A + J A J cancel exactly, so a small variance keeps its relative
+        accuracy.  A+|0> changes each n_i by at most 1 under H, so
+        :func:`energy_variance` on the nmax = 3 basis is exact for it.
+        """
+        if self.entangled:
+            return energy_variance(entangled_state(3), build_fock_hamiltonian(config, 3))
+        a = build_rotating_hamiltonian(config).a
+        ad = a @ self.centroid
+        return float(np.trace(a @ (a + J @ a @ J)) / 2 + 2 * ad @ ad)
+
+    def sensitivity(self, protocol):
+        """The :class:`SensitivityReport` of :func:`measure_sensitivity`,
+        from the closed-form survival and energy variance."""
+        config, duration = protocol.config, protocol.duration
+        return _fit_sensitivity(
+            protocol,
+            self.energy_variance(config),
+            lambda eps: ObservableSeries(eps, self.survival(config, duration + eps)),
+        )
 
 
 # ---------------------------------------------------------------------------

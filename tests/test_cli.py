@@ -71,7 +71,8 @@ COUNT_CASES = [
     ("track", "--grid-points", "0"),
     ("modes", "--sweep", "0"),
     ("stability", "--eps-points", "0"),
-    ("stability", "--nmax-cap", "0"),
+    # stability runs on closed forms, with no truncation to cap
+    ("stability", "--nmax-cap", "64"),
     # one sample would report period quantities at t = 0
     ("simulate", "--samples", "1"),
     ("classical", "--samples", "1"),
@@ -150,6 +151,15 @@ class TestDesignCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: rotation angle theta_f must be finite")
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("angle", ["1e-300", "1e200"])
+    def test_angle_beyond_double_range_named(self, tmp_path, capsys, angle):
+        argv = ["design", "--omega1-khz", "1", "--theta-f", angle, "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: rotation angle theta_f = ")
+        assert "Traceback" not in err
         assert not (tmp_path / "manifest.json").exists()
 
     def test_usage_error_exit_code(self, capsys):
@@ -267,25 +277,30 @@ class TestModesCommand:
 
 class TestSimulateCommand:
     def test_ground_state_run(self, tmp_path, capsys):
-        code = main(
-            [
-                "simulate",
-                "--omega1-khz", "1",
-                "--state", "ground",
-                "--samples", "50",
-                "--out-dir", str(tmp_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        # (-1)**(n1 + n2) for the default n1 = 1, n2 = 2, read at t = T
-        assert "revival phase = -1.000000 " in out
-        cols = load_columns(tmp_path / "observables.csv")
-        assert abs(cols["survival"][-1] - 1.0) < 1e-6
-        assert abs(cols["mean_excitation"][-1] - cols["mean_excitation"][0]) < 1e-6
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["outputs"] == ["observables.csv"]
-        assert manifest["nmax_trace"]
+        # closed forms by default, the Fock convergence loop with --ehrenfest
+        for extra, source in (([], "(closed form)"), (["--ehrenfest"], "(nmax = 16)")):
+            out_dir = tmp_path / (extra[0] if extra else "default")
+            code = main(
+                [
+                    "simulate",
+                    "--omega1-khz", "1",
+                    "--state", "ground",
+                    "--samples", "50",
+                    *extra,
+                    "--out-dir", str(out_dir),
+                ]
+            )
+            assert code == 0
+            out = capsys.readouterr().out
+            # (-1)**(n1 + n2) for the default n1 = 1, n2 = 2, read at t = T
+            assert "revival phase = -1.000000 " in out
+            assert source in out
+            cols = load_columns(out_dir / "observables.csv")
+            assert abs(cols["survival"][-1] - 1.0) < 1e-6
+            assert abs(cols["mean_excitation"][-1] - cols["mean_excitation"][0]) < 1e-6
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            assert manifest["outputs"] == ["observables.csv"]
+            assert bool(manifest["nmax_trace"]) == bool(extra)
 
     def test_convergence_failure_exit(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ROTOR_TOL", "0")
@@ -296,6 +311,7 @@ class TestSimulateCommand:
                 "--state", "ground",
                 "--samples", "10",
                 "--nmax-cap", "32",
+                "--ehrenfest",
                 "--out-dir", str(tmp_path),
             ]
         )
@@ -318,11 +334,35 @@ class TestSimulateCommand:
     def test_moderate_amplitude_converges_below_the_cap(self, tmp_path, capsys):
         # |alpha|^2 = 4 starts at coherent_nmax = 24, so 2 * 24 fits below 50
         argv = ["simulate", "--omega1-khz", "1", "--state", "coherent:2,0", "--samples", "5",
-                "--nmax-cap", "50", "--out-dir", str(tmp_path)]
+                "--nmax-cap", "50", "--ehrenfest", "--out-dir", str(tmp_path)]
         assert main(argv) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert [step["nmax"] for step in manifest["nmax_trace"]] == [24, 48]
         assert "(nmax = 24)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("state", ["ground", "entangled", "coherent:0.7+0.3j,-0.5j"])
+    def test_closed_form_matches_the_fock_run(self, tmp_path, capsys, state):
+        argv = ["simulate", "--omega1-khz", "1", "--state", state, "--samples", "21"]
+        assert main(argv + ["--out-dir", str(tmp_path / "closed")]) == 0
+        assert main(argv + ["--nmax", "32", "--out-dir", str(tmp_path / "fock")]) == 0
+        out = capsys.readouterr().out
+        assert "(closed form)" in out and "(nmax = 32)" in out
+        closed = load_columns(tmp_path / "closed" / "observables.csv")
+        fock = load_columns(tmp_path / "fock" / "observables.csv")
+        assert list(closed) == list(fock)
+        for name in closed:
+            np.testing.assert_allclose(closed[name], fock[name], rtol=0, atol=1e-12)
+        manifest = json.loads((tmp_path / "closed" / "manifest.json").read_text())
+        assert manifest["nmax_trace"] == []
+
+    def test_amplitude_beyond_any_truncation_runs(self, tmp_path, capsys):
+        # |alpha|^2 = 1e10: coherent_nmax far above the cap, no basis needed
+        argv = ["simulate", "--omega1-khz", "1", "--state", "coherent:1e5,0", "--samples", "5"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        assert "revival phase = -1.0000" in capsys.readouterr().out
+        cols = load_columns(tmp_path / "observables.csv")
+        assert abs(cols["survival"][-1] - 1) < 1e-12
+        assert abs(cols["mean_excitation"][0] / 1e10 - 1) < 1e-12
 
     def test_degenerate_overlap_exit(self, tmp_path, monkeypatch, capsys):
         def degenerate(*args, **kwargs):
@@ -538,6 +578,20 @@ class TestStabilityCommand:
         assert not redo.exists()
 
 
+    def test_rerun_rejects_a_recorded_nmax_cap(self, tmp_path, capsys):
+        # a 0.2.0 manifest records the cap of the Fock loop stability no longer runs
+        orig, redo = tmp_path / "orig", tmp_path / "redo"
+        argv = ["stability", "--omega1-khz", "1", "--n2-list", "2", "--eps-points", "5"]
+        assert main(argv + ["--out-dir", str(orig)]) == 0
+        manifest = json.loads((orig / "manifest.json").read_text())
+        assert "nmax_cap" not in manifest["parameters"]
+        manifest["parameters"]["nmax_cap"] = 128
+        (orig / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(orig / "manifest.json"), "--out-dir", str(redo)]) == 2
+        assert "--nmax-cap" in capsys.readouterr().err
+        assert not redo.exists()
+
     def test_infeasible_entry_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("convergence loop ran")
@@ -552,18 +606,15 @@ class TestStabilityCommand:
 
 
 class TestStateInputs:
-    """Where the truncation convergence starts, and which amplitudes are
-    refused before anything runs."""
+    """Where the truncation convergence of a Fock run starts, and which
+    amplitudes are refused before anything runs."""
 
     @pytest.mark.parametrize(
         "argv, start",
         [
-            (["simulate", "--state", "coherent:3,1j"], 40),
-            (["stability", "--state", "coherent:3,1j", "--n2-list", "2"], 40),
-            (["simulate", "--state", "ground"], 16),
-            (["stability", "--state", "ground", "--n2-list", "2"], 16),
-            (["simulate", "--state", "entangled"], 16),
-            (["stability", "--state", "entangled", "--n2-list", "2"], 16),
+            (["simulate", "--state", "coherent:3,1j", "--ehrenfest"], 40),
+            (["simulate", "--state", "ground", "--ehrenfest"], 16),
+            (["simulate", "--state", "entangled", "--ehrenfest"], 16),
         ],
         ids=lambda x: "-".join(x[:3:2]) if isinstance(x, list) else str(x),
     )
@@ -627,10 +678,10 @@ class TestFactorizationCount:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["simulate", "--omega1-khz", "1", "--state", "ground", "--samples", "20"],
-            ["stability", "--omega1-khz", "1", "--n2-list", "2,5", "--eps-points", "21"],
+            ["simulate", "--omega1-khz", "1", "--state", "ground", "--samples", "20",
+             "--ehrenfest"],
         ],
-        ids=["simulate", "stability"],
+        ids=["simulate"],
     )
     def test_each_matrix_once_per_command(self, tmp_path, factorized, argv):
         assert main(argv + ["--out-dir", str(tmp_path / "first")]) == 0
@@ -640,6 +691,35 @@ class TestFactorizationCount:
         factorized.clear()
         assert main(argv + ["--out-dir", str(tmp_path / "second")]) == 0
         assert factorized == first
+
+
+class TestClosedFormRuns:
+    """Default simulate and stability runs build no Fock Hamiltonian and
+    factorize nothing."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--samples", "20"],
+            ["simulate", "--state", "entangled", "--samples", "20"],
+            ["simulate", "--state", "coherent:1,0.5j", "--samples", "20"],
+            ["stability", "--n2-list", "2,5", "--eps-points", "21"],
+            ["stability", "--state", "coherent:1,0.5j", "--n2-list", "2", "--eps-points", "5"],
+        ],
+        ids=["simulate", "simulate-entangled", "simulate-coherent", "stability",
+             "stability-coherent"],
+    )
+    def test_no_fock_hamiltonian_and_no_eigh(self, tmp_path, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed forms need no Fock space")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(rotor.quantum, "build_fock_hamiltonian", refuse)
+        monkeypatch.setattr(rotor.cli, "build_fock_hamiltonian", refuse)
+        full = argv[:1] + ["--omega1-khz", "1"] + argv[1:] + ["--out-dir", str(tmp_path)]
+        assert main(full) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["nmax_trace"] == []
 
 
 class TestReproducibility:

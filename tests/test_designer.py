@@ -65,6 +65,14 @@ class TestKappa:
         with pytest.raises(InfeasibleDesign, match="theta_f"):
             kappa(1, 2, theta_f)
 
+    @pytest.mark.parametrize("theta_f", [1e-300, 1e-160, 1e78, 1e200])
+    def test_angle_beyond_double_range_named(self, theta_f):
+        # theta_f^2 underflows or overflows, or kappa itself overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleDesign, match="double-precision range"):
+                kappa(1, 2, theta_f)
+
 
 class TestDesignProtocol:
     @pytest.mark.parametrize(

@@ -7,16 +7,18 @@ stacking only; the sampler's independent oracle is the RK4 integrator of
 ``test_classical.py::TestPropagateRotating::test_against_integrator``.  Each Fock
 observable applied to a stack of states is checked against the same
 observable applied to each state alone, and the revival phase against
-``np.vdot``.  The Gaussian amplitudes of an evolving coherent state are
-checked against :func:`evolve_series` on the truncated Hamiltonian.
+``np.vdot``.  The Gaussian amplitudes of an evolving coherent state, and
+the closed-form observables of the three command-line states, are checked
+against :func:`evolve_series` on the truncated Hamiltonian.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rotor import (
+    ClosedFormState,
     InfeasibleDesign,
     J,
     PhaseSpaceState,
@@ -29,6 +31,7 @@ from rotor import (
     coherent_state,
     commensurate_velocity,
     design_protocol,
+    entangled_state,
     from_normal_coords,
     kappa,
     lab_frame_state,
@@ -43,6 +46,7 @@ from rotor import (
 from rotor.classical import _mode_rotation, flow_matrix
 from rotor.quantum import (
     _coherent_series,
+    energy_variance,
     evolve_series,
     phase_space_expectations,
     top_shell_weight,
@@ -174,6 +178,56 @@ def test_coherent_series_matches_fock_evolution(protocol, alpha1, alpha2, fracs)
     overlap = np.abs(np.einsum("tij,tij->t", exact.conj(), fock))
     norms = np.linalg.norm(exact, axis=(1, 2)) * np.linalg.norm(fock, axis=(1, 2))
     assert np.abs(overlap / norms - 1).max() <= 1e-12
+
+
+closed_form_states = st.one_of(
+    st.just(ClosedFormState()),
+    st.just(ClosedFormState(entangled=True)),
+    st.builds(ClosedFormState, small_amplitudes, small_amplitudes),
+)
+
+
+def _fock_oracle(protocol, state, times):
+    """``(psi0, h, stack)``: the state, its Hamiltonian and its evolve_series
+    at the first size coherent_nmax + 16k whose top-shell weight stays below
+    1e-16 at every time."""
+    for size in range(coherent_nmax(state.alpha1, state.alpha2), 97, 16):
+        if state.entangled:
+            psi0 = entangled_state(size)
+        else:
+            psi0 = coherent_state(state.alpha1, state.alpha2, size)
+        h = build_fock_hamiltonian(protocol.config, size)
+        stack = evolve_series(psi0, h, times)
+        if top_shell_weight(stack).max() < 1e-16:
+            return psi0, h, stack
+    raise AssertionError("Fock reference not converged below nmax = 96")
+
+
+@settings(deadline=None, max_examples=40)
+# arg det alpha' winds furthest over these two designs
+@example(design_protocol(1.0, 7.2, 1, 4), ClosedFormState(entangled=True), [0.5, 1.0])
+@example(design_protocol(1.0, 7.2, 1, 4), ClosedFormState(1, 0.5j), [0.3, 2.0])
+@example(design_protocol(1.0, 1.0, 2, 3), ClosedFormState(entangled=True), [0.7, 1.5])
+@example(design_protocol(1.0, 1.0, 2, 3), ClosedFormState(-0.5, 1j), [0.2, 1.0])
+@given(protocols(), closed_form_states, fractions)
+def test_closed_forms_match_fock_evolution(protocol, state, fracs):
+    """P(t), <N>(t), the energy variance and the complex overlap
+    <psi0|psi(t)> (G0 on its branch), at T and at random times."""
+    config = protocol.config
+    times = _times(protocol, [*fracs, 1.0])
+    psi0, h, stack = _fock_oracle(protocol, state, times)
+    survival = survival_probability(psi0, stack)
+    assert np.abs(state.survival(config, times) - survival).max() <= 1e-12
+    excitation = mean_excitation(stack)
+    scale = max(1.0, np.abs(excitation).max())
+    assert np.abs(state.mean_excitation(config, times) - excitation).max() <= 1e-12 * scale
+    # the oracle's <H^2> - <H>^2 cancels terms of size <H>^2
+    variance = energy_variance(psi0, h)
+    energy = np.vdot(psi0.vector, h.matrix @ psi0.vector).real
+    assert abs(state.energy_variance(config) - variance) <= 1e-12 * (variance + energy**2)
+    overlaps = np.einsum("ij,tij->t", psi0.coeffs.conj(), stack)
+    closed = np.array([state.overlap(config, t) for t in times])
+    assert np.abs(closed - overlaps).max() <= 1e-12
 
 
 @settings(deadline=None)

@@ -6,6 +6,7 @@ import rotor.quantum
 from scipy.special import eval_hermite, factorial
 
 from rotor import (
+    ClosedFormState,
     ConvergenceFailure,
     DegenerateOverlap,
     FockHamiltonian,
@@ -565,6 +566,39 @@ class TestStability:
     def test_fit_requires_offsets(self):
         with pytest.raises(ValueError):
             fit_quadratic_decay(ObservableSeries([0.0], [1.0]))
+
+
+class TestClosedFormState:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"alpha1": np.nan}, "finite"),
+            ({"alpha2": 1e200j}, "finite"),
+            ({"alpha1": 1, "entangled": True}, "no coherent amplitudes"),
+        ],
+    )
+    def test_invalid_state_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ClosedFormState(**kwargs)
+
+    def test_ground_state_carries_zero_point_phase(self, row1_protocol):
+        o1, o2 = normal_frequencies(row1_protocol.config)
+        duration = row1_protocol.duration
+        overlap = ClosedFormState().overlap(row1_protocol.config, duration)
+        assert abs(overlap - np.exp(-1j * (o1 + o2) * duration / 2)) < 1e-12
+
+    def test_ground_state_sensitivity(self, row1_protocol):
+        report = ClosedFormState().sensitivity(row1_protocol)
+        fock = measure_sensitivity(row1_protocol, nmax=16)
+        assert report.delta_h_sq == pytest.approx(ground_state_sensitivity(row1_protocol), rel=1e-14)
+        assert report.fitted_rate == pytest.approx(fock.fitted_rate, rel=1e-10)
+
+    def test_zero_variance_rejected_before_the_sweep(self, monkeypatch):
+        p = design_protocol(1.0, np.pi / 2, 1, 2)
+        isotropic = type(p)(**{**p.__dict__, "omega2": p.omega1})
+        monkeypatch.setattr(ClosedFormState, "survival", None)  # nothing may be swept
+        with pytest.raises(ValueError, match="variance"):
+            ClosedFormState().sensitivity(isotropic)
 
 
 class TestConjugation:
