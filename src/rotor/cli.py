@@ -45,6 +45,7 @@ from .errors import (
     WilliamsonViolation,
 )
 from .quantum import (
+    SENSITIVITY_WINDOW,
     ClosedFormState,
     build_fock_hamiltonian,
     coherent_nmax,
@@ -61,6 +62,9 @@ from .quantum import (
 from .symplectic import normal_frequencies
 
 DEFAULT_CONVERGENCE_TOL = 1e-8
+#: 1 - P at the edge of the sensitivity fit window above which the survival
+#: is no longer quadratic in the offset, so the fitted curvature means little
+_FIT_EDGE_DECAY = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +118,12 @@ def write_csv(path, columns, manifest_hash):
     the names, then one row per index (each value as a float to 17
     significant digits)."""
     rows = np.column_stack([np.asarray(v, dtype=float) for v in columns.values()])
+    # "%.17g" % x gives the bytes of f"{x:.17g}", nan and +-inf included
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# manifest sha256: {manifest_hash}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows.tolist():
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write("".join([template % tuple(row) for row in rows.tolist()]))
 
 
 def _record(command, params, out_dir, tolerances):
@@ -527,6 +532,14 @@ def cmd_stability(params, tolerances):
             f"n2 = {n2}: fitted curvature = {report.fitted_rate:.6e}, "
             f"delta_h_sq = {report.delta_h_sq:.6e}, rel err = {report.relative_error:.3e}"
         )
+        window = SENSITIVITY_WINDOW * protocol.duration
+        edge = 1 - state.survival(protocol.config, protocol.duration + np.array([-window, window]))
+        if edge.max() > _FIT_EDGE_DECAY:
+            print(
+                f"warning: n2 = {n2}: 1 - P = {edge.max():.3e} at the edge of the fit window "
+                f"|eps| <= {SENSITIVITY_WINDOW:g} T, beyond the quadratic regime of the fit",
+                file=sys.stderr,
+            )
         tables[f"stability_n2_{n2}.csv"] = {"eps": eps, "survival": survival}
     return tables, []
 

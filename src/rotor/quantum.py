@@ -34,10 +34,13 @@ no eigendecomposition:
   of a coherent state (the ground state at 0, 0) or of A+|0> in closed form.
   ``rotor simulate`` and ``rotor stability`` use it unless a run asks for a
   truncation.
+* :func:`coherent_track` integrates the exact Gaussian position density
+  of an evolving coherent state, N(F d0, (F F^T)[:2, :2] / 2), on its track
+  grid, with no basis; :func:`wavepacket_track` keeps the Fock path for
+  any state as the reference it is checked against.
 * :func:`_coherent_series` gives the amplitudes of an evolving coherent
   state on the truncated basis by a recurrence; :func:`coherent_track`
-  uses it, and :func:`wavepacket_track` keeps the Fock path for any state
-  as the reference it is checked against.
+  reads the truncation diagnostics of its run from it at a few times.
 
 The tests check every closed form against :func:`evolve_series`.
 
@@ -86,6 +89,13 @@ TRACK_PAD_WIDTHS = 3.0
 TRACK_QUAD_TOL = 0.01
 #: bytes of per-time arrays one chunk of the track quadrature may hold
 _TRACK_CHUNK_BYTES = 2e8
+#: times per block of the Gaussian track density
+_TRACK_BLOCK = 32
+#: evenly spaced times on [0, T], ends included, at which the Gaussian track
+#: samples its truncation diagnostics
+_TRACK_TRUNCATION_TIMES = 21
+#: half-width of the timing-error window of the sensitivity fit, as a fraction of T
+SENSITIVITY_WINDOW = 0.01
 
 # a = L v and v = K (a; a+) for the ladder operators a = (a1, a2) and the
 # phase-space vector v = (q1, q2, p1, p2)
@@ -673,63 +683,77 @@ def _track_grid(protocol, centroid, grid_points, time_steps):
     return axes, orbit
 
 
-def _track_density(axes, orbit, nmax, amplitudes):
-    """Trapezoidal time quadrature of |psi(q1, q2, t)|^2 on ``axes`` over
-    the uniform times of the trajectory ``orbit``, which the grid carries.
+def _truncation_loss(coeffs):
+    """``(top shell, norm loss)``: the largest top-shell weight and the largest
+    |1 - sum |c|^2| over a (times, nmax, nmax) coefficient stack."""
+    # real and imaginary parts are views: the norms need no copy
+    norm_sq = sum(np.einsum("tij,tij->t", part, part) for part in (coeffs.real, coeffs.imag))
+    return float(top_shell_weight(coeffs).max()), float(np.abs(1.0 - norm_sq).max())
 
-    ``amplitudes(times)`` returns the (len(times), nmax, nmax) coefficients
-    of the state at those times, any phase per time.  Times are taken in
-    chunks whose per-time arrays (coefficients, the half-projected
-    (grid, nmax) stack, the grid amplitudes and their probabilities) fit in
-    ``_TRACK_CHUNK_BYTES``.
+
+def _time_quadrature(axes, orbit, chunk, density, truncation):
+    """The :class:`TrackGrid` of the trapezoidal time quadrature over the
+    uniform times of the trajectory ``orbit``, which the grid carries.
+
+    ``density(block)`` returns the (times, q1, q2) position density on
+    ``axes`` at the times ``orbit.times[block]``, for slices of at most
+    ``chunk`` times.  The full-step and halved-step weights of a block are
+    applied by one matmul; the two must agree to ``TRACK_QUAD_TOL`` in
+    relative L1.  ``truncation``, the diagnostics of the amplitudes, must be
+    complete once ``density`` has seen every time.
     """
-    q1_axis, q2_axis = axes
     times = orbit.times
     dt = times[1] - times[0]
-    w_full = np.full(times.size, dt)
-    w_full[0] = w_full[-1] = dt / 2
-    w_half = np.zeros(times.size)
-    w_half[::2] = 2 * dt
-    w_half[0] = w_half[-1] = dt
-
-    basis1 = hermite_functions(nmax, q1_axis)
-    basis2 = hermite_functions(nmax, q2_axis)
-    cells = q1_axis.size * q2_axis.size
-    per_time = 16 * (nmax**2 + q1_axis.size * nmax + cells) + 8 * cells
-    chunk = max(1, int(_TRACK_CHUNK_BYTES // per_time))
-    dens_full = np.zeros((q1_axis.size, q2_axis.size))
-    dens_half = np.zeros_like(dens_full)
-    shell_max = norm_loss = 0.0
+    weights = np.zeros((2, times.size))
+    weights[0] = dt
+    weights[1, ::2] = 2 * dt
+    weights[:, [0, -1]] /= 2
+    cells = axes[0].size * axes[1].size
+    full_half = np.zeros((2, cells))
     for start in range(0, times.size, chunk):
-        stop = min(start + chunk, times.size)
-        coeffs = amplitudes(times[start:stop])
-        shell_max = max(shell_max, float(top_shell_weight(coeffs).max()))
-        # real and imaginary parts are views: the norms need no copy
-        norm_sq = sum(np.einsum("tij,tij->t", part, part) for part in (coeffs.real, coeffs.imag))
-        norm_loss = max(norm_loss, float(np.abs(1.0 - norm_sq).max()))
-        amp = np.matmul(np.matmul(basis1.T[None], coeffs), basis2)
-        prob = np.abs(amp)
-        prob *= prob
-        dens_full += np.einsum("t,txy->xy", w_full[start:stop], prob)
-        dens_half += np.einsum("t,txy->xy", w_half[start:stop], prob)
-        # free this chunk before the next one is computed
-        del coeffs, amp, prob
+        block = slice(start, start + chunk)
+        full_half += weights[:, block] @ density(block).reshape(-1, cells)
 
-    l1 = dens_full.sum()
-    quad_err = float(np.abs(dens_full - dens_half).sum() / l1)
+    full, half = full_half
+    quad_err = float(np.abs(full - half).sum() / full.sum())
     # an all-zero density gives 0/0, which must fail too
     if not quad_err <= TRACK_QUAD_TOL:
         raise ConvergenceFailure(
             f"time quadrature not converged: halving changes the track by {quad_err:.3e}"
         )
-    diagnostics = {
-        "time_steps": times.size - 1,
-        "quadrature_rel_change": quad_err,
-        "max_top_shell_weight": shell_max,
-        "max_norm_loss": norm_loss,
-        "nmax": nmax,
-    }
-    return TrackGrid(q1_axis, q2_axis, dens_full, orbit, diagnostics)
+    diagnostics = {"time_steps": times.size - 1, "quadrature_rel_change": quad_err, **truncation}
+    return TrackGrid(*axes, full.reshape(axes[0].size, axes[1].size), orbit, diagnostics)
+
+
+def _track_density(axes, orbit, nmax, amplitudes):
+    """The :func:`_time_quadrature` of |psi(q1, q2, t)|^2 on ``axes``.
+
+    ``amplitudes(times)`` returns the (len(times), nmax, nmax) coefficients
+    of the state at those times, any phase per time; they are projected on
+    the Hermite functions of the axes.  Times are taken in chunks whose
+    per-time arrays (coefficients, the half-projected (grid, nmax) stack,
+    the grid amplitudes and their probabilities) fit in
+    ``_TRACK_CHUNK_BYTES``.  The diagnostics record the largest top-shell
+    weight and norm loss over every time.
+    """
+    q1_axis, q2_axis = axes
+    basis1 = hermite_functions(nmax, q1_axis)
+    basis2 = hermite_functions(nmax, q2_axis)
+    cells = q1_axis.size * q2_axis.size
+    per_time = 16 * (nmax**2 + q1_axis.size * nmax + cells) + 8 * cells
+    truncation = {"max_top_shell_weight": 0.0, "max_norm_loss": 0.0, "nmax": nmax}
+
+    def density(block):
+        coeffs = amplitudes(orbit.times[block])
+        shell, loss = _truncation_loss(coeffs)
+        truncation["max_top_shell_weight"] = max(truncation["max_top_shell_weight"], shell)
+        truncation["max_norm_loss"] = max(truncation["max_norm_loss"], loss)
+        prob = np.abs(np.matmul(np.matmul(basis1.T[None], coeffs), basis2))
+        prob *= prob
+        return prob
+
+    chunk = max(1, int(_TRACK_CHUNK_BYTES // per_time))
+    return _time_quadrature(axes, orbit, chunk, density, truncation)
 
 
 def wavepacket_track(psi0, protocol, time_steps=2000, grid_points=201):
@@ -765,25 +789,66 @@ def wavepacket_track(psi0, protocol, time_steps=2000, grid_points=201):
 
 def coherent_track(alpha1, alpha2, protocol, time_steps=2000, grid_points=201):
     """Accumulate the position density of |alpha1, alpha2> over one period
-    from its exact Gaussian amplitudes on the :func:`coherent_nmax`
-    truncation, with no Hamiltonian matrix and no eigendecomposition.
+    in closed form, with no basis, no Hamiltonian matrix and no
+    eigendecomposition.
 
-    Quadrature, axes, diagnostics and errors are those of
-    :func:`wavepacket_track`; the axes follow the exact centroid
-    :meth:`PhaseSpaceState.from_amplitudes`.  The amplitudes are not
-    renormalized, so ``max_norm_loss`` is the probability truncation lost.
+    H is quadratic, so the state stays Gaussian: at time t its position
+    density is the normal N(m_t, (F F^T)[:2, :2] / 2) with the classical flow
+    F = F(t), whose mean m_t is the classical orbit of the exact centroid
+    :meth:`PhaseSpaceState.from_amplitudes`.  That orbit is sampled once, at
+    the quadrature times; the axes cover it.  Quadrature, axes and errors
+    are those of :func:`wavepacket_track`, and the cost is steps x grid
+    points whatever the amplitude.
+
+    The diagnostics give the truncation a Fock run of this state would
+    need: ``nmax`` is :func:`coherent_nmax`, and ``max_top_shell_weight``
+    and ``max_norm_loss`` are those of the :func:`_coherent_series`
+    amplitudes on that basis at ``_TRACK_TRUNCATION_TIMES`` evenly spaced
+    times on [0, T], ends included.
 
     Raises
     ------
     ValueError
-        Where :func:`coherent_nmax` or :func:`_coherent_series` does.
+        Where :func:`coherent_nmax` or :func:`_coherent_series` does, before
+        the density is computed.
     """
     nmax = coherent_nmax(alpha1, alpha2)
     centroid = PhaseSpaceState.from_amplitudes(alpha1, alpha2).vector
     axes, orbit = _track_grid(protocol, centroid, grid_points, time_steps)
-    return _track_density(
-        axes, orbit, nmax, lambda t: _coherent_series(alpha1, alpha2, protocol.config, nmax, t)
-    )
+    sampled = np.linspace(0.0, protocol.duration, _TRACK_TRUNCATION_TIMES)
+    # one (times, nmax, nmax) complex stack per chunk
+    chunk = max(1, int(_TRACK_CHUNK_BYTES // (16 * nmax**2)))
+    losses = [
+        _truncation_loss(
+            _coherent_series(alpha1, alpha2, protocol.config, nmax, sampled[i : i + chunk])
+        )
+        for i in range(0, sampled.size, chunk)
+    ]
+    truncation = {
+        "max_top_shell_weight": max(shell for shell, _ in losses),
+        "max_norm_loss": max(loss for _, loss in losses),
+        "nmax": nmax,
+    }
+
+    # the position covariance S = (F F^T)[:2, :2] / 2 at every quadrature time
+    flow_q = flow_matrix(normal_modes(protocol.config), orbit.times)[:, :2]
+    cov = flow_q @ flow_q.transpose(0, 2, 1) / 2
+    det = cov[:, 0, 0] * cov[:, 1, 1] - cov[:, 0, 1] ** 2
+    # the exponent -(dx, dy) S^-1 (dx, dy) / 2 - log(2 pi sqrt(det S)) splits
+    # into lx(dx) + ly(dy) + dx * b dy
+    dx = axes[0] - orbit.states[:, :1]
+    dy = axes[1] - orbit.states[:, 1:2]
+    lx = -(cov[:, 1:2, 1] / (2 * det[:, None])) * dx**2 - np.log(2 * np.pi * np.sqrt(det))[:, None]
+    ly = -(cov[:, 0:1, 0] / (2 * det[:, None])) * dy**2
+    bdx = (cov[:, 0, 1] / det)[:, None] * dx
+
+    def density(block):
+        exponent = bdx[block, :, None] * dy[block, None, :]
+        exponent += lx[block, :, None]
+        exponent += ly[block, None, :]
+        return np.exp(exponent, out=exponent)
+
+    return _time_quadrature(axes, orbit, _TRACK_BLOCK, density, truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +935,7 @@ def _fit_sensitivity(protocol, variance, sweep):
     variance is not above 0."""
     if not variance > 0:
         raise ValueError(f"energy variance {variance:.3e}: the survival does not decay")
-    window = 0.01 * protocol.duration
+    window = SENSITIVITY_WINDOW * protocol.duration
     fitted = fit_quadratic_decay(sweep(np.linspace(-window, window, 25)))
     return SensitivityReport(variance, fitted, abs(fitted - variance) / variance)
 

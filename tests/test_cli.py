@@ -461,6 +461,22 @@ class TestTrackCommand:
         assert trace["max_top_shell_weight"] < 1e-10
         assert f"max norm loss = {trace['max_norm_loss']:.3e}" in out
 
+    def test_amplitude_30_runs_in_closed_form(self, tmp_path, capsys):
+        # the density costs steps x grid points whatever the amplitude; the
+        # truncation a Fock run would need is sampled at 21 times
+        argv = [
+            "track", "--omega1-khz", "1", "--alpha1", "30", "--alpha2", "0",
+            "--grid-points", "21", "--steps", "800",
+        ]
+        orig, redo = tmp_path / "orig", tmp_path / "redo"
+        assert main(argv + ["--out-dir", str(orig)]) == 0
+        (trace,) = json.loads((orig / "manifest.json").read_text())["nmax_trace"]
+        assert trace["nmax"] == 1104
+        assert trace["max_norm_loss"] < 1e-10
+        assert main(["rerun", str(orig / "manifest.json"), "--out-dir", str(redo)]) == 0
+        for name in ("manifest.json", "track.csv", "trajectory_rotating.csv"):
+            assert (orig / name).read_bytes() == (redo / name).read_bytes()
+
     def test_trajectory_is_the_classical_orbit_of_the_amplitudes(self, tmp_path):
         amplitudes = ["--omega1-khz", "1", "--alpha1", "3.4641", "--alpha2", "0.866j"]
         track = ["track", *amplitudes, "--grid-points", "21", "--steps", "40"]
@@ -591,6 +607,22 @@ class TestStabilityCommand:
         assert main(["rerun", str(orig / "manifest.json"), "--out-dir", str(redo)]) == 2
         assert "--nmax-cap" in capsys.readouterr().err
         assert not redo.exists()
+
+    def test_decay_beyond_the_fit_window_warned(self, tmp_path, capsys):
+        argv = ["stability", "--omega1-khz", "1", "--state", "coherent:1e5,1",
+                "--n2-list", "2", "--eps-points", "5", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("warning: n2 = 2: 1 - P = ")
+        assert float(line.split("1 - P = ")[1].split()[0]) > 0.1
+        assert "fitted curvature" in captured.out and "warning" not in captured.out
+        assert (tmp_path / "manifest.json").exists()
+
+    def test_reference_fit_not_warned(self, tmp_path, capsys):
+        argv = ["stability", "--omega1-khz", "1", "--n2-list", "2,5,10", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_infeasible_entry_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -970,6 +1002,18 @@ class TestTableLayout:
             "1e-300,3\n"
             "2.5000000000000001e+300,4\n"
         )
+
+    def test_write_csv_follows_the_per_value_rule(self, tmp_path):
+        # every value is written as f"{x:.17g}", joined by commas
+        values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, 3.0, -7.0, 1e16, 0.1]
+        columns = {"x": values, "y": values[::-1], "z": np.arange(len(values))}
+        path = tmp_path / "table.csv"
+        write_csv(path, columns, "abc")
+        rows = zip(*(np.asarray(v, dtype=float).tolist() for v in columns.values()))
+        expected = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+        assert path.read_text() == "# manifest sha256: abc\nx,y,z\n" + expected
+        assert expected.startswith("nan,0.10000000000000001,0\ninf,10000000000000000,1\n")
+        assert "\n-0,3,3\n" in expected and "\n4.9406564584124654e-324," in expected
 
 
 def test_version_matches_pyproject():

@@ -7,9 +7,10 @@ stacking only; the sampler's independent oracle is the RK4 integrator of
 ``test_classical.py::TestPropagateRotating::test_against_integrator``.  Each Fock
 observable applied to a stack of states is checked against the same
 observable applied to each state alone, and the revival phase against
-``np.vdot``.  The Gaussian amplitudes of an evolving coherent state, and
-the closed-form observables of the three command-line states, are checked
-against :func:`evolve_series` on the truncated Hamiltonian.
+``np.vdot``.  The Gaussian amplitudes of an evolving coherent state, its
+closed-form track density, and the closed-form observables of the three
+command-line states are checked against :func:`evolve_series` on the
+truncated Hamiltonian.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from rotor import (
     ClosedFormState,
+    ConvergenceFailure,
     InfeasibleDesign,
     J,
     PhaseSpaceState,
@@ -29,6 +31,7 @@ from rotor import (
     build_rotating_hamiltonian,
     coherent_nmax,
     coherent_state,
+    coherent_track,
     commensurate_velocity,
     design_protocol,
     entangled_state,
@@ -42,6 +45,7 @@ from rotor import (
     sample_trajectory,
     survival_probability,
     to_normal_coords,
+    wavepacket_track,
 )
 from rotor.classical import _mode_rotation, flow_matrix
 from rotor.quantum import (
@@ -178,6 +182,32 @@ def test_coherent_series_matches_fock_evolution(protocol, alpha1, alpha2, fracs)
     overlap = np.abs(np.einsum("tij,tij->t", exact.conj(), fock))
     norms = np.linalg.norm(exact, axis=(1, 2)) * np.linalg.norm(fock, axis=(1, 2))
     assert np.abs(overlap / norms - 1).max() <= 1e-12
+
+
+@settings(deadline=None, max_examples=10)
+# a strongly squeezing design, whose Fock track needs nmax 40
+@example(design_protocol(1.0, 7.2, 1, 4), 2.0, 0.5j)
+@given(protocols(), small_amplitudes, small_amplitudes)
+def test_gaussian_track_matches_fock_track(protocol, alpha1, alpha2):
+    """The closed-form track density against the Fock track of
+    coherent_state, grown by 16 from coherent_nmax + 16 until the top-shell
+    weight at every quadrature time is below 1e-16."""
+    steps, points = 200, 21
+    try:
+        exact = coherent_track(alpha1, alpha2, protocol, steps, points)
+    except ConvergenceFailure:
+        # the design moves too fast for this step count: no density to compare
+        assume(False)
+    for size in range(coherent_nmax(alpha1, alpha2) + 16, 97, 16):
+        fock = wavepacket_track(coherent_state(alpha1, alpha2, size), protocol, steps, points)
+        if fock.diagnostics["max_top_shell_weight"] < 1e-16:
+            break
+    else:
+        raise AssertionError("Fock reference not converged below nmax = 96")
+    # the Fock axes follow the centroid of the renormalized truncated state
+    for got, want in ((exact.q1_axis, fock.q1_axis), (exact.q2_axis, fock.q2_axis)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert np.abs(exact.density - fock.density).max() <= 1e-9 * fock.density.max()
 
 
 closed_form_states = st.one_of(

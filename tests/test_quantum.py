@@ -470,13 +470,33 @@ class TestCoherentTrack:
         assert grid.diagnostics["max_norm_loss"] < 1e-12
 
     def test_chunks_do_not_change_the_density(self, row1_protocol, monkeypatch):
-        whole = coherent_track(1.0, 0.5j, row1_protocol, time_steps=60, grid_points=31)
-        # at most three times per chunk, at coherent_nmax = 16
+        psi0 = coherent_state(1.0, 0.5j, 16)
+        whole = wavepacket_track(psi0, row1_protocol, time_steps=60, grid_points=31)
+        # at most three times per chunk, at nmax = 16
         per_time = 16 * (16**2 + 31 * 16 + 31**2) + 8 * 31**2
         monkeypatch.setattr(rotor.quantum, "_TRACK_CHUNK_BYTES", 3 * per_time)
-        chunked = coherent_track(1.0, 0.5j, row1_protocol, time_steps=60, grid_points=31)
+        chunked = wavepacket_track(psi0, row1_protocol, time_steps=60, grid_points=31)
         np.testing.assert_allclose(chunked.density, whole.density, rtol=1e-13, atol=0)
         assert chunked.diagnostics == pytest.approx(whole.diagnostics, rel=1e-12)
+
+    def test_no_basis_and_few_truncation_times(self, row1_protocol, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Gaussian track used the Fock basis")
+
+        monkeypatch.setattr(rotor.quantum, "hermite_functions", refuse)
+        monkeypatch.setattr(rotor.quantum, "build_fock_hamiltonian", refuse)
+        sampled = []
+        series = rotor.quantum._coherent_series
+
+        def counted(alpha1, alpha2, config, nmax, times):
+            sampled.extend(times)
+            return series(alpha1, alpha2, config, nmax, times)
+
+        monkeypatch.setattr(rotor.quantum, "_coherent_series", counted)
+        grid = coherent_track(1.5, 0.5, row1_protocol, time_steps=300, grid_points=31)
+        assert len(sampled) <= 21
+        assert sampled[0] == 0.0 and sampled[-1] == row1_protocol.duration
+        assert grid.diagnostics["nmax"] == coherent_nmax(1.5, 0.5)
 
     def test_norm_loss_reports_truncation(self, row1_protocol):
         # |alpha|^2 = 4 leaves a Poisson tail of about 8e-12 above coherent_nmax = 24
