@@ -507,6 +507,10 @@ def cmd_track(params, tolerances):
         f"max top-shell weight = {grid.diagnostics['max_top_shell_weight']:.3e}; "
         f"max norm loss = {grid.diagnostics['max_norm_loss']:.3e}"
     )
+    spacing = max(axis[1] - axis[0] for axis in (grid.q1_axis, grid.q2_axis))
+    if spacing > grid.packet_width:
+        print(f"warning: grid spacing {spacing:.3g} exceeds the packet's smallest width "
+              f"{grid.packet_width:.3g}; the track cannot resolve the packet", file=sys.stderr)
     q1, q2 = np.meshgrid(grid.q1_axis, grid.q2_axis, indexing="ij")
     tables = {
         "track.csv": {"q1": q1.ravel(), "q2": q2.ravel(), "density": grid.density.ravel()},
@@ -597,7 +601,7 @@ def build_parser():
     p.add_argument("--observables", default="N,P")
     # samples run from t = 0 to t = T, where the period quantities are read
     p.add_argument("--samples", type=_count(2), default=600)
-    p.add_argument("--nmax", type=_count(1),
+    p.add_argument("--nmax", type=_count(2),
                    help="run on the Fock basis at this fixed truncation (skips convergence)")
     p.add_argument("--nmax-cap", type=_count(1), default=128,
                    help="largest truncation the --ehrenfest convergence loop may try")

@@ -49,20 +49,21 @@ operator only connects states whose total occupation differs by 0 or 2,
 so its matrix splits into an even and an odd parity sector.  And the
 diagonal phase rotation ``i**n1`` turns every coupling element of the
 Hamiltonian real, so each of its sectors is a real symmetric matrix.
-:func:`_sector_eigh` applies both reductions and is the one eigensolver
-for every Fock-space operator: the Hamiltonian and the quadratic
-generators of :func:`conjugation_check`, whose sectors may stay complex.
-The tests check it against ``expm`` of the full dense matrix.
+:func:`_sector_eigh` applies both reductions to the Hamiltonian, the only
+operator it factorizes; the tests check :func:`evolve_series` against
+``expm`` of the full dense matrix.  :func:`conjugation_check` applies
+exp(i v^T G v) with ``expm_multiply`` and shares no code with either.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammainc, xlogy
 
 from .classical import Trajectory, flow_matrix, sample_trajectory
@@ -190,7 +191,9 @@ def fock_state(n1, n2, nmax):
 
 
 def entangled_state(nmax):
-    """The one-quantum superposition (|0,1> + |1,0>)/sqrt(2)."""
+    """The one-quantum superposition (|0,1> + |1,0>)/sqrt(2); TruncationTooSmall below nmax 2."""
+    if nmax < 2:
+        raise TruncationTooSmall(f"|0,1> + |1,0> does not fit below nmax = {nmax}")
     c = np.zeros((nmax, nmax), dtype=complex)
     c[0, 1] = c[1, 0] = 1 / np.sqrt(2)
     return QuantumState(c)
@@ -363,14 +366,14 @@ def build_fock_hamiltonian(config, nmax):
 
 
 def _sector_eigh(matrix, nmax):
-    """Eigen-factorization of a Hermitian two-mode operator by parity sector.
+    """Eigen-factorization of the Fock Hamiltonian by parity sector.
 
-    After the rotation D = diag(i**n1), each sector of even or odd n1 + n2
-    is factorized alone: as a real symmetric block when the rotation makes
-    it real (every Hamiltonian built here), as a complex one otherwise.
-    Returns (phases, sectors): the diagonal of D and one (indices,
-    eigenvalues, eigenvector matrix) per sector.  Raises ValueError if the
-    operator couples the two sectors, which no quadratic operator does.
+    After the rotation D = diag(i**n1) each sector of even or odd n1 + n2 is
+    a real symmetric block, factorized alone.  Returns (phases, sectors):
+    the diagonal of D and one (indices, eigenvalues, real eigenvector
+    matrix) per sector.  Raises ValueError if the operator couples the two
+    sectors, which no quadratic operator does, or is not real after the
+    rotation, which no Hamiltonian built here is.
     """
     n1, n2 = _index_grids(nmax)
     phases = (1j) ** (n1 % 4)
@@ -382,14 +385,10 @@ def _sector_eigh(matrix, nmax):
     odd = np.where((n1 + n2) % 2 == 1)[0]
     if np.abs(rot[even][:, odd].data).max(initial=0.0) > tol:
         raise ValueError("operator couples the even and odd parity sectors of n1 + n2")
-    sectors = []
-    for idx in (even, odd):
-        block = rot[idx][:, idx]
-        if np.abs(block.data.imag).max(initial=0.0) <= tol:
-            block = block.real
-        w, v = np.linalg.eigh(block.toarray())
-        sectors.append((idx, w, v))
-    return phases, sectors
+    if np.abs(rot.data.imag).max(initial=0.0) > tol:
+        raise ValueError("operator is not real symmetric after the diag(i**n1) rotation")
+    rot = rot.real
+    return phases, [(idx, *np.linalg.eigh(rot[idx][:, idx].toarray())) for idx in (even, odd)]
 
 
 def eigenvalues(h):
@@ -412,7 +411,7 @@ def evolve_series(state, h, times):
     u = np.conj(phases) * state.vector
     out = np.empty((h.nmax**2, times.size), dtype=complex)
     for idx, w, v in sectors:
-        y = v.conj().T @ u[idx]
+        y = v.T @ u[idx]
         out[idx] = v @ (np.exp(-1j * np.outer(w, times)) * y[:, None])
     out *= phases[:, None]
     return np.ascontiguousarray(out.T).reshape(times.size, h.nmax, h.nmax)
@@ -635,6 +634,8 @@ class TrackGrid:
     rotation, so the full grid integrates to the duration T (up to grid and
     truncation loss).  ``trajectory`` is the centroid's classical orbit at the
     quadrature times.  ``diagnostics`` records quadrature convergence data.
+    ``packet_width`` is a Gaussian packet's smallest position spread over
+    those times (root of its covariance's smaller eigenvalue); None on Fock.
     """
 
     q1_axis: np.ndarray
@@ -642,6 +643,7 @@ class TrackGrid:
     density: np.ndarray
     trajectory: Trajectory | None = field(default=None, compare=False)
     diagnostics: dict | None = field(default=None, compare=False)
+    packet_width: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.density.shape != (self.q1_axis.size, self.q2_axis.size):
@@ -848,7 +850,9 @@ def coherent_track(alpha1, alpha2, protocol, time_steps=2000, grid_points=201):
         exponent += ly[block, None, :]
         return np.exp(exponent, out=exponent)
 
-    return _time_quadrature(axes, orbit, _TRACK_BLOCK, density, truncation)
+    grid = _time_quadrature(axes, orbit, _TRACK_BLOCK, density, truncation)
+    width = float(np.sqrt(np.linalg.eigvalsh(cov)[:, 0].min()))
+    return replace(grid, packet_width=width)
 
 
 # ---------------------------------------------------------------------------
@@ -1065,31 +1069,16 @@ class ClosedFormState:
 # operator-identity verification
 
 
-def _quadratic_operator(g, nmax):
-    """Sparse matrix of sum_jk g[j,k] v_j v_k on the truncated basis."""
-    ops = phase_space_operators(nmax)
-    return sum(ops[j] @ sum(g[j, k] * ops[k] for k in range(4)) for j in range(4)).tocsr()
-
-
-def _unitary_columns(g, nmax, keep):
-    """Columns ``keep`` of U = exp(i v^T g v) = D V e^{iw} V+ D+, with
-    D, V and w from :func:`_sector_eigh`; each column stays in its sector."""
-    phases, sectors = _sector_eigh(_quadratic_operator(g, nmax), nmax)
-    out = np.zeros((nmax**2, keep.size), dtype=complex)
-    for idx, w, v in sectors:
-        cols = np.isin(keep, idx)
-        vh_keep = v[np.searchsorted(idx, keep[cols])].conj().T
-        out[np.ix_(idx, cols)] = v @ (np.exp(1j * w)[:, None] * vh_keep)
-    return phases[:, None] * out * np.conj(phases[keep])
-
-
 def conjugation_check(g, transform, nmax, levels=8):
     """Residual of the operator identity U+ v_j U = (S^-1 v)_j.
 
     ``g`` must generate ``transform`` through S = exp(2 J G); the unitary
     U = exp(i v^T G v) is built on the truncated basis and the identity is
     evaluated on the sub-block of states with n1, n2 < ``levels``, where
-    truncation effects are negligible.  Only those columns of U are formed.
+    truncation effects are negligible.  Only those columns of U are formed,
+    by ``scipy.sparse.linalg.expm_multiply``, so the oracle shares no code
+    with the Fock evolution.  That routine's 1-norm estimate advances numpy's
+    global random stream; the residual does not depend on it.
 
     Returns
     -------
@@ -1100,14 +1089,16 @@ def conjugation_check(g, transform, nmax, levels=8):
     LogBranchFailure
         If exp(2 J G) does not reproduce the transform to 1e-10.
     """
-    s = transform.s
-    if np.abs(expm(2 * J @ g) - s).max() > 1e-10:
+    if np.abs(expm(2 * J @ g) - transform.s).max() > 1e-10:
         raise LogBranchFailure("generator does not reproduce the transform")
     s_inv = transform.inverse
     n1, n2 = _index_grids(nmax)
     keep = np.where((n1 < levels) & (n2 < levels))[0]
-    u_keep = _unitary_columns(g, nmax, keep)
     ops = phase_space_operators(nmax)
+    quad = sum(ops[j] @ sum(g[j, k] * ops[k] for k in range(4)) for j in range(4)).tocsr()
+    columns = np.zeros((nmax**2, keep.size), dtype=complex)
+    columns[keep, np.arange(keep.size)] = 1.0
+    u_keep = expm_multiply(1j * quad, columns)
     worst = 0.0
     for j in range(4):
         target = sum(s_inv[j, k] * ops[k] for k in range(4))[keep][:, keep].toarray()

@@ -76,6 +76,8 @@ COUNT_CASES = [
     # one sample would report period quantities at t = 0
     ("simulate", "--samples", "1"),
     ("classical", "--samples", "1"),
+    # the Hamiltonian and the entangled state need two levels per mode
+    ("simulate", "--nmax", "1"),
     # only an odd count puts eps = 0 at the centre of the sweep
     ("stability", "--eps-points", "1"),
     ("stability", "--eps-points", "2"),
@@ -276,6 +278,14 @@ class TestModesCommand:
 
 
 class TestSimulateCommand:
+    def test_entangled_state_on_one_level_is_usage_error(self, tmp_path, capsys):
+        argv = REQUIRED_ARGS["simulate"] + ["--state", "entangled", "--nmax", "1"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "--nmax: must be an integer of at least 2, got 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_ground_state_run(self, tmp_path, capsys):
         # closed forms by default, the Fock convergence loop with --ehrenfest
         for extra, source in (([], "(closed form)"), (["--ehrenfest"], "(nmax = 16)")):
@@ -442,6 +452,8 @@ class TestTrackCommand:
         assert (tmp_path / "trajectory_rotating.csv").exists()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["nmax_trace"][0]["nmax"] == 16
+        # a spacing of 0.12 resolves the packet's smallest width, 0.69
+        assert capsys.readouterr().err == ""
 
     def test_large_amplitude_without_eigh(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -470,6 +482,9 @@ class TestTrackCommand:
         ]
         orig, redo = tmp_path / "orig", tmp_path / "redo"
         assert main(argv + ["--out-dir", str(orig)]) == 0
+        # 21 points over an orbit of radius about 42 leave cells of 4.14
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("warning: grid spacing 4.14 exceeds the packet's smallest width 0.69")
         (trace,) = json.loads((orig / "manifest.json").read_text())["nmax_trace"]
         assert trace["nmax"] == 1104
         assert trace["max_norm_loss"] < 1e-10

@@ -36,17 +36,14 @@ from rotor import (
     wavepacket_track,
 )
 from rotor.quantum import (
+    GROUND_STATE_WIDTH,
     ObservableSeries,
     QuantumState,
     TrackGrid,
     _coherent_series,
     _coherent_tail,
-    _index_grids,
-    _quadratic_operator,
-    _sector_eigh,
     _track_density,
     _track_grid,
-    _unitary_columns,
     eigenvalues,
     energy_variance,
     evolve_series,
@@ -87,6 +84,8 @@ class TestStates:
         assert survival_probability(e, e) == pytest.approx(1.0)
         with pytest.raises(TruncationTooSmall):
             fock_state(9, 0, 8)
+        with pytest.raises(TruncationTooSmall, match="nmax = 1"):
+            entangled_state(1)
 
     def test_coherent_trivial(self):
         st = coherent_state(0.0, 0.0, 8)
@@ -202,6 +201,15 @@ class TestFockHamiltonian:
             eigenvalues(coupled)
         with pytest.raises(ValueError, match="parity"):
             evolve(entangled_state(nmax), coupled, 1.0)
+
+    def test_complex_sector_rejected(self, row1_protocol):
+        # a q1 p1 squeeze term stays imaginary under the diag(i**n1) rotation
+        nmax = 8
+        h = build_fock_hamiltonian(row1_protocol.config, nmax)
+        q1, _, p1, _ = phase_space_operators(nmax)
+        squeezed = FockHamiltonian(h.matrix + 0.1 * (q1 @ p1 + p1 @ q1), nmax, row1_protocol.config)
+        with pytest.raises(ValueError, match="not real"):
+            eigenvalues(squeezed)
 
     def test_spectrum_converges_under_doubling(self, row1_protocol):
         o1, o2 = normal_frequencies(row1_protocol.config)
@@ -468,6 +476,25 @@ class TestCoherentTrack:
         peak = fock.density.max()
         assert np.abs(grid.density - fock.density).max() <= 1e-9 * peak
         assert grid.diagnostics["max_norm_loss"] < 1e-12
+        assert fock.packet_width is None
+
+    def test_packet_width_is_the_smallest_fock_spread(self, row1_protocol):
+        psi0 = coherent_state(1.5, 0.5, 24)
+        grid = coherent_track(1.5, 0.5, row1_protocol, time_steps=300, grid_points=21)
+        stack = evolve_series(
+            psi0, build_fock_hamiltonian(row1_protocol.config, 24), grid.trajectory.times
+        )
+        q1, q2 = phase_space_operators(24)[:2]
+        vectors = stack.reshape(stack.shape[0], -1).T
+        moments = [
+            [np.einsum("it,it->t", vectors.conj(), a @ (b @ vectors)).real for b in (q1, q2)]
+            for a in (q1, q2)
+        ]
+        mean = phase_space_expectations(stack)[:, :2]
+        cov = np.moveaxis(np.array(moments), -1, 0) - mean[:, :, None] * mean[:, None, :]
+        width = np.sqrt(np.linalg.eigvalsh(cov)[:, 0].min())
+        assert grid.packet_width == pytest.approx(width, rel=1e-9)
+        assert grid.packet_width < GROUND_STATE_WIDTH
 
     def test_chunks_do_not_change_the_density(self, row1_protocol, monkeypatch):
         psi0 = coherent_state(1.0, 0.5j, 16)
@@ -645,21 +672,25 @@ class TestConjugation:
         large = conjugation_check(g, s2, 40, levels=8)
         assert large < small
 
-    @pytest.mark.parametrize("nmax", [8, 12])
-    @pytest.mark.parametrize(
-        "step, sector_dtype", [(1, np.float64), (2, np.complex128)], ids=["shear", "squeeze"]
-    )
-    def test_unitary_columns_match_dense_expm(self, row1_protocol, nmax, step, sector_dtype):
-        # the shear generator rotates to real sectors, the squeeze one does not
-        s = step_transforms(row1_protocol.config)[step]
-        g = symplectic_generator(s)
-        quad = _quadratic_operator(g, nmax)
-        _, sectors = _sector_eigh(quad, nmax)
-        assert all(v.dtype == sector_dtype for _, _, v in sectors)
-        n1, n2 = _index_grids(nmax)
-        keep = np.where((n1 < nmax // 2) & (n2 < nmax // 2))[0]
-        dense = expm(1j * quad.toarray())
-        assert np.abs(_unitary_columns(g, nmax, keep) - dense[:, keep]).max() < 1e-12
+    def test_shares_no_code_with_the_evolution(self, row1_protocol, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the oracle reached the Fock eigensolver")
+
+        monkeypatch.setattr(rotor.quantum, "_sector_eigh", refuse)
+        _, s1, _, _ = step_transforms(row1_protocol.config)
+        assert conjugation_check(symplectic_generator(s1), s1, 20, levels=10) < 1e-6
+
+    def test_residual_independent_of_the_global_random_stream(self, row1_protocol):
+        _, _, s2, _ = step_transforms(row1_protocol.config)
+        g = symplectic_generator(s2)
+        saved, residuals = np.random.get_state(), []
+        try:
+            for seed in (0, 1):
+                np.random.seed(seed)
+                residuals.append(conjugation_check(g, s2, 24, levels=8))
+        finally:
+            np.random.set_state(saved)
+        assert residuals[0] == residuals[1]
 
     def test_wrong_generator_rejected(self, row1_protocol):
         from rotor import LogBranchFailure, SymplecticTransform
