@@ -20,6 +20,7 @@ TruncationTooSmall, 2 any other RotorError or an invalid value.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .classical import sample_trajectory
-from .core import PhaseSpaceState, TrapConfig
+from .core import PhaseSpaceState
 from .designer import (
     design_protocol,
     ground_state_sensitivity,
@@ -59,7 +60,7 @@ from .quantum import (
     revival_phase,
     survival_probability,
 )
-from .symplectic import normal_frequencies
+from .symplectic import normal_frequency_sweep
 
 DEFAULT_CONVERGENCE_TOL = 1e-8
 #: 1 - P at the edge of the sensitivity fit window above which the survival
@@ -399,9 +400,7 @@ def cmd_modes(params, tolerances):
                 f"({name} = {_freq_out(bound, unit):.6g} {fl})"
             )
         velocities = np.array([td])
-    o1, o2 = np.transpose(
-        [normal_frequencies(TrapConfig(omega1, omega2, td)) for td in velocities]
-    )
+    o1, o2 = normal_frequency_sweep(omega1, omega2, velocities)
     columns = {
         f"theta_dot_{fl}": _freq_out(velocities, unit),
         f"omega_cap1_{fl}": _freq_out(o1, unit),
@@ -562,7 +561,11 @@ _HANDLERS = {
 # parser
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree of every command, built on the first call and
+    shared by every later one: parsing leaves it unchanged, so ``main`` and
+    ``rerun``'s parameter check reuse one tree per process."""
     parser = _Parser(
         prog="rotor",
         description="Design and verify excitation-free rotations of an "

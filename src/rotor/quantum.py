@@ -50,9 +50,14 @@ so its matrix splits into an even and an odd parity sector.  And the
 diagonal phase rotation ``i**n1`` turns every coupling element of the
 Hamiltonian real, so each of its sectors is a real symmetric matrix.
 :func:`_sector_eigh` applies both reductions to the Hamiltonian, the only
-operator it factorizes; the tests check :func:`evolve_series` against
-``expm`` of the full dense matrix.  :func:`conjugation_check` applies
-exp(i v^T G v) with ``expm_multiply`` and shares no code with either.
+operator it factorizes, and computes only what its caller reads:
+:func:`eigenvalues` takes each sector's spectrum from ``eigvalsh`` and forms
+no eigenvectors, and :func:`evolve_series` keeps each sector's eigenvector
+matrix real, multiplying it by the real and imaginary parts of its complex
+operands side by side in one real product.  The tests check both against
+the full dense matrix, by ``eigvalsh`` and by ``expm``.
+:func:`conjugation_check` applies exp(i v^T G v) with ``expm_multiply`` and
+shares no code with either.
 """
 
 import math
@@ -365,15 +370,16 @@ def build_fock_hamiltonian(config, nmax):
     return FockHamiltonian(matrix=h, nmax=nmax, config=config)
 
 
-def _sector_eigh(matrix, nmax):
+def _sector_eigh(matrix, nmax, vectors=True):
     """Eigen-factorization of the Fock Hamiltonian by parity sector.
 
     After the rotation D = diag(i**n1) each sector of even or odd n1 + n2 is
     a real symmetric block, factorized alone.  Returns (phases, sectors):
     the diagonal of D and one (indices, eigenvalues, real eigenvector
-    matrix) per sector.  Raises ValueError if the operator couples the two
-    sectors, which no quadratic operator does, or is not real after the
-    rotation, which no Hamiltonian built here is.
+    matrix) per sector, or one (indices, eigenvalues) per sector from
+    ``eigvalsh`` when ``vectors`` is false.  Raises ValueError if the
+    operator couples the two sectors, which no quadratic operator does, or
+    is not real after the rotation, which no Hamiltonian built here is.
     """
     n1, n2 = _index_grids(nmax)
     phases = (1j) ** (n1 % 4)
@@ -388,17 +394,40 @@ def _sector_eigh(matrix, nmax):
     if np.abs(rot.data.imag).max(initial=0.0) > tol:
         raise ValueError("operator is not real symmetric after the diag(i**n1) rotation")
     rot = rot.real
-    return phases, [(idx, *np.linalg.eigh(rot[idx][:, idx].toarray())) for idx in (even, odd)]
+
+    # each dense block is dropped once factorized, so only one is held
+    def block(idx):
+        return rot[idx][:, idx].toarray()
+
+    if not vectors:
+        return phases, [(idx, np.linalg.eigvalsh(block(idx))) for idx in (even, odd)]
+    return phases, [(idx, *np.linalg.eigh(block(idx))) for idx in (even, odd)]
 
 
 def eigenvalues(h):
-    """Sorted eigenvalues of the truncated Hamiltonian."""
-    _, sectors = h._spectral
-    return np.sort(np.concatenate([w for _, w, _ in sectors]))
+    """Sorted eigenvalues of the truncated Hamiltonian, from ``eigvalsh`` on
+    each parity sector; no eigenvectors are formed, and ``h``'s cached
+    factorization is neither read nor built."""
+    _, sectors = _sector_eigh(h.matrix, h.nmax, vectors=False)
+    return np.sort(np.concatenate([w for _, w in sectors]))
+
+
+def _real_product(v, c):
+    """``v @ c`` for a real matrix ``v`` and a C-contiguous complex ``c`` of
+    one or two dimensions, as one real product: ``c.view(float)`` holds
+    each complex column as a real and an imaginary column side by side, so
+    ``v`` is never promoted to complex."""
+    columns = c.reshape(len(c), -1).view(float)
+    return (v @ columns).view(complex).reshape(v.shape[:1] + c.shape[1:])
 
 
 def evolve_series(state, h, times):
     """Coefficients of exp(-i H t) |psi> for every t in ``times``.
+
+    In each parity sector of the rotated state u = D* psi, with the real
+    eigenvectors V and eigenvalues w of :func:`_sector_eigh`,
+    D* psi_t = V exp(-i w t) V^T u; both products with V are real matrix
+    products over the real and imaginary parts of their complex operand.
 
     Returns
     -------
@@ -411,8 +440,8 @@ def evolve_series(state, h, times):
     u = np.conj(phases) * state.vector
     out = np.empty((h.nmax**2, times.size), dtype=complex)
     for idx, w, v in sectors:
-        y = v.T @ u[idx]
-        out[idx] = v @ (np.exp(-1j * np.outer(w, times)) * y[:, None])
+        y = _real_product(v.T, u[idx])
+        out[idx] = _real_product(v, np.exp(-1j * np.outer(w, times)) * y[:, None])
     out *= phases[:, None]
     return np.ascontiguousarray(out.T).reshape(times.size, h.nmax, h.nmax)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, logm
 
-from .core import J, PhaseSpaceState, build_rotating_hamiltonian, williamson_valid
+from .core import J, PhaseSpaceState, TrapConfig, build_rotating_hamiltonian, williamson_valid
 from .errors import LogBranchFailure, WilliamsonViolation
 
 SYMPLECTIC_TOL = 1e-12
@@ -95,9 +95,41 @@ def normal_frequencies(config):
         If theta_dot >= omega1, where the slow mode turns complex.
     """
     _require_williamson(config)
-    w1sq, w2sq, tdsq = config.omega1**2, config.omega2**2, config.theta_dot**2
+    return _frequencies(config.omega1, config.omega2, config.theta_dot)
+
+
+def normal_frequency_sweep(omega1, omega2, theta_dots):
+    """:func:`normal_frequencies` of ``TrapConfig(omega1, omega2, td)`` for
+    every velocity ``td`` of ``theta_dots``, as two arrays (O1, O2).
+
+    One vector evaluation of the same formula, equal bit for bit to a loop
+    over the velocities.  The trap is validated as :class:`TrapConfig` does
+    at the smallest and largest velocity, which bound the others.
+
+    Raises
+    ------
+    ValueError
+        If :class:`TrapConfig` rejects the trap at either velocity.
+    WilliamsonViolation
+        If the largest velocity reaches omega1, the slower axis.
+    """
+    theta_dots = np.asarray(theta_dots, dtype=float)
+    TrapConfig(omega1, omega2, theta_dots.min())
+    config = TrapConfig(omega1, omega2, theta_dots.max())
+    _require_williamson(config)
+    return _frequencies(config.omega1, config.omega2, theta_dots)
+
+
+def _frequencies(omega1, omega2, theta_dot):
+    """(O1, O2) in closed form; elementwise over an array of velocities.
+
+    Every square is ``np.float_power(x, 2)``, the C library's ``pow`` that
+    ``x**2`` calls on a float scalar, so an array of velocities gives the
+    bits of a loop over them; numpy's ``**`` on an array rounds some squares
+    differently."""
+    w1sq, w2sq, tdsq = (np.float_power(x, 2) for x in (omega1, omega2, theta_dot))
     mean = tdsq + (w1sq + w2sq) / 2
-    root = np.sqrt(8 * tdsq * (w1sq + w2sq) + (w1sq - w2sq) ** 2) / 2
+    root = np.sqrt(8 * tdsq * (w1sq + w2sq) + np.float_power(w1sq - w2sq, 2)) / 2
     return np.sqrt(mean - root), np.sqrt(mean + root)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import rotor.cli
 import rotor.quantum
-from rotor import ConvergenceFailure, DegenerateOverlap
+from rotor import ConvergenceFailure, DegenerateOverlap, TrapConfig, normal_frequencies
 from rotor.cli import RunManifest, main, parse_angle, parse_complex, write_csv
 
 
@@ -275,6 +275,22 @@ class TestModesCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: --sweep, --theta-dot-khz:")
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_sweep_is_a_per_velocity_loop_bit_for_bit(self, tmp_path):
+        bodies = []
+        for axes in (("1", "1.8"), ("1.8", "1")):
+            out = tmp_path / "-".join(axes)
+            argv = ["modes", "--omega1-khz", axes[0], "--omega2-khz", axes[1], "--sweep", "2000"]
+            assert main(argv + ["--out-dir", str(out)]) == 0
+            w1, w2 = (2 * np.pi * float(f) for f in axes)
+            velocities = np.linspace(0.0, min(w1, w2), 2000, endpoint=False)
+            loop = np.array([normal_frequencies(TrapConfig(w1, w2, td)) for td in velocities])
+            cols = load_columns(out / "modes.csv")
+            np.testing.assert_array_equal(cols["theta_dot_2pi_khz"], velocities / (2 * np.pi))
+            np.testing.assert_array_equal(cols["omega_cap1_2pi_khz"], loop[:, 0] / (2 * np.pi))
+            np.testing.assert_array_equal(cols["omega_cap2_2pi_khz"], loop[:, 1] / (2 * np.pi))
+            bodies.append(read_body(out / "modes.csv"))
+        assert bodies[0] == bodies[1]
 
 
 class TestSimulateCommand:
@@ -949,6 +965,65 @@ class TestReproducibility:
 
 
 TRAJECTORY_HEADER = "t,q1,q2,p1,p2"
+
+
+class TestOneParser:
+    """One argparse tree, built on first use, serves every run of a process."""
+
+    def test_repeated_runs_identical(self, tmp_path, capsys):
+        argv = ["simulate", "--omega1-khz", "1", "--state", "coherent:1,0.5j", "--nmax", "16",
+                "--samples", "11"]
+        outs = []
+        for name in ("a", "b"):
+            assert main(argv + ["--out-dir", str(tmp_path / name)]) == 0
+            outs.append(capsys.readouterr().out.replace(str(tmp_path / name), "<out>"))
+        assert outs[0] == outs[1]
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--version"], 0),
+            (["--help"], 0),
+            (["simulate", "--help"], 0),
+            (["simulate", "--omega1-khz", "1", "--samples", "1"], 1),
+            (["nonsense"], 1),
+        ],
+        ids=["version", "help", "command-help", "usage-error", "unknown-command"],
+    )
+    def test_exits_repeat_on_the_shared_tree(self, capsys, argv, code):
+        first = main(argv), capsys.readouterr()
+        second = main(argv), capsys.readouterr()
+        assert first == second
+        assert first[0] == code
+        assert first[1].out or first[1].err
+
+    def test_one_build_across_runs_and_reruns(self, tmp_path, monkeypatch):
+        builds = []
+
+        class Spy(rotor.cli._Parser):
+            def __init__(self, *args, **kwargs):
+                # the top level; each sub-parser's prog is "rotor <command>"
+                if kwargs.get("prog") == "rotor":
+                    builds.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(rotor.cli, "_Parser", Spy)
+        rotor.cli.build_parser.cache_clear()
+        try:
+            design, modes = tmp_path / "design", tmp_path / "modes"
+            assert main(["design", "--table1", "--out-dir", str(design)]) == 0
+            assert main(REQUIRED_ARGS["modes"] + ["--sweep", "5", "--out-dir", str(modes)]) == 0
+            for run in (design, modes):
+                redo = str(run) + "-redo"
+                assert main(["rerun", str(run / "manifest.json"), "--out-dir", redo]) == 0
+            assert main(["simulate", "--omega1-khz", "1", "--samples", "1"]) == 1
+        finally:
+            rotor.cli.build_parser.cache_clear()
+        assert len(builds) == 1
 
 
 class TestTableLayout:

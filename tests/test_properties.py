@@ -10,13 +10,17 @@ observable applied to each state alone, and the revival phase against
 ``np.vdot``.  The Gaussian amplitudes of an evolving coherent state, its
 closed-form track density, and the closed-form observables of the three
 command-line states are checked against :func:`evolve_series` on the
-truncated Hamiltonian.
+truncated Hamiltonian, and the sector eigensolver behind it (its spectrum
+and its evolution of random states) against the full dense matrix.  The
+vectorised velocity sweep of the normal frequencies is checked bit for bit
+against the per-velocity loop.
 """
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from rotor import (
     ClosedFormState,
@@ -50,11 +54,13 @@ from rotor import (
 from rotor.classical import _mode_rotation, flow_matrix
 from rotor.quantum import (
     _coherent_series,
+    eigenvalues,
     energy_variance,
     evolve_series,
     phase_space_expectations,
     top_shell_weight,
 )
+from rotor.symplectic import normal_frequency_sweep
 
 COPRIME_PAIRS = ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (2, 5), (3, 5))
 REL = 1e-12
@@ -117,6 +123,16 @@ def test_flow_matrix_stack_matches_per_time(protocol, fracs):
     stack = flow_matrix(modes, times)
     assert stack.shape == (times.size, 4, 4)
     assert_rel_close(stack, np.array([flow_matrix(modes, t) for t in times]))
+
+
+@settings(deadline=None)
+@given(st.floats(0.05, 150.0), st.floats(0.05, 150.0), st.integers(1, 500))
+def test_frequency_sweep_is_the_per_velocity_loop(omega1, omega2, count):
+    """Bit for bit, in either axis order: numpy's array ``**`` would round
+    some squares apart from the scalar ``pow`` of the loop."""
+    velocities = np.linspace(0.0, min(omega1, omega2), count, endpoint=False)
+    loop = [normal_frequencies(TrapConfig(omega1, omega2, td)) for td in velocities]
+    np.testing.assert_array_equal(np.transpose(normal_frequency_sweep(omega1, omega2, velocities)), loop)
 
 
 @settings(deadline=None)
@@ -258,6 +274,38 @@ def test_closed_forms_match_fock_evolution(protocol, state, fracs):
     overlaps = np.einsum("ij,tij->t", psi0.coeffs.conj(), stack)
     closed = np.array([state.overlap(config, t) for t in times])
     assert np.abs(closed - overlaps).max() <= 1e-12
+
+
+@st.composite
+def fock_cases(draw):
+    """A feasible design, its Hamiltonian at a truncation of at most 12 and
+    a random normalized complex state on that truncation."""
+    protocol = draw(protocols())
+    nmax = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.normal(size=(nmax, nmax)) + 1j * rng.normal(size=(nmax, nmax))
+    h = build_fock_hamiltonian(protocol.config, nmax)
+    return protocol, h, QuantumState(c / np.linalg.norm(c))
+
+
+@settings(deadline=None)
+@given(fock_cases())
+def test_eigenvalues_match_the_dense_spectrum(case):
+    _, h, _ = case
+    np.testing.assert_allclose(eigenvalues(h), np.linalg.eigvalsh(h.dense()), rtol=1e-10, atol=0)
+
+
+@settings(deadline=None)
+@given(fock_cases(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True))
+def test_evolve_series_matches_the_dense_exponential(case, fracs):
+    """Within one rotation, where |H| t stays below about 600 at nmax 12
+    and both routes round to a few 1e-13."""
+    protocol, h, psi = case
+    times = _times(protocol, fracs)
+    stack = evolve_series(psi, h, times)
+    for t, got in zip(times, stack):
+        want = expm(-1j * t * h.dense()) @ psi.vector
+        assert np.abs(got.ravel() - want).max() <= 1e-12
 
 
 @settings(deadline=None)

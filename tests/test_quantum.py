@@ -211,6 +211,15 @@ class TestFockHamiltonian:
         with pytest.raises(ValueError, match="not real"):
             eigenvalues(squeezed)
 
+    def test_spectrum_forms_no_eigenvectors(self, row1_protocol, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a spectrum needs no eigenvectors")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        h = build_fock_hamiltonian(row1_protocol.config, 12)
+        assert eigenvalues(h).shape == (144,)
+        assert "_spectral" not in h.__dict__
+
     def test_spectrum_converges_under_doubling(self, row1_protocol):
         o1, o2 = normal_frequencies(row1_protocol.config)
         predicted = [
@@ -227,7 +236,29 @@ class TestFockHamiltonian:
             assert after <= max(before, 1e-12)
 
 
+class _RealOnly(np.ndarray):
+    """A real array that refuses to enter any operation with a complex operand."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if any(np.iscomplexobj(x) for x in inputs):
+            raise AssertionError(f"{ufunc.__name__} of a real eigenvector matrix and a complex array")
+        inputs = [x.view(np.ndarray) if isinstance(x, _RealOnly) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 class TestEvolution:
+    def test_eigenvectors_meet_only_real_operands(self, rng, row1_protocol):
+        nmax = 8
+        h = build_fock_hamiltonian(row1_protocol.config, nmax)
+        phases, sectors = h._spectral
+        h.__dict__["_spectral"] = (phases, [(i, w, v.view(_RealOnly)) for i, w, v in sectors])
+        c = rng.normal(size=(nmax, nmax)) + 1j * rng.normal(size=(nmax, nmax))
+        psi = QuantumState(c / np.linalg.norm(c))
+        times = np.array([0.3, 1.7, row1_protocol.duration])
+        got = evolve_series(psi, h, times)
+        for t, row in zip(times, got):
+            assert np.abs(row.ravel() - expm(-1j * h.dense() * t) @ psi.vector).max() < 1e-12
+
     def test_matches_dense_exponential(self, rng, row1_protocol):
         nmax = 8
         h = build_fock_hamiltonian(row1_protocol.config, nmax)
