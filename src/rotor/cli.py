@@ -428,7 +428,8 @@ def cmd_simulate(params, tolerances):
             psi0, trace = make_state(int(params["nmax"])), []
             h = build_fock_hamiltonian(protocol.config, psi0.nmax)
         else:
-            # the Hamiltonian built and factorized at the size the loop settles on
+            # the Hamiltonian the search built, unfactorized, at the size it settles
+            # on; evolve_series below makes the run's one factorization
             converged = converge_truncation(
                 protocol,
                 make_state,

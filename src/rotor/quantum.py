@@ -9,10 +9,13 @@ propagator is then exact up to truncation.
 
 The factorization is cached on the :class:`FockHamiltonian` that owns it
 and lives no longer than that object.  Within one call or command each
-(config, nmax) Hamiltonian is built and factorized once:
-:func:`converge_truncation` hands back the Hamiltonian it built at the size
-it returns, and :func:`stability_sweep` and :func:`measure_sensitivity`
-accept a prebuilt one.
+(config, nmax) Hamiltonian is built once and factorized at most once.
+:func:`converge_truncation` factorizes nothing: it needs one state at one
+time per size, psi(T), which :func:`_chebyshev_evolve` gives by a Chebyshev
+series of sparse products.  It hands back the Hamiltonian it built at the
+size it returns, unfactorized, so a command that then evolves a series
+there factorizes that one size alone.  :func:`stability_sweep` and
+:func:`measure_sensitivity` accept a prebuilt Hamiltonian.
 :func:`revival_phase` evolves nothing: it reads the phase from psi(T), the
 state its caller has already evolved.  :func:`measure_sensitivity` refuses
 a state with no energy variance, whose survival does not decay.
@@ -54,10 +57,12 @@ operator it factorizes, and computes only what its caller reads:
 :func:`eigenvalues` takes each sector's spectrum from ``eigvalsh`` and forms
 no eigenvectors, and :func:`evolve_series` keeps each sector's eigenvector
 matrix real, multiplying it by the real and imaginary parts of its complex
-operands side by side in one real product.  The tests check both against
-the full dense matrix, by ``eigvalsh`` and by ``expm``.
-:func:`conjugation_check` applies exp(i v^T G v) with ``expm_multiply`` and
-shares no code with either.
+operands side by side in one real product.  :func:`_chebyshev_evolve`
+runs its recurrence on the same real rotated matrix
+(:func:`_real_rotation` makes it, and checks it, for both).  The tests
+check all three against the full dense matrix, by ``eigvalsh`` and by
+``expm``.  :func:`conjugation_check` applies exp(i v^T G v) with
+``expm_multiply`` and shares no code with any of them.
 """
 
 import math
@@ -69,7 +74,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
-from scipy.special import gammainc, xlogy
+from scipy.special import gammainc, jv, xlogy
 
 from .classical import Trajectory, flow_matrix, sample_trajectory
 from .core import J, PhaseSpaceState, build_rotating_hamiltonian
@@ -102,6 +107,9 @@ _TRACK_BLOCK = 32
 _TRACK_TRUNCATION_TIMES = 21
 #: half-width of the timing-error window of the sensitivity fit, as a fraction of T
 SENSITIVITY_WINDOW = 0.01
+#: the Chebyshev propagator keeps every order up to the first past r t at
+#: which the Bessel coefficient J_k(r t) falls below this
+_CHEBYSHEV_TAIL = 1e-17
 
 # a = L v and v = K (a; a+) for the ladder operators a = (a1, a2) and the
 # phase-space vector v = (q1, q2, p1, p2)
@@ -370,16 +378,14 @@ def build_fock_hamiltonian(config, nmax):
     return FockHamiltonian(matrix=h, nmax=nmax, config=config)
 
 
-def _sector_eigh(matrix, nmax, vectors=True):
-    """Eigen-factorization of the Fock Hamiltonian by parity sector.
+def _real_rotation(matrix, nmax):
+    """``(phases, rot, sectors)``: the diagonal of D = diag(i**n1), the real
+    sparse matrix D* H D of the Fock Hamiltonian and the indices of its
+    sectors of even and of odd n1 + n2.
 
-    After the rotation D = diag(i**n1) each sector of even or odd n1 + n2 is
-    a real symmetric block, factorized alone.  Returns (phases, sectors):
-    the diagonal of D and one (indices, eigenvalues, real eigenvector
-    matrix) per sector, or one (indices, eigenvalues) per sector from
-    ``eigvalsh`` when ``vectors`` is false.  Raises ValueError if the
-    operator couples the two sectors, which no quadratic operator does, or
-    is not real after the rotation, which no Hamiltonian built here is.
+    Raises ValueError if the operator couples the two sectors, which no
+    quadratic operator does, or is not real after the rotation, which no
+    Hamiltonian built here is.
     """
     n1, n2 = _index_grids(nmax)
     phases = (1j) ** (n1 % 4)
@@ -393,7 +399,20 @@ def _sector_eigh(matrix, nmax, vectors=True):
         raise ValueError("operator couples the even and odd parity sectors of n1 + n2")
     if np.abs(rot.data.imag).max(initial=0.0) > tol:
         raise ValueError("operator is not real symmetric after the diag(i**n1) rotation")
-    rot = rot.real
+    return phases, rot.real, (even, odd)
+
+
+def _sector_eigh(matrix, nmax, vectors=True):
+    """Eigen-factorization of the Fock Hamiltonian by parity sector.
+
+    After the rotation D = diag(i**n1) of :func:`_real_rotation` each sector
+    of even or odd n1 + n2 is a real symmetric block, factorized alone.
+    Returns (phases, sectors): the diagonal of D and one (indices,
+    eigenvalues, real eigenvector matrix) per sector, or one (indices,
+    eigenvalues) per sector from ``eigvalsh`` when ``vectors`` is false.
+    Raises ValueError where :func:`_real_rotation` does.
+    """
+    phases, rot, (even, odd) = _real_rotation(matrix, nmax)
 
     # each dense block is dropped once factorized, so only one is held
     def block(idx):
@@ -453,6 +472,79 @@ def evolve(state, h, t):
     check without renormalizing.
     """
     return QuantumState(evolve_series(state, h, [float(t)])[0])
+
+
+def _gershgorin_interval(rot):
+    """``(centre, radius)`` of an interval that holds the spectrum of the
+    real symmetric sparse ``rot``: the union of its Gershgorin discs, widened
+    by a few ulps of its larger end."""
+    diag = rot.diagonal()
+    spread = np.asarray(abs(rot).sum(axis=1)).ravel() - np.abs(diag)
+    low, high = (diag - spread).min(), (diag + spread).max()
+    return (high + low) / 2, (high - low) / 2 + 4 * np.spacing(max(-low, high))
+
+
+def _chebyshev_bessel(z):
+    """J_k(z) for k = 0 .. K - 1, with K the first order above z at which
+    |J_k(z)| is below ``_CHEBYSHEV_TAIL``.  Past z, J_k(z) falls with k, so
+    every later order is smaller still; they are searched 16 at a time."""
+    start = math.floor(z) + 1
+    blocks = [jv(np.arange(start), z)]
+    while True:
+        block = jv(np.arange(start, start + 16), z)
+        (below,) = np.nonzero(np.abs(block) < _CHEBYSHEV_TAIL)
+        if below.size:
+            return np.concatenate(blocks + [block[: below[0]]])
+        blocks.append(block)
+        start += 16
+
+
+def _chebyshev_terms(double, x):
+    """T_0(R) x, T_1(R) x, ... for the sparse ``double`` = 2 R, one per
+    request, by T_(k+1) = 2 R T_k - T_(k-1)."""
+    previous = x
+    yield previous
+    current = double @ x / 2
+    while True:
+        yield current
+        previous, current = current, double @ current - previous
+
+
+def _chebyshev_evolve(state, h, t):
+    """Coefficients of exp(-i H t) |psi> at one time t >= 0, with no
+    factorization.
+
+    With the Gershgorin interval c +- r (:func:`_gershgorin_interval`) of
+    the real rotated matrix R = D* H D of :func:`_real_rotation`, the
+    spectrum of R' = (R - c) / r lies in [-1, 1], and
+    exp(-i R t) = exp(-i c t) sum_k (2 - delta_k0) (-i)^k J_k(r t) T_k(R')
+    (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)), taken up to
+    the order :func:`_chebyshev_bessel` gives, past r t.  Every T_k is
+    bounded by 1 on [-1, 1], so no term can overflow.  The recurrence runs
+    on the real (dim, 2) block [Re u, Im u] of u = D* psi, and the terms
+    are summed by k mod 4, the period of (-i)^k, so R never meets a complex
+    operand.  It costs one sparse product per term, a little more than r t
+    of them.
+
+    Returns
+    -------
+    ndarray of shape (nmax, nmax)
+    """
+    phases, rot, _ = _real_rotation(h.matrix, h.nmax)
+    centre, radius = _gershgorin_interval(rot)
+    double = ((rot - centre * sp.identity(rot.shape[0], format="csr")) * (2 / radius)).tocsr()
+    bessel = _chebyshev_bessel(radius * t)
+    weights = 2 * bessel
+    weights[0] = bessel[0]
+    u = np.conj(phases) * state.vector
+    sums = np.zeros((4, u.size, 2))
+    terms = _chebyshev_terms(double, np.column_stack([u.real, u.imag]))
+    for k, (weight, term) in enumerate(zip(weights, terms)):
+        sums[k % 4] += weight * term
+    # sum_k (-i)^k s_k = (s_0 - s_2) - i (s_1 - s_3), each s as re + i im
+    even, odd = sums[0] - sums[2], sums[1] - sums[3]
+    series = (even[:, 0] + odd[:, 1]) + 1j * (even[:, 1] - odd[:, 0])
+    return (np.exp(-1j * centre * t) * phases * series).reshape(h.nmax, h.nmax)
 
 
 class _LadderFlow(NamedTuple):
@@ -595,8 +687,9 @@ class Truncation(tuple):
     """The ``(nmax, trace)`` pair returned by :func:`converge_truncation`.
 
     ``hamiltonian`` holds the Hamiltonian built at ``nmax`` during the
-    search, its factorization already cached, so the caller need not build
-    and factorize it again.
+    search, so the caller need not build it again.  The search factorizes
+    nothing, so it comes back unfactorized: the first :func:`evolve_series`
+    on it makes and caches its one factorization.
     """
 
     def __new__(cls, nmax, trace, hamiltonian):
@@ -620,8 +713,9 @@ def converge_truncation(
     differs from that of 2n by less than ``p_tol`` and whose own top-shell
     weight (the larger of the initial and the final state's) is below
     ``shell_tol``; n is returned, and both n and 2n are in the trace.  Each
-    size's Hamiltonian is built and factorized once, and the one at n is
-    handed back for reuse.
+    size's Hamiltonian is built once and factorized never: psi(T) comes from
+    the Chebyshev series of :func:`_chebyshev_evolve`.  The Hamiltonian at n
+    is handed back, unfactorized, for reuse.
 
     Returns
     -------
@@ -629,14 +723,26 @@ def converge_truncation(
         Unpacks as ``(nmax, trace)``: the converged truncation and a list
         of per-step records (dicts with nmax, survival, shell_weight).
         Its ``hamiltonian`` attribute is the Hamiltonian at ``nmax``.
+
+    Raises
+    ------
+    ConvergenceFailure
+        If the probe at twice ``nmax_start`` is above ``nmax_cap``, before
+        any state or Hamiltonian is built; or if no size agrees with its
+        probe before the next probe is above the cap.
     """
+    start = nmax = int(nmax_start)
+    if 2 * start > nmax_cap:
+        raise ConvergenceFailure(
+            f"no truncation tried: the search would start at nmax = {start} and probe it at "
+            f"nmax = {2 * start}, above the cap nmax = {nmax_cap}"
+        )
     trace = []
     prev_h = None
-    nmax = int(nmax_start)
     while nmax <= nmax_cap:
         psi0 = make_state(nmax)
         h = build_fock_hamiltonian(protocol.config, nmax)
-        psi_t = evolve(psi0, h, protocol.duration)
+        psi_t = _chebyshev_evolve(psi0, h, protocol.duration)
         p_final = survival_probability(psi0, psi_t)
         shell = max(top_shell_weight(psi0), top_shell_weight(psi_t))
         trace.append({"nmax": nmax, "survival": p_final, "shell_weight": shell})
@@ -647,7 +753,8 @@ def converge_truncation(
         prev_h = h
         nmax *= 2
     raise ConvergenceFailure(
-        f"survival not converged below nmax = {nmax_cap}: trace = {trace}"
+        f"survival not converged: the search started at nmax = {start}, and the "
+        f"next probe, nmax = {nmax}, is above the cap nmax = {nmax_cap}; trace = {trace}"
     )
 
 

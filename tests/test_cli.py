@@ -343,6 +343,43 @@ class TestSimulateCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "state, cap, start",
+        [("coherent:2,0", "20", 24), ("coherent:1,0", "16", 16)],
+        ids=["start-above-cap", "probe-above-cap"],
+    )
+    def test_cap_below_the_first_probe_refused(self, tmp_path, monkeypatch, capsys, state,
+                                               cap, start):
+        # no pair n, 2n fits below the cap: refused before any Hamiltonian is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Hamiltonian was built")
+
+        monkeypatch.setattr(rotor.quantum, "build_fock_hamiltonian", refuse)
+        argv = ["simulate", "--omega1-khz", "1", "--state", state, "--nmax-cap", cap,
+                "--ehrenfest", "--out-dir", str(tmp_path)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: no truncation tried: the search would start at nmax = {start} and probe "
+            f"it at nmax = {2 * start}, above the cap nmax = {cap}\n"
+        )
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_unconverged_search_names_the_probe_above_the_cap(self, tmp_path, monkeypatch,
+                                                              capsys):
+        monkeypatch.setenv("ROTOR_TOL", "0")
+        argv = ["simulate", "--omega1-khz", "1", "--state", "ground", "--samples", "10",
+                "--nmax-cap", "32", "--ehrenfest", "--out-dir", str(tmp_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: survival not converged: the search started at nmax = 16, and the next "
+            "probe, nmax = 64, is above the cap nmax = 32; trace = [{'nmax': 16, "
+        )
+        assert "{'nmax': 32, " in err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_tolerance_env_recorded(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ROTOR_TOL", "1e-6")
         main(
@@ -754,6 +791,47 @@ class TestFactorizationCount:
         factorized.clear()
         assert main(argv + ["--out-dir", str(tmp_path / "second")]) == 0
         assert factorized == first
+
+
+class TestSearchFactorizesNothing:
+    """The truncation search of ``--ehrenfest`` evolves each size by a
+    Chebyshev series; the run factorizes the size it returns, once."""
+
+    def test_simulate_factorizes_the_two_sectors_of_the_returned_size(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        factorized = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            factorized.append(np.array(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        argv = ["simulate", "--omega1-khz", "1", "--state", "coherent:2,0", "--samples", "5",
+                "--ehrenfest", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert "(nmax = 24)" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [step["nmax"] for step in manifest["nmax_trace"]] == [24, 48]
+        protocol = rotor.cli._protocol_from(manifest["parameters"])
+        h = rotor.build_fock_hamiltonian(protocol.config, 24)
+        _, rot, sectors = rotor.quantum._real_rotation(h.matrix, 24)
+        assert len(factorized) == 2
+        for got, idx in zip(factorized, sectors):
+            np.testing.assert_array_equal(got, rot[idx][:, idx].toarray())
+
+    def test_search_runs_with_no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the truncation search factorizes nothing")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        protocol = rotor.design_protocol(1.0, np.pi / 2, 1, 2)
+        result = rotor.converge_truncation(
+            protocol, lambda n: rotor.coherent_state(2, 0, n), nmax_start=24
+        )
+        assert result[0] == 24 == result.hamiltonian.nmax
+        assert "_spectral" not in result.hamiltonian.__dict__
 
 
 class TestClosedFormRuns:

@@ -39,6 +39,7 @@ from rotor import (
     commensurate_velocity,
     design_protocol,
     entangled_state,
+    evolve,
     from_normal_coords,
     kappa,
     lab_frame_state,
@@ -53,6 +54,7 @@ from rotor import (
 )
 from rotor.classical import _mode_rotation, flow_matrix
 from rotor.quantum import (
+    _chebyshev_evolve,
     _coherent_series,
     eigenvalues,
     energy_variance,
@@ -306,6 +308,20 @@ def test_evolve_series_matches_the_dense_exponential(case, fracs):
     for t, got in zip(times, stack):
         want = expm(-1j * t * h.dense()) @ psi.vector
         assert np.abs(got.ravel() - want).max() <= 1e-12
+
+
+@settings(deadline=None)
+@given(fock_cases(), st.floats(0.0, 1.0))
+def test_chebyshev_evolve_matches_evolve_and_the_dense_exponential(case, frac):
+    """The factorization-free propagator of the truncation search, at one
+    time t in [0, T], against the sector factorization and against expm."""
+    protocol, h, psi = case
+    t = frac * protocol.duration
+    got = _chebyshev_evolve(psi, h, t)
+    assert got.shape == psi.coeffs.shape
+    assert np.abs(got - evolve(psi, h, t).coeffs).max() <= 1e-12
+    want = expm(-1j * t * h.dense()) @ psi.vector
+    assert np.abs(got.ravel() - want).max() <= 1e-12
 
 
 @settings(deadline=None)

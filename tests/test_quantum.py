@@ -40,8 +40,11 @@ from rotor.quantum import (
     ObservableSeries,
     QuantumState,
     TrackGrid,
+    _chebyshev_evolve,
     _coherent_series,
     _coherent_tail,
+    _gershgorin_interval,
+    _real_rotation,
     _track_density,
     _track_grid,
     eigenvalues,
@@ -211,6 +214,26 @@ class TestFockHamiltonian:
         with pytest.raises(ValueError, match="not real"):
             eigenvalues(squeezed)
 
+    def test_parity_coupling_rejected_by_the_search(self, row1_protocol, monkeypatch):
+        # the truncation search meets the same check through its Chebyshev propagator
+        def coupled(config, nmax):
+            h = build_fock_hamiltonian(config, nmax)
+            return FockHamiltonian(h.matrix + 0.1 * phase_space_operators(nmax)[0], nmax, config)
+
+        monkeypatch.setattr(rotor.quantum, "build_fock_hamiltonian", coupled)
+        with pytest.raises(ValueError, match="parity"):
+            converge_truncation(row1_protocol, entangled_state, nmax_start=8)
+
+    def test_complex_sector_rejected_by_the_search(self, row1_protocol, monkeypatch):
+        def squeezed(config, nmax):
+            h = build_fock_hamiltonian(config, nmax)
+            q1, _, p1, _ = phase_space_operators(nmax)
+            return FockHamiltonian(h.matrix + 0.1 * (q1 @ p1 + p1 @ q1), nmax, config)
+
+        monkeypatch.setattr(rotor.quantum, "build_fock_hamiltonian", squeezed)
+        with pytest.raises(ValueError, match="not real"):
+            converge_truncation(row1_protocol, entangled_state, nmax_start=8)
+
     def test_spectrum_forms_no_eigenvectors(self, row1_protocol, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a spectrum needs no eigenvectors")
@@ -299,6 +322,46 @@ class TestEvolution:
         h = build_fock_hamiltonian(row1_protocol.config, 8)
         with pytest.raises(ValueError):
             evolve(entangled_state(10), h, 1.0)
+
+
+class TestChebyshevEvolve:
+    """The one-time propagator of the truncation search."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # diagonal: its Gershgorin discs are points, and the spectrum fills the interval
+            TrapConfig(1.0, 1.7, 0.0),
+            design_protocol(1.0, np.pi / 2, 1, 2).config,
+            design_protocol(1.0, 7.2, 1, 4).config,
+            design_protocol(2 * np.pi, 1.0, 2, 3).config,
+        ],
+        ids=["static", "row1", "squeezing", "fast"],
+    )
+    @pytest.mark.parametrize("nmax", [2, 7, 16])
+    def test_scaled_spectrum_within_unit_interval(self, config, nmax):
+        h = build_fock_hamiltonian(config, nmax)
+        _, rot, _ = _real_rotation(h.matrix, nmax)
+        centre, radius = _gershgorin_interval(rot)
+        scaled = (np.linalg.eigvalsh(rot.toarray()) - centre) / radius
+        assert scaled.min() >= -1.0 and scaled.max() <= 1.0
+
+    def test_identity_at_zero_bit_for_bit(self, rng, row1_protocol):
+        nmax = 9
+        h = build_fock_hamiltonian(row1_protocol.config, nmax)
+        c = rng.normal(size=(nmax, nmax)) + 1j * rng.normal(size=(nmax, nmax))
+        psi = QuantumState(c / np.linalg.norm(c))
+        assert _chebyshev_evolve(psi, h, 0.0).tobytes() == psi.coeffs.tobytes()
+
+    def test_norm_of_the_benchmark_state_at_nmax_64(self, rng):
+        # the perfbench simulate run's coherent state and design, one period
+        protocol = design_protocol(2 * np.pi, np.pi / 2, 1, 2)
+        phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 2))
+        psi = coherent_state(1.0 * phases[0], 0.5 * phases[1], 64)
+        h = build_fock_hamiltonian(protocol.config, 64)
+        psi_t = _chebyshev_evolve(psi, h, protocol.duration)
+        assert abs(np.linalg.norm(psi_t) - 1.0) <= 1e-12
+        assert survival_probability(psi, psi_t) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestObservables:
