@@ -47,22 +47,25 @@ no eigendecomposition:
 
 The tests check every closed form against :func:`evolve_series`.
 
-Two structural facts keep the eigenproblem cheap.  A quadratic two-mode
+Two structural facts keep the Fock oracles cheap.  A quadratic two-mode
 operator only connects states whose total occupation differs by 0 or 2,
-so its matrix splits into an even and an odd parity sector.  And the
-diagonal phase rotation ``i**n1`` turns every coupling element of the
-Hamiltonian real, so each of its sectors is a real symmetric matrix.
-:func:`_sector_eigh` applies both reductions to the Hamiltonian, the only
-operator it factorizes, and computes only what its caller reads:
-:func:`eigenvalues` takes each sector's spectrum from ``eigvalsh`` and forms
-no eigenvectors, and :func:`evolve_series` keeps each sector's eigenvector
+so its matrix splits into an even and an odd parity sector, and in
+row-major (n1, n2) order each sector is a band of half-width about
+nmax / 2.  And the diagonal phase rotation ``i**n1`` turns every coupling
+element of the Hamiltonian real, so each of its sectors is a real
+symmetric matrix.  :func:`_sector_eigh` applies both reductions to the
+Hamiltonian, the only operator it factorizes, and computes only what its
+caller reads: :func:`eigenvalues` reads each sector into band storage and
+takes its spectrum from ``eigvals_banded``, with no dense block and no
+eigenvectors, and :func:`evolve_series` keeps each sector's eigenvector
 matrix real, multiplying it by the real and imaginary parts of its complex
 operands side by side in one real product.  :func:`_chebyshev_evolve`
 runs its recurrence on the same real rotated matrix
 (:func:`_real_rotation` makes it, and checks it, for both).  The tests
 check all three against the full dense matrix, by ``eigvalsh`` and by
 ``expm``.  :func:`conjugation_check` applies exp(i v^T G v) with
-``expm_multiply`` and shares no code with any of them.
+``expm_multiply`` on each parity sector alone, splits the basis with its
+own index arithmetic and shares no code with any of them.
 """
 
 import math
@@ -72,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
+from scipy.linalg import eigvals_banded, expm
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammainc, jv, xlogy
 
@@ -402,31 +405,45 @@ def _real_rotation(matrix, nmax):
     return phases, rot.real, (even, odd)
 
 
+def _lower_band(block):
+    """LAPACK lower band storage of the real symmetric sparse ``block``:
+    ``band[d, c] = block[c + d, c]`` for each subdiagonal d up to the last
+    that holds a nonzero, read from the stored entries alone."""
+    entries = block.tocoo()
+    lower = (entries.row >= entries.col) & (entries.data != 0)
+    offset, col = entries.row[lower] - entries.col[lower], entries.col[lower]
+    band = np.zeros((offset.max(initial=0) + 1, block.shape[0]))
+    band[offset, col] = entries.data[lower]
+    return band
+
+
 def _sector_eigh(matrix, nmax, vectors=True):
     """Eigen-factorization of the Fock Hamiltonian by parity sector.
 
     After the rotation D = diag(i**n1) of :func:`_real_rotation` each sector
     of even or odd n1 + n2 is a real symmetric block, factorized alone.
     Returns (phases, sectors): the diagonal of D and one (indices,
-    eigenvalues, real eigenvector matrix) per sector, or one (indices,
-    eigenvalues) per sector from ``eigvalsh`` when ``vectors`` is false.
+    eigenvalues, real eigenvector matrix) per sector from ``np.linalg.eigh``,
+    or, when ``vectors`` is false, one (indices, eigenvalues) per sector from
+    ``scipy.linalg.eigvals_banded``.  H is quadratic, so in row-major
+    (n1, n2) order a sector couples entries at most about nmax / 2 apart:
+    it is read straight from the sparse matrix into band storage
+    (:func:`_lower_band`), and no dense block is formed.
     Raises ValueError where :func:`_real_rotation` does.
     """
     phases, rot, (even, odd) = _real_rotation(matrix, nmax)
-
-    # each dense block is dropped once factorized, so only one is held
-    def block(idx):
-        return rot[idx][:, idx].toarray()
-
+    blocks = ((idx, rot[idx][:, idx]) for idx in (even, odd))
     if not vectors:
-        return phases, [(idx, np.linalg.eigvalsh(block(idx))) for idx in (even, odd)]
-    return phases, [(idx, *np.linalg.eigh(block(idx))) for idx in (even, odd)]
+        return phases, [(idx, eigvals_banded(_lower_band(b), lower=True)) for idx, b in blocks]
+    # each dense block is dropped once factorized, so only one is held
+    return phases, [(idx, *np.linalg.eigh(b.toarray())) for idx, b in blocks]
 
 
 def eigenvalues(h):
-    """Sorted eigenvalues of the truncated Hamiltonian, from ``eigvalsh`` on
-    each parity sector; no eigenvectors are formed, and ``h``'s cached
-    factorization is neither read nor built."""
+    """Sorted eigenvalues of the truncated Hamiltonian, from the band storage
+    of each parity sector by ``eigvals_banded``; no dense block and no
+    eigenvectors are formed, and ``h``'s cached factorization is neither
+    read nor built."""
     _, sectors = _sector_eigh(h.matrix, h.nmax, vectors=False)
     return np.sort(np.concatenate([w for _, w in sectors]))
 
@@ -1216,28 +1233,53 @@ def conjugation_check(g, transform, nmax, levels=8):
     with the Fock evolution.  That routine's 1-norm estimate advances numpy's
     global random stream; the residual does not depend on it.
 
+    v^T G v is quadratic, so U keeps the parity of n1 + n2 and is formed on
+    each parity's basis states alone, from that sector of v^T G v.  Every
+    v_j flips the parity, and the residual R_j = U+ v_j U - (S^-1 v)_j on the
+    kept states is Hermitian.  So R_j has zero even-even and odd-odd blocks
+    and reads [[0, B_j+], [B_j, 0]] with B_j its odd-even block, whose
+    spectral norm is that of R_j.  Only B_j is formed.  At ``levels`` = 1 no
+    odd state is kept, B_j is empty and the residual is 0.
+
     Returns
     -------
     float: the largest spectral norm over j of the restricted residual.
 
     Raises
     ------
+    ValueError
+        If ``levels`` is below 1 or ``nmax`` below 2, before any work.
     LogBranchFailure
         If exp(2 J G) does not reproduce the transform to 1e-10.
     """
+    if levels < 1:
+        raise ValueError(f"levels must be at least 1, got {levels}")
+    if nmax < 2:
+        raise ValueError("nmax must be at least 2")
     if np.abs(expm(2 * J @ g) - transform.s).max() > 1e-10:
         raise LogBranchFailure("generator does not reproduce the transform")
     s_inv = transform.inverse
     n1, n2 = _index_grids(nmax)
-    keep = np.where((n1 < levels) & (n2 < levels))[0]
+    kept = (n1 < levels) & (n2 < levels)
+    even, odd = (np.flatnonzero((n1 + n2) % 2 == parity) for parity in (0, 1))
+    # positions of the kept states within their own sector
+    even_kept, odd_kept = np.flatnonzero(kept[even]), np.flatnonzero(kept[odd])
+    # B_j is empty (and expm_multiply refuses zero columns)
+    if not odd_kept.size:
+        return 0.0
     ops = phase_space_operators(nmax)
     quad = sum(ops[j] @ sum(g[j, k] * ops[k] for k in range(4)) for j in range(4)).tocsr()
-    columns = np.zeros((nmax**2, keep.size), dtype=complex)
-    columns[keep, np.arange(keep.size)] = 1.0
-    u_keep = expm_multiply(1j * quad, columns)
+
+    def kept_columns(sector, columns):
+        basis = np.zeros((sector.size, columns.size), dtype=complex)
+        basis[columns, np.arange(columns.size)] = 1.0
+        return expm_multiply(1j * quad[sector][:, sector], basis)
+
+    u_even, u_odd = kept_columns(even, even_kept), kept_columns(odd, odd_kept)
+    flips = [op[odd][:, even] for op in ops]
     worst = 0.0
     for j in range(4):
-        target = sum(s_inv[j, k] * ops[k] for k in range(4))[keep][:, keep].toarray()
-        resid = u_keep.conj().T @ (ops[j] @ u_keep) - target
+        target = sum(s_inv[j, k] * flips[k] for k in range(4))[odd_kept][:, even_kept].toarray()
+        resid = u_odd.conj().T @ (flips[j] @ u_even) - target
         worst = max(worst, float(np.linalg.norm(resid, 2)))
     return worst

@@ -11,7 +11,10 @@ observable applied to each state alone, and the revival phase against
 closed-form track density, and the closed-form observables of the three
 command-line states are checked against :func:`evolve_series` on the
 truncated Hamiltonian, and the sector eigensolver behind it (its spectrum
-and its evolution of random states) against the full dense matrix.  The
+and its evolution of random states) against the full dense matrix, with
+the band storage of each sector rebuilt bit for bit.  The parity-block
+operator-conjugation oracle is checked against the residual on the whole
+truncated basis, with U from the dense exponential.  The
 vectorised velocity sweep of the normal frequencies is checked bit for bit
 against the per-velocity loop.
 """
@@ -29,6 +32,7 @@ from rotor import (
     J,
     PhaseSpaceState,
     QuantumState,
+    SymplecticTransform,
     TrapConfig,
     TruncationTooSmall,
     build_fock_hamiltonian,
@@ -37,6 +41,7 @@ from rotor import (
     coherent_state,
     coherent_track,
     commensurate_velocity,
+    conjugation_check,
     design_protocol,
     entangled_state,
     evolve,
@@ -56,10 +61,13 @@ from rotor.classical import _mode_rotation, flow_matrix
 from rotor.quantum import (
     _chebyshev_evolve,
     _coherent_series,
+    _lower_band,
+    _real_rotation,
     eigenvalues,
     energy_variance,
     evolve_series,
     phase_space_expectations,
+    phase_space_operators,
     top_shell_weight,
 )
 from rotor.symplectic import normal_frequency_sweep
@@ -322,6 +330,61 @@ def test_chebyshev_evolve_matches_evolve_and_the_dense_exponential(case, frac):
     assert np.abs(got - evolve(psi, h, t).coeffs).max() <= 1e-12
     want = expm(-1j * t * h.dense()) @ psi.vector
     assert np.abs(got.ravel() - want).max() <= 1e-12
+
+
+@settings(deadline=None)
+@example(TrapConfig(1.0, 1.7, 0.0), 12)
+@given(protocols().map(lambda protocol: protocol.config), st.integers(2, 12))
+def test_band_storage_rebuilds_each_real_sector(config, nmax):
+    """Each sector is a band of half-width about nmax / 2 in row-major
+    (n1, n2) order, and its lower band storage holds it bit for bit; the
+    static trap's sectors are diagonal, a band of width 0."""
+    h = build_fock_hamiltonian(config, nmax)
+    _, rot, sectors = _real_rotation(h.matrix, nmax)
+    for idx in sectors:
+        block = rot[idx][:, idx].toarray()
+        band = _lower_band(rot[idx][:, idx])
+        assert band.shape[0] <= (nmax // 2 + 2 if config.theta_dot else 1)
+        rebuilt = np.zeros_like(block)
+        for d, row in enumerate(band):
+            cols = np.arange(idx.size - d)
+            rebuilt[cols + d, cols] = rebuilt[cols, cols + d] = row[: cols.size]
+            assert not row[cols.size :].any()
+        np.testing.assert_array_equal(rebuilt, block)
+
+
+@st.composite
+def generator_cases(draw):
+    """A random symmetric generator G of small norm, its transform
+    S = exp(2 J G), a truncation nmax in 2..10 and a level count in 1..nmax."""
+    upper = draw(st.lists(st.floats(-0.3, 0.3), min_size=10, max_size=10))
+    g = np.zeros((4, 4))
+    g[np.triu_indices(4)] = upper
+    g = g + np.triu(g, 1).T
+    nmax = draw(st.integers(2, 10))
+    levels = draw(st.integers(1, nmax))
+    return g, SymplecticTransform(expm(2 * J @ g)), nmax, levels
+
+
+@settings(deadline=None)
+@given(generator_cases())
+def test_conjugation_check_matches_the_full_space_residual(case):
+    """The parity-block oracle against U from the dense exponential of
+    the whole truncated basis, the residual on every kept row and column,
+    and its full spectral norm."""
+    g, transform, nmax, levels = case
+    ops = phase_space_operators(nmax)
+    quad = sum(g[j, k] * (ops[j] @ ops[k]) for j in range(4) for k in range(4))
+    n1, n2 = np.divmod(np.arange(nmax**2), nmax)
+    keep = np.flatnonzero((n1 < levels) & (n2 < levels))
+    u = expm(1j * quad.toarray())[:, keep]
+    s_inv = transform.inverse
+    want = 0.0
+    for j in range(4):
+        target = sum(s_inv[j, k] * ops[k].toarray() for k in range(4))[np.ix_(keep, keep)]
+        resid = u.conj().T @ ops[j].toarray() @ u - target
+        want = max(want, np.linalg.norm(resid, 2))
+    assert abs(conjugation_check(g, transform, nmax, levels) - want) <= 1e-12
 
 
 @settings(deadline=None)

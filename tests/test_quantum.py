@@ -243,6 +243,15 @@ class TestFockHamiltonian:
         assert eigenvalues(h).shape == (144,)
         assert "_spectral" not in h.__dict__
 
+    def test_spectrum_calls_no_dense_eigensolver(self, row1_protocol, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the spectrum is read from band storage")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        h = build_fock_hamiltonian(row1_protocol.config, 12)
+        assert eigenvalues(h).shape == (144,)
+
     def test_spectrum_converges_under_doubling(self, row1_protocol):
         o1, o2 = normal_frequencies(row1_protocol.config)
         predicted = [
@@ -767,10 +776,11 @@ class TestConjugation:
         assert large < small
 
     def test_shares_no_code_with_the_evolution(self, row1_protocol, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the oracle reached the Fock eigensolver")
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle reached the Fock evolution")
 
-        monkeypatch.setattr(rotor.quantum, "_sector_eigh", refuse)
+        for name in ("_sector_eigh", "_real_rotation", "_chebyshev_evolve", "evolve_series"):
+            monkeypatch.setattr(rotor.quantum, name, refuse)
         _, s1, _, _ = step_transforms(row1_protocol.config)
         assert conjugation_check(symplectic_generator(s1), s1, 20, levels=10) < 1e-6
 
@@ -785,6 +795,34 @@ class TestConjugation:
         finally:
             np.random.set_state(saved)
         assert residuals[0] == residuals[1]
+
+    def test_one_level_keeps_no_odd_state(self, row1_protocol):
+        # |0, 0> alone is kept: every v_j maps it off the kept block
+        _, s1, _, _ = step_transforms(row1_protocol.config)
+        assert conjugation_check(symplectic_generator(s1), s1, 12, levels=1) == 0.0
+
+    @pytest.mark.parametrize("levels", [0, -1])
+    def test_levels_below_one_rejected(self, row1_protocol, monkeypatch, levels):
+        monkeypatch.setattr(rotor.quantum, "expm", None)  # nothing may run
+        _, s1, _, _ = step_transforms(row1_protocol.config)
+        with pytest.raises(ValueError, match="levels must be at least 1"):
+            conjugation_check(symplectic_generator(s1), s1, 12, levels=levels)
+
+    @pytest.mark.parametrize("nmax", [1, 0])
+    def test_nmax_below_two_rejected(self, row1_protocol, monkeypatch, nmax):
+        monkeypatch.setattr(rotor.quantum, "expm", None)  # nothing may run
+        _, s1, _, _ = step_transforms(row1_protocol.config)
+        with pytest.raises(ValueError, match="nmax must be at least 2"):
+            conjugation_check(symplectic_generator(s1), s1, nmax)
+
+    def test_levels_above_nmax_keep_the_whole_basis(self, row1_protocol):
+        # perfbench's small warm-up runs nmax 8 and 4 with levels 10
+        _, s1, _, _ = step_transforms(row1_protocol.config)
+        g = symplectic_generator(s1)
+        for nmax in (8, 4):
+            assert conjugation_check(g, s1, nmax, levels=10) == conjugation_check(
+                g, s1, nmax, levels=nmax
+            )
 
     def test_wrong_generator_rejected(self, row1_protocol):
         from rotor import LogBranchFailure, SymplecticTransform
