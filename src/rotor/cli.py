@@ -425,12 +425,9 @@ def cmd_simulate(params, tolerances):
     if params.get("nmax") or params.get("ehrenfest"):
         make_state, nmax_start = _fock_states(state)
         if params.get("nmax"):
-            psi0, trace = make_state(int(params["nmax"])), []
-            h = build_fock_hamiltonian(protocol.config, psi0.nmax)
+            nmax, trace = int(params["nmax"]), []
         else:
-            # the Hamiltonian the search built, unfactorized, at the size it settles
-            # on; evolve_series below makes the run's one factorization
-            converged = converge_truncation(
+            nmax, trace = converge_truncation(
                 protocol,
                 make_state,
                 nmax_start=nmax_start,
@@ -438,9 +435,8 @@ def cmd_simulate(params, tolerances):
                 shell_tol=tolerances["shell"],
                 nmax_cap=params["nmax_cap"],
             )
-            (nmax, trace), h = converged, converged.hamiltonian
-            psi0 = make_state(nmax)
-        coeffs = evolve_series(psi0, h, times)
+        psi0 = make_state(nmax)
+        coeffs = evolve_series(psi0, build_fock_hamiltonian(protocol.config, nmax), times)
         series = {"N": mean_excitation(coeffs), "P": survival_probability(psi0, coeffs)}
         phase, source = revival_phase(psi0, coeffs[-1]), f"nmax = {psi0.nmax}"
     else:

@@ -4,18 +4,16 @@ States live on the number basis |n1, n2> of the two static-trap
 oscillators, truncated to 0 <= n_j < nmax and stored row-major as an
 (nmax, nmax) coefficient array.  The Hamiltonian is time independent
 during a constant-velocity rotation, so evolution uses one Hermitian
-eigendecomposition per (config, nmax) rather than time stepping; the
+eigendecomposition per propagator rather than time stepping; the
 propagator is then exact up to truncation.
 
-The factorization is cached on the :class:`FockHamiltonian` that owns it
-and lives no longer than that object.  Within one call or command each
-(config, nmax) Hamiltonian is built once and factorized at most once.
-:func:`converge_truncation` factorizes nothing: it needs one state at one
-time per size, psi(T), which :func:`_chebyshev_evolve` gives by a Chebyshev
-series of sparse products.  It hands back the Hamiltonian it built at the
-size it returns, unfactorized, so a command that then evolves a series
-there factorizes that one size alone.  :func:`stability_sweep` and
-:func:`measure_sensitivity` accept a prebuilt Hamiltonian.
+No factorization outlives the call that made it.  :func:`_propagator`
+factorizes one Hamiltonian for one state and returns the function of time
+that evolves it.  :func:`evolve_series`, :func:`stability_sweep`,
+:func:`wavepacket_track` and :func:`measure_sensitivity` each make one per
+call and evolve every time they need with it.  :func:`converge_truncation`
+factorizes nothing: it needs one state at one time per size, psi(T), which
+:func:`_chebyshev_evolve` gives by a Chebyshev series of sparse products.
 :func:`revival_phase` evolves nothing: it reads the phase from psi(T), the
 state its caller has already evolved.  :func:`measure_sensitivity` refuses
 a state with no energy variance, whose survival does not decay.
@@ -53,24 +51,23 @@ so its matrix splits into an even and an odd parity sector, and in
 row-major (n1, n2) order each sector is a band of half-width about
 nmax / 2.  And the diagonal phase rotation ``i**n1`` turns every coupling
 element of the Hamiltonian real, so each of its sectors is a real
-symmetric matrix.  :func:`_sector_eigh` applies both reductions to the
-Hamiltonian, the only operator it factorizes, and computes only what its
-caller reads: :func:`eigenvalues` reads each sector into band storage and
+symmetric matrix.  :func:`_real_rotation` makes, and checks, that real
+rotated matrix, and each reader of the Hamiltonian computes only what it
+needs from it: :func:`eigenvalues` reads each sector into band storage and
 takes its spectrum from ``eigvals_banded``, with no dense block and no
-eigenvectors, and :func:`evolve_series` keeps each sector's eigenvector
-matrix real, multiplying it by the real and imaginary parts of its complex
-operands side by side in one real product.  :func:`_chebyshev_evolve`
-runs its recurrence on the same real rotated matrix
-(:func:`_real_rotation` makes it, and checks it, for both).  The tests
-check all three against the full dense matrix, by ``eigvalsh`` and by
-``expm``.  :func:`conjugation_check` applies exp(i v^T G v) with
-``expm_multiply`` on each parity sector alone, splits the basis with its
-own index arithmetic and shares no code with any of them.
+eigenvectors; :func:`_propagator` factorizes each sector with
+``np.linalg.eigh`` and keeps its eigenvector matrix real, multiplying it by
+the real and imaginary parts of its complex operands side by side in one
+real product; and :func:`_chebyshev_evolve` runs its recurrence on the
+sparse rotated matrix.  The tests check all three against the full dense
+matrix, by ``eigvalsh`` and by ``expm``.  :func:`conjugation_check`
+applies exp(i v^T G v) with ``expm_multiply`` on each parity sector alone,
+splits the basis with its own index arithmetic and shares no code with any
+of them.
 """
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -338,23 +335,17 @@ def phase_space_expectations(state):
 # Hamiltonian and propagation
 
 
-@dataclass
+@dataclass(frozen=True)
 class FockHamiltonian:
     """Hermitian matrix of the rotating-frame Hamiltonian on the truncated
-    basis, row-major ordering (n1, n2).  ``matrix`` is stored sparse; the
-    spectral factorization is built lazily and cached for reuse across
-    evolution times."""
+    basis, row-major ordering (n1, n2).  ``matrix`` is stored sparse.  It
+    holds no factorization: :func:`_propagator` makes one per propagator."""
 
     matrix: sp.csr_matrix
     nmax: int
-    config: object
 
     def dense(self):
         return self.matrix.toarray()
-
-    @cached_property
-    def _spectral(self):
-        return _sector_eigh(self.matrix, self.nmax)
 
 
 def build_fock_hamiltonian(config, nmax):
@@ -378,7 +369,7 @@ def build_fock_hamiltonian(config, nmax):
     resid = np.abs(herm.data).max() if herm.nnz else 0.0
     if resid > 1e-12 * np.abs(h.data).max():
         raise ValueError("constructed matrix is not Hermitian")
-    return FockHamiltonian(matrix=h, nmax=nmax, config=config)
+    return FockHamiltonian(matrix=h, nmax=nmax)
 
 
 def _real_rotation(matrix, nmax):
@@ -417,35 +408,15 @@ def _lower_band(block):
     return band
 
 
-def _sector_eigh(matrix, nmax, vectors=True):
-    """Eigen-factorization of the Fock Hamiltonian by parity sector.
-
-    After the rotation D = diag(i**n1) of :func:`_real_rotation` each sector
-    of even or odd n1 + n2 is a real symmetric block, factorized alone.
-    Returns (phases, sectors): the diagonal of D and one (indices,
-    eigenvalues, real eigenvector matrix) per sector from ``np.linalg.eigh``,
-    or, when ``vectors`` is false, one (indices, eigenvalues) per sector from
-    ``scipy.linalg.eigvals_banded``.  H is quadratic, so in row-major
-    (n1, n2) order a sector couples entries at most about nmax / 2 apart:
-    it is read straight from the sparse matrix into band storage
-    (:func:`_lower_band`), and no dense block is formed.
-    Raises ValueError where :func:`_real_rotation` does.
-    """
-    phases, rot, (even, odd) = _real_rotation(matrix, nmax)
-    blocks = ((idx, rot[idx][:, idx]) for idx in (even, odd))
-    if not vectors:
-        return phases, [(idx, eigvals_banded(_lower_band(b), lower=True)) for idx, b in blocks]
-    # each dense block is dropped once factorized, so only one is held
-    return phases, [(idx, *np.linalg.eigh(b.toarray())) for idx, b in blocks]
-
-
 def eigenvalues(h):
-    """Sorted eigenvalues of the truncated Hamiltonian, from the band storage
-    of each parity sector by ``eigvals_banded``; no dense block and no
-    eigenvectors are formed, and ``h``'s cached factorization is neither
-    read nor built."""
-    _, sectors = _sector_eigh(h.matrix, h.nmax, vectors=False)
-    return np.sort(np.concatenate([w for _, w in sectors]))
+    """Sorted eigenvalues of the truncated Hamiltonian.  Each real sector of
+    :func:`_real_rotation`, a band of half-width about nmax / 2, is read from
+    the sparse matrix into band storage (:func:`_lower_band`) and solved by
+    ``eigvals_banded``: no dense block and no eigenvectors are formed.
+    Raises ValueError where :func:`_real_rotation` does."""
+    _, rot, sectors = _real_rotation(h.matrix, h.nmax)
+    spectra = [eigvals_banded(_lower_band(rot[idx][:, idx]), lower=True) for idx in sectors]
+    return np.sort(np.concatenate(spectra))
 
 
 def _real_product(v, c):
@@ -457,29 +428,49 @@ def _real_product(v, c):
     return (v @ columns).view(complex).reshape(v.shape[:1] + c.shape[1:])
 
 
-def evolve_series(state, h, times):
-    """Coefficients of exp(-i H t) |psi> for every t in ``times``.
+def _propagator(state, h):
+    """The function ``times -> (len(times), nmax, nmax)`` coefficients of
+    exp(-i H t) |psi> for ``state`` under ``h``, from one factorization.
 
-    In each parity sector of the rotated state u = D* psi, with the real
-    eigenvectors V and eigenvalues w of :func:`_sector_eigh`,
-    D* psi_t = V exp(-i w t) V^T u; both products with V are real matrix
-    products over the real and imaginary parts of their complex operand.
+    After the rotation D = diag(i**n1) of :func:`_real_rotation` each sector
+    of even or odd n1 + n2 is a real symmetric block, factorized alone by
+    ``np.linalg.eigh``.  With its real eigenvectors V and eigenvalues w,
+    D* psi_t = V exp(-i w t) V^T u for u = D* psi, and V^T u is formed once.
+    Both products with V are real products over the real and imaginary
+    parts of their complex operand.  Raises ValueError, before any
+    factorization, if the truncations differ or where :func:`_real_rotation`
+    does.
+    """
+    if state.nmax != h.nmax:
+        raise ValueError("state and Hamiltonian use different truncations")
+    phases, rot, sectors = _real_rotation(h.matrix, h.nmax)
+    u = np.conj(phases) * state.vector
+    factors = []
+    for idx in sectors:
+        # each dense block is dropped once factorized, so only one is held
+        w, v = np.linalg.eigh(rot[idx][:, idx].toarray())
+        factors.append((idx, w, v, _real_product(v.T, u[idx])))
+
+    def coefficients(times):
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        out = np.empty((h.nmax**2, times.size), dtype=complex)
+        for idx, w, v, y in factors:
+            out[idx] = _real_product(v, np.exp(-1j * np.outer(w, times)) * y[:, None])
+        out *= phases[:, None]
+        return np.ascontiguousarray(out.T).reshape(times.size, h.nmax, h.nmax)
+
+    return coefficients
+
+
+def evolve_series(state, h, times):
+    """Coefficients of exp(-i H t) |psi> for every t in ``times``, from the
+    one factorization of a :func:`_propagator`.
 
     Returns
     -------
     ndarray of shape (len(times), nmax, nmax)
     """
-    if state.nmax != h.nmax:
-        raise ValueError("state and Hamiltonian use different truncations")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    phases, sectors = h._spectral
-    u = np.conj(phases) * state.vector
-    out = np.empty((h.nmax**2, times.size), dtype=complex)
-    for idx, w, v in sectors:
-        y = _real_product(v.T, u[idx])
-        out[idx] = _real_product(v, np.exp(-1j * np.outer(w, times)) * y[:, None])
-    out *= phases[:, None]
-    return np.ascontiguousarray(out.T).reshape(times.size, h.nmax, h.nmax)
+    return _propagator(state, h)(times)
 
 
 def evolve(state, h, t):
@@ -700,21 +691,6 @@ def _unit_phase(overlap):
 # truncation convergence
 
 
-class Truncation(tuple):
-    """The ``(nmax, trace)`` pair returned by :func:`converge_truncation`.
-
-    ``hamiltonian`` holds the Hamiltonian built at ``nmax`` during the
-    search, so the caller need not build it again.  The search factorizes
-    nothing, so it comes back unfactorized: the first :func:`evolve_series`
-    on it makes and caches its one factorization.
-    """
-
-    def __new__(cls, nmax, trace, hamiltonian):
-        result = super().__new__(cls, (nmax, trace))
-        result.hamiltonian = hamiltonian
-        return result
-
-
 def converge_truncation(
     protocol,
     make_state,
@@ -731,15 +707,13 @@ def converge_truncation(
     weight (the larger of the initial and the final state's) is below
     ``shell_tol``; n is returned, and both n and 2n are in the trace.  Each
     size's Hamiltonian is built once and factorized never: psi(T) comes from
-    the Chebyshev series of :func:`_chebyshev_evolve`.  The Hamiltonian at n
-    is handed back, unfactorized, for reuse.
+    the Chebyshev series of :func:`_chebyshev_evolve`.
 
     Returns
     -------
-    Truncation
-        Unpacks as ``(nmax, trace)``: the converged truncation and a list
-        of per-step records (dicts with nmax, survival, shell_weight).
-        Its ``hamiltonian`` attribute is the Hamiltonian at ``nmax``.
+    tuple
+        ``(nmax, trace)``: the converged truncation and a list of per-step
+        records (dicts with nmax, survival, shell_weight).
 
     Raises
     ------
@@ -755,7 +729,6 @@ def converge_truncation(
             f"nmax = {2 * start}, above the cap nmax = {nmax_cap}"
         )
     trace = []
-    prev_h = None
     while nmax <= nmax_cap:
         psi0 = make_state(nmax)
         h = build_fock_hamiltonian(protocol.config, nmax)
@@ -763,11 +736,10 @@ def converge_truncation(
         p_final = survival_probability(psi0, psi_t)
         shell = max(top_shell_weight(psi0), top_shell_weight(psi_t))
         trace.append({"nmax": nmax, "survival": p_final, "shell_weight": shell})
-        if prev_h is not None:
+        if len(trace) > 1:
             prev = trace[-2]
             if abs(p_final - prev["survival"]) < p_tol and prev["shell_weight"] < shell_tol:
-                return Truncation(prev["nmax"], trace, prev_h)
-        prev_h = h
+                return prev["nmax"], trace
         nmax *= 2
     raise ConvergenceFailure(
         f"survival not converged: the search started at nmax = {start}, and the "
@@ -914,10 +886,11 @@ def _track_density(axes, orbit, nmax, amplitudes):
 def wavepacket_track(psi0, protocol, time_steps=2000, grid_points=201):
     """Accumulate the position density of an evolving state over one period.
 
-    This is the Fock reference: ``psi0`` evolves by :func:`evolve_series`
-    under the truncated Hamiltonian, so any state can be tracked, at the
-    cost of one sector eigendecomposition.  :func:`coherent_track` gives the
-    same density for a coherent state without one.
+    This is the Fock reference: ``psi0`` evolves under the truncated
+    Hamiltonian by one :func:`_propagator`, which every chunk of times
+    shares, so any state can be tracked, at the cost of one factorization.
+    :func:`coherent_track` gives the same density for a coherent state
+    without one.
 
     The density is the trapezoidal time quadrature of |psi(q1, q2, t)|^2
     with ``time_steps`` uniform steps on [0, T]; a halved-step comparison
@@ -939,7 +912,7 @@ def wavepacket_track(psi0, protocol, time_steps=2000, grid_points=201):
     """
     axes, orbit = _track_grid(protocol, phase_space_expectations(psi0), grid_points, time_steps)
     h = build_fock_hamiltonian(protocol.config, psi0.nmax)
-    return _track_density(axes, orbit, psi0.nmax, lambda t: evolve_series(psi0, h, t))
+    return _track_density(axes, orbit, psi0.nmax, _propagator(psi0, h))
 
 
 def coherent_track(alpha1, alpha2, protocol, time_steps=2000, grid_points=201):
@@ -1012,16 +985,14 @@ def coherent_track(alpha1, alpha2, protocol, time_steps=2000, grid_points=201):
 # stability under timing errors
 
 
-def stability_sweep(psi0, protocol, epsilons, h=None):
-    """Survival probability P(T + eps) for each timing offset eps.
+def stability_sweep(psi0, protocol, epsilons):
+    """Survival probability P(T + eps) for each timing offset eps."""
+    h = build_fock_hamiltonian(protocol.config, psi0.nmax)
+    return _survival_sweep(psi0, protocol, h, epsilons)
 
-    ``h`` may pass the Hamiltonian of ``protocol.config`` at the state's
-    truncation, whose cached factorization is then reused.
-    """
-    if h is None:
-        h = build_fock_hamiltonian(protocol.config, psi0.nmax)
-    elif h.nmax != psi0.nmax or h.config != protocol.config:
-        raise ValueError("Hamiltonian does not match the state's truncation or the protocol")
+
+def _survival_sweep(psi0, protocol, h, epsilons):
+    """:func:`stability_sweep` under the Hamiltonian ``h``, factorized once."""
     epsilons = np.asarray(epsilons, dtype=float)
     values = survival_probability(psi0, evolve_series(psi0, h, protocol.duration + epsilons))
     return ObservableSeries(epsilons, values)
@@ -1059,7 +1030,7 @@ class SensitivityReport:
     relative_error: float
 
 
-def measure_sensitivity(protocol, psi0=None, nmax=32, h=None):
+def measure_sensitivity(protocol, psi0=None, nmax=32):
     """Fit the quadratic survival decay and compare with the energy variance.
 
     The fit runs over 25 offsets with |eps| <= 0.01 T; the quartic term of
@@ -1067,9 +1038,8 @@ def measure_sensitivity(protocol, psi0=None, nmax=32, h=None):
     the ground state of the pi/2 designs with n1 = 1 and n2 = 2 to 10.
     With no initial state the static-trap ground state at ``nmax`` is used,
     whose variance reduces to the closed form
-    :func:`rotor.designer.ground_state_sensitivity`.  ``h`` may pass the
-    Hamiltonian of ``protocol.config`` at the state's truncation, as for
-    :func:`stability_sweep`.
+    :func:`rotor.designer.ground_state_sensitivity`.  The Hamiltonian is
+    built once, for the variance and the sweep, and factorized once.
 
     Raises
     ------
@@ -1078,10 +1048,9 @@ def measure_sensitivity(protocol, psi0=None, nmax=32, h=None):
     """
     if psi0 is None:
         psi0 = fock_state(0, 0, nmax)
-    if h is None:
-        h = build_fock_hamiltonian(protocol.config, psi0.nmax)
+    h = build_fock_hamiltonian(protocol.config, psi0.nmax)
     return _fit_sensitivity(
-        protocol, energy_variance(psi0, h), lambda eps: stability_sweep(psi0, protocol, eps, h)
+        protocol, energy_variance(psi0, h), lambda eps: _survival_sweep(psi0, protocol, h, eps)
     )
 
 

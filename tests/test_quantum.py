@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -199,7 +201,7 @@ class TestFockHamiltonian:
         nmax = 8
         h = build_fock_hamiltonian(row1_protocol.config, nmax)
         q1 = phase_space_operators(nmax)[0]
-        coupled = FockHamiltonian(h.matrix + 0.1 * q1, nmax, row1_protocol.config)
+        coupled = FockHamiltonian(h.matrix + 0.1 * q1, nmax)
         with pytest.raises(ValueError, match="parity"):
             eigenvalues(coupled)
         with pytest.raises(ValueError, match="parity"):
@@ -210,7 +212,7 @@ class TestFockHamiltonian:
         nmax = 8
         h = build_fock_hamiltonian(row1_protocol.config, nmax)
         q1, _, p1, _ = phase_space_operators(nmax)
-        squeezed = FockHamiltonian(h.matrix + 0.1 * (q1 @ p1 + p1 @ q1), nmax, row1_protocol.config)
+        squeezed = FockHamiltonian(h.matrix + 0.1 * (q1 @ p1 + p1 @ q1), nmax)
         with pytest.raises(ValueError, match="not real"):
             eigenvalues(squeezed)
 
@@ -218,7 +220,7 @@ class TestFockHamiltonian:
         # the truncation search meets the same check through its Chebyshev propagator
         def coupled(config, nmax):
             h = build_fock_hamiltonian(config, nmax)
-            return FockHamiltonian(h.matrix + 0.1 * phase_space_operators(nmax)[0], nmax, config)
+            return FockHamiltonian(h.matrix + 0.1 * phase_space_operators(nmax)[0], nmax)
 
         monkeypatch.setattr(rotor.quantum, "build_fock_hamiltonian", coupled)
         with pytest.raises(ValueError, match="parity"):
@@ -228,7 +230,7 @@ class TestFockHamiltonian:
         def squeezed(config, nmax):
             h = build_fock_hamiltonian(config, nmax)
             q1, _, p1, _ = phase_space_operators(nmax)
-            return FockHamiltonian(h.matrix + 0.1 * (q1 @ p1 + p1 @ q1), nmax, config)
+            return FockHamiltonian(h.matrix + 0.1 * (q1 @ p1 + p1 @ q1), nmax)
 
         monkeypatch.setattr(rotor.quantum, "build_fock_hamiltonian", squeezed)
         with pytest.raises(ValueError, match="not real"):
@@ -241,7 +243,6 @@ class TestFockHamiltonian:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         h = build_fock_hamiltonian(row1_protocol.config, 12)
         assert eigenvalues(h).shape == (144,)
-        assert "_spectral" not in h.__dict__
 
     def test_spectrum_calls_no_dense_eigensolver(self, row1_protocol, monkeypatch):
         def refuse(*args, **kwargs):
@@ -279,17 +280,43 @@ class _RealOnly(np.ndarray):
 
 
 class TestEvolution:
-    def test_eigenvectors_meet_only_real_operands(self, rng, row1_protocol):
+    def test_eigenvectors_meet_only_real_operands(self, rng, row1_protocol, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def real_only(a, *args, **kwargs):
+            w, v = eigh(a, *args, **kwargs)
+            return w, v.view(_RealOnly)
+
+        monkeypatch.setattr(np.linalg, "eigh", real_only)
         nmax = 8
         h = build_fock_hamiltonian(row1_protocol.config, nmax)
-        phases, sectors = h._spectral
-        h.__dict__["_spectral"] = (phases, [(i, w, v.view(_RealOnly)) for i, w, v in sectors])
         c = rng.normal(size=(nmax, nmax)) + 1j * rng.normal(size=(nmax, nmax))
         psi = QuantumState(c / np.linalg.norm(c))
         times = np.array([0.3, 1.7, row1_protocol.duration])
         got = evolve_series(psi, h, times)
         for t, row in zip(times, got):
             assert np.abs(row.ravel() - expm(-1j * h.dense() * t) @ psi.vector).max() < 1e-12
+
+    def test_no_stale_factorization(self, rng, row1_protocol):
+        # a Hamiltonian cannot change in place and caches no factorization,
+        # so every series follows the matrix it is given, evolved before or not
+        nmax = 8
+        h = build_fock_hamiltonian(row1_protocol.config, nmax)
+        other = build_fock_hamiltonian(design_protocol(1.0, np.pi / 2, 1, 3).config, nmax).matrix
+        c = rng.normal(size=(nmax, nmax)) + 1j * rng.normal(size=(nmax, nmax))
+        psi = QuantumState(c / np.linalg.norm(c))
+        times = np.array([0.3, 1.7, row1_protocol.duration])
+
+        def assert_evolves_under(matrix, series):
+            for t, row in zip(times, series):
+                exact = expm(-1j * matrix.toarray() * t) @ psi.vector
+                assert np.abs(row.ravel() - exact).max() < 1e-12
+
+        assert_evolves_under(h.matrix, evolve_series(psi, h, times))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.matrix = other
+        assert_evolves_under(h.matrix, evolve_series(psi, h, times))
+        assert_evolves_under(other, evolve_series(psi, dataclasses.replace(h, matrix=other), times))
 
     def test_matches_dense_exponential(self, rng, row1_protocol):
         nmax = 8
@@ -483,18 +510,11 @@ class TestConvergence:
         nmax, trace = result
         assert nmax == 16
         assert [step["nmax"] for step in trace] == [16, 32]
-        assert result.hamiltonian.nmax == 16
-        assert result.hamiltonian.config == row1_protocol.config
+        assert type(result) is tuple
 
     def test_prebuilt_hamiltonian_must_match(self, row1_protocol):
-        h = build_fock_hamiltonian(row1_protocol.config, 12)
         with pytest.raises(ValueError):
             revival_phase(entangled_state(16), entangled_state(12))
-        other = design_protocol(1.0, np.pi / 2, 1, 3)
-        with pytest.raises(ValueError):
-            stability_sweep(entangled_state(12), other, [0.0], h)
-        with pytest.raises(ValueError):
-            measure_sensitivity(other, entangled_state(12), h=h)
 
     def test_cap_failure(self, row1_protocol):
         with pytest.raises(ConvergenceFailure):
@@ -605,7 +625,17 @@ class TestCoherentTrack:
         # at most three times per chunk, at nmax = 16
         per_time = 16 * (16**2 + 31 * 16 + 31**2) + 8 * 31**2
         monkeypatch.setattr(rotor.quantum, "_TRACK_CHUNK_BYTES", 3 * per_time)
+        # the 61 times run in 21 chunks, all from one factorization of the two sectors
+        factorized = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            factorized.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
         chunked = wavepacket_track(psi0, row1_protocol, time_steps=60, grid_points=31)
+        assert factorized == [(128, 128), (128, 128)]
         np.testing.assert_allclose(chunked.density, whole.density, rtol=1e-13, atol=0)
         assert chunked.diagnostics == pytest.approx(whole.diagnostics, rel=1e-12)
 
@@ -693,10 +723,29 @@ class TestStability:
         p = design_protocol(1.0, np.pi / 2, 1, 2)
         isotropic = type(p)(**{**p.__dict__, "omega2": p.omega1})
         swept = []
-        monkeypatch.setattr(rotor.quantum, "stability_sweep", lambda *a: swept.append(a))
+        monkeypatch.setattr(rotor.quantum, "_propagator", lambda *a: swept.append(a))
         with pytest.raises(ValueError, match="variance"):
             measure_sensitivity(isotropic, nmax=8)
         assert not swept
+
+    def test_one_build_and_one_factorization(self, row1_protocol, monkeypatch):
+        # the variance and the sweep share one Hamiltonian, factorized once
+        built, factorized = [], []
+        build, eigh = rotor.quantum.build_fock_hamiltonian, np.linalg.eigh
+
+        def counting_build(config, nmax):
+            built.append(nmax)
+            return build(config, nmax)
+
+        def counting_eigh(a, *args, **kwargs):
+            factorized.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(rotor.quantum, "build_fock_hamiltonian", counting_build)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        measure_sensitivity(row1_protocol, nmax=16)
+        assert built == [16]
+        assert factorized == [(128, 128), (128, 128)]
 
     def test_narrowing_with_n2(self):
         curvatures = []
@@ -779,7 +828,7 @@ class TestConjugation:
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle reached the Fock evolution")
 
-        for name in ("_sector_eigh", "_real_rotation", "_chebyshev_evolve", "evolve_series"):
+        for name in ("_propagator", "_real_rotation", "_chebyshev_evolve", "evolve_series"):
             monkeypatch.setattr(rotor.quantum, name, refuse)
         _, s1, _, _ = step_transforms(row1_protocol.config)
         assert conjugation_check(symplectic_generator(s1), s1, 20, levels=10) < 1e-6
