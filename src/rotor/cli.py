@@ -48,6 +48,7 @@ from .errors import (
 from .quantum import (
     SENSITIVITY_WINDOW,
     ClosedFormState,
+    _truncation_loss,
     build_fock_hamiltonian,
     coherent_nmax,
     coherent_state,
@@ -425,7 +426,7 @@ def cmd_simulate(params, tolerances):
     if params.get("nmax") or params.get("ehrenfest"):
         make_state, nmax_start = _fock_states(state)
         if params.get("nmax"):
-            nmax, trace = int(params["nmax"]), []
+            nmax, trace = int(params["nmax"]), None
         else:
             nmax, trace = converge_truncation(
                 protocol,
@@ -437,6 +438,11 @@ def cmd_simulate(params, tolerances):
             )
         psi0 = make_state(nmax)
         coeffs = evolve_series(psi0, build_fock_hamiltonian(protocol.config, nmax), times)
+        shell, loss = _truncation_loss(coeffs)
+        print(f"nmax = {nmax}; max top-shell weight = {shell:.3e}; max norm loss = {loss:.3e}")
+        if trace is None:
+            # --nmax runs no search: record the size it ran at instead
+            trace = [{"nmax": nmax, "max_top_shell_weight": shell, "max_norm_loss": loss}]
         series = {"N": mean_excitation(coeffs), "P": survival_probability(psi0, coeffs)}
         phase, source = revival_phase(psi0, coeffs[-1]), f"nmax = {psi0.nmax}"
     else:

@@ -3,20 +3,19 @@
 States live on the number basis |n1, n2> of the two static-trap
 oscillators, truncated to 0 <= n_j < nmax and stored row-major as an
 (nmax, nmax) coefficient array.  The Hamiltonian is time independent
-during a constant-velocity rotation, so evolution uses one Hermitian
-eigendecomposition per propagator rather than time stepping; the
-propagator is then exact up to truncation.
+during a constant-velocity rotation, so exp(-i H t) is applied by a
+Chebyshev series in H rather than by time stepping; the propagator is then
+exact to rounding on the truncated basis.
 
-No factorization outlives the call that made it.  :func:`_propagator`
-factorizes one Hamiltonian for one state and returns the function of time
-that evolves it.  :func:`evolve_series`, :func:`stability_sweep`,
-:func:`wavepacket_track` and :func:`measure_sensitivity` each make one per
-call and evolve every time they need with it.  :func:`converge_truncation`
-factorizes nothing: it needs one state at one time per size, psi(T), which
-:func:`_chebyshev_evolve` gives by a Chebyshev series of sparse products.
-:func:`revival_phase` evolves nothing: it reads the phase from psi(T), the
-state its caller has already evolved.  :func:`measure_sensitivity` refuses
-a state with no energy variance, whose survival does not decay.
+No Hamiltonian is factorized.  :func:`_propagator` makes, for one state,
+the function of time that evolves it, one Chebyshev recurrence of sparse
+products per block of nearby times.  :func:`evolve_series`,
+:func:`stability_sweep`, :func:`wavepacket_track` and
+:func:`measure_sensitivity` make one per call, :func:`converge_truncation`
+one per size for psi(T).  :func:`revival_phase` evolves nothing: it reads
+the phase from psi(T), the state its caller has already evolved.
+:func:`measure_sensitivity` refuses a state with no energy variance, whose
+survival does not decay.
 
 Each observable takes one :class:`QuantumState` or a (..., nmax, nmax)
 coefficient stack, the shape :func:`evolve_series` returns, and gives one
@@ -45,7 +44,7 @@ no eigendecomposition:
 
 The tests check every closed form against :func:`evolve_series`.
 
-Two structural facts keep the Fock oracles cheap.  A quadratic two-mode
+Two structural facts keep the Fock layer cheap.  A quadratic two-mode
 operator only connects states whose total occupation differs by 0 or 2,
 so its matrix splits into an even and an odd parity sector, and in
 row-major (n1, n2) order each sector is a band of half-width about
@@ -55,19 +54,18 @@ symmetric matrix.  :func:`_real_rotation` makes, and checks, that real
 rotated matrix, and each reader of the Hamiltonian computes only what it
 needs from it: :func:`eigenvalues` reads each sector into band storage and
 takes its spectrum from ``eigvals_banded``, with no dense block and no
-eigenvectors; :func:`_propagator` factorizes each sector with
-``np.linalg.eigh`` and keeps its eigenvector matrix real, multiplying it by
-the real and imaginary parts of its complex operands side by side in one
-real product; and :func:`_chebyshev_evolve` runs its recurrence on the
-sparse rotated matrix.  The tests check all three against the full dense
+eigenvectors; and :func:`_propagator` runs its recurrence on the sparse
+rotated matrix, with the real and imaginary parts of the state side by
+side in one real vector.  The tests check both against the full dense
 matrix, by ``eigvalsh`` and by ``expm``.  :func:`conjugation_check`
 applies exp(i v^T G v) with ``expm_multiply`` on each parity sector alone,
-splits the basis with its own index arithmetic and shares no code with any
-of them.
+splits the basis with its own index arithmetic and shares no code with
+either of them.
 """
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -110,6 +108,11 @@ SENSITIVITY_WINDOW = 0.01
 #: the Chebyshev propagator keeps every order up to the first past r t at
 #: which the Bessel coefficient J_k(r t) falls below this
 _CHEBYSHEV_TAIL = 1e-17
+#: largest r |t - t0| in a block of the Chebyshev propagator, with r the
+#: half-width of the spectrum and t0 the time of the state it starts from
+_CHEBYSHEV_SPAN = 32
+#: orders held at once: more than the 70 a block within the span needs
+_CHEBYSHEV_TERMS = 96
 
 # a = L v and v = K (a; a+) for the ladder operators a = (a1, a2) and the
 # phase-space vector v = (q1, q2, p1, p2)
@@ -335,11 +338,11 @@ def phase_space_expectations(state):
 # Hamiltonian and propagation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockHamiltonian:
     """Hermitian matrix of the rotating-frame Hamiltonian on the truncated
-    basis, row-major ordering (n1, n2).  ``matrix`` is stored sparse.  It
-    holds no factorization: :func:`_propagator` makes one per propagator."""
+    basis, row-major ordering (n1, n2), stored sparse.  Nothing derived from
+    it is kept, and Hamiltonians compare and hash by identity."""
 
     matrix: sp.csr_matrix
     nmax: int
@@ -419,69 +422,6 @@ def eigenvalues(h):
     return np.sort(np.concatenate(spectra))
 
 
-def _real_product(v, c):
-    """``v @ c`` for a real matrix ``v`` and a C-contiguous complex ``c`` of
-    one or two dimensions, as one real product: ``c.view(float)`` holds
-    each complex column as a real and an imaginary column side by side, so
-    ``v`` is never promoted to complex."""
-    columns = c.reshape(len(c), -1).view(float)
-    return (v @ columns).view(complex).reshape(v.shape[:1] + c.shape[1:])
-
-
-def _propagator(state, h):
-    """The function ``times -> (len(times), nmax, nmax)`` coefficients of
-    exp(-i H t) |psi> for ``state`` under ``h``, from one factorization.
-
-    After the rotation D = diag(i**n1) of :func:`_real_rotation` each sector
-    of even or odd n1 + n2 is a real symmetric block, factorized alone by
-    ``np.linalg.eigh``.  With its real eigenvectors V and eigenvalues w,
-    D* psi_t = V exp(-i w t) V^T u for u = D* psi, and V^T u is formed once.
-    Both products with V are real products over the real and imaginary
-    parts of their complex operand.  Raises ValueError, before any
-    factorization, if the truncations differ or where :func:`_real_rotation`
-    does.
-    """
-    if state.nmax != h.nmax:
-        raise ValueError("state and Hamiltonian use different truncations")
-    phases, rot, sectors = _real_rotation(h.matrix, h.nmax)
-    u = np.conj(phases) * state.vector
-    factors = []
-    for idx in sectors:
-        # each dense block is dropped once factorized, so only one is held
-        w, v = np.linalg.eigh(rot[idx][:, idx].toarray())
-        factors.append((idx, w, v, _real_product(v.T, u[idx])))
-
-    def coefficients(times):
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        out = np.empty((h.nmax**2, times.size), dtype=complex)
-        for idx, w, v, y in factors:
-            out[idx] = _real_product(v, np.exp(-1j * np.outer(w, times)) * y[:, None])
-        out *= phases[:, None]
-        return np.ascontiguousarray(out.T).reshape(times.size, h.nmax, h.nmax)
-
-    return coefficients
-
-
-def evolve_series(state, h, times):
-    """Coefficients of exp(-i H t) |psi> for every t in ``times``, from the
-    one factorization of a :func:`_propagator`.
-
-    Returns
-    -------
-    ndarray of shape (len(times), nmax, nmax)
-    """
-    return _propagator(state, h)(times)
-
-
-def evolve(state, h, t):
-    """Propagate a state for a time t under a time-independent Hamiltonian.
-
-    Unitary by construction: the returned state passes the normalization
-    check without renormalizing.
-    """
-    return QuantumState(evolve_series(state, h, [float(t)])[0])
-
-
 def _gershgorin_interval(rot):
     """``(centre, radius)`` of an interval that holds the spectrum of the
     real symmetric sparse ``rot``: the union of its Gershgorin discs, widened
@@ -493,66 +433,122 @@ def _gershgorin_interval(rot):
 
 
 def _chebyshev_bessel(z):
-    """J_k(z) for k = 0 .. K - 1, with K the first order above z at which
-    |J_k(z)| is below ``_CHEBYSHEV_TAIL``.  Past z, J_k(z) falls with k, so
-    every later order is smaller still; they are searched 16 at a time."""
-    start = math.floor(z) + 1
-    blocks = [jv(np.arange(start), z)]
+    """The (len(z), K) table J_k(z_i), k < K, with K the first order past
+    max |z| at which |J_k(max |z|)| is below ``_CHEBYSHEV_TAIL``; past |z|,
+    |J_k(z)| falls with k and rises with |z|.  Orders are searched 16 at a
+    time.  A negative z needs no care: J_k(-z) = (-1)^k J_k(z)."""
+    top = np.abs(z).max()
+    start = math.floor(top) + 1
     while True:
-        block = jv(np.arange(start, start + 16), z)
-        (below,) = np.nonzero(np.abs(block) < _CHEBYSHEV_TAIL)
+        (below,) = np.nonzero(np.abs(jv(np.arange(start, start + 16), top)) < _CHEBYSHEV_TAIL)
         if below.size:
-            return np.concatenate(blocks + [block[: below[0]]])
-        blocks.append(block)
+            return jv(np.arange(start + below[0]), z[:, None])
         start += 16
 
 
-def _chebyshev_terms(double, x):
-    """T_0(R) x, T_1(R) x, ... for the sparse ``double`` = 2 R, one per
-    request, by T_(k+1) = 2 R T_k - T_(k-1)."""
+def _chebyshev_terms(turn, x):
+    """S_k = (-i)^k T_k(R) x for k = 0, 1, ..., one per request, each a real
+    [Re, Im] like x, by S_(k+1) = -i 2 R S_k + S_(k-1): ``turn``, the real
+    [[0, 2 R], [-2 R, 0]], maps [a, b] to -i 2 R (a + i b)."""
     previous = x
     yield previous
-    current = double @ x / 2
+    current = turn @ x / 2
     while True:
         yield current
-        previous, current = current, double @ current - previous
+        previous, current = current, turn @ current + previous
 
 
-def _chebyshev_evolve(state, h, t):
-    """Coefficients of exp(-i H t) |psi> at one time t >= 0, with no
-    factorization.
+def _propagator(state, h):
+    """The function ``times -> (len(times), nmax, nmax)`` coefficients of
+    exp(-i H t) |psi> for ``state`` under ``h``, at times in any order and
+    of either sign, by Chebyshev series.
 
-    With the Gershgorin interval c +- r (:func:`_gershgorin_interval`) of
-    the real rotated matrix R = D* H D of :func:`_real_rotation`, the
-    spectrum of R' = (R - c) / r lies in [-1, 1], and
-    exp(-i R t) = exp(-i c t) sum_k (2 - delta_k0) (-i)^k J_k(r t) T_k(R')
-    (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)), taken up to
-    the order :func:`_chebyshev_bessel` gives, past r t.  Every T_k is
-    bounded by 1 on [-1, 1], so no term can overflow.  The recurrence runs
-    on the real (dim, 2) block [Re u, Im u] of u = D* psi, and the terms
-    are summed by k mod 4, the period of (-i)^k, so R never meets a complex
-    operand.  It costs one sparse product per term, a little more than r t
-    of them.
+    With c +- r the Gershgorin interval (:func:`_gershgorin_interval`) of
+    R = D* H D (:func:`_real_rotation`), R' = (R - c) / r has its spectrum
+    in [-1, 1], where |T_k| <= 1, and exp(-i R tau) = exp(-i c tau)
+    sum_k (2 - delta_k0) J_k(r tau) (-i)^k T_k(R') (Tal-Ezer and Kosloff,
+    J. Chem. Phys. 81, 3967 (1984)).  The function keeps the last state it
+    computed and takes the times in increasing order, in blocks from that
+    state: the times within ``_CHEBYSHEV_SPAN`` / r of it, or the next one
+    alone; the chunks of one grid continue one another.  A block is one real
+    product of its Bessel weights (:func:`_chebyshev_bessel`, reused to
+    first order by a next block whose r tau are within sqrt(``_CHEBYSHEV_TAIL``)
+    of them, so a uniform grid needs one table) with the terms of
+    :func:`_chebyshev_terms`, ``_CHEBYSHEV_TERMS`` orders at a time.
+
+    Raises ValueError, before any product, if the truncations differ or
+    where :func:`_real_rotation` does, and on a time that is not finite.
+    """
+    if state.nmax != h.nmax:
+        raise ValueError("state and Hamiltonian use different truncations")
+    phases, rot, _ = _real_rotation(h.matrix, h.nmax)
+    centre, radius = _gershgorin_interval(rot)
+    dim = phases.size
+    double = (rot - centre * sp.identity(dim)) * (2 / radius)
+    turn = sp.kron([[0.0, 1.0], [-1.0, 0.0]], double, format="csr")
+    # the last state computed (as D* psi) and its time; the last table and its r tau
+    last = {"time": 0.0, "state": np.conj(phases) * state.vector, "z0": np.empty(0)}
+
+    def block(times):
+        """D* psi at the increasing ``times``, from the last state."""
+        offsets = times - last["time"]
+        z, z0 = radius * offsets, last["z0"][: times.size]
+        if z0.size < z.size or not np.abs(z - z0).max() <= math.sqrt(_CHEBYSHEV_TAIL):
+            last.update(z0=z, bessel=_chebyshev_bessel(z))
+            z0 = z
+        # J_k(z) = J_k(z0) + (z - z0) (J_(k-1) - J_(k+1)) / 2 + O(tail), J_(-1) = -J_1
+        bessel = np.pad(last["bessel"][: z.size], ((0, 0), (1, 1)))
+        bessel[:, 0] = -bessel[:, 2]
+        weights = 2 * bessel[:, 1:-1] + (z - z0)[:, None] * (bessel[:, :-2] - bessel[:, 2:])
+        weights[:, 0] /= 2
+        terms = _chebyshev_terms(turn, np.concatenate([last["state"].real, last["state"].imag]))
+        chunks = np.hsplit(weights, range(_CHEBYSHEV_TERMS, weights.shape[1], _CHEBYSHEV_TERMS))
+        series = sum(w @ np.stack(list(islice(terms, w.shape[1]))) for w in chunks)
+        states = np.exp(-1j * centre * offsets)[:, None] * (series[:, :dim] + 1j * series[:, dim:])
+        last.update(time=times[-1], state=states[-1])
+        return states
+
+    def coefficients(times):
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        if not np.isfinite(times).all():
+            raise ValueError("evolution times must be finite")
+        order = np.argsort(times, kind="stable")
+        ordered = times[order]
+        out = np.empty((times.size, dim), dtype=complex)
+        start = 0
+        while start < times.size:
+            if ordered[start] == last["time"]:  # the last state itself, with no series
+                out[order[start]], start = last["state"], start + 1
+                continue
+            stop = start + 1
+            if abs(ordered[start] - last["time"]) * radius <= _CHEBYSHEV_SPAN:
+                reach = last["time"] + _CHEBYSHEV_SPAN / radius
+                stop = max(stop, int(np.searchsorted(ordered, reach, side="right")))
+            out[order[start:stop]] = block(ordered[start:stop])
+            start = stop
+        return (out * phases).reshape(times.size, h.nmax, h.nmax)
+
+    return coefficients
+
+
+def evolve_series(state, h, times):
+    """Coefficients of exp(-i H t) |psi> for every t in ``times``, in any
+    order and of either sign, from one :func:`_propagator`.
 
     Returns
     -------
-    ndarray of shape (nmax, nmax)
+    ndarray of shape (len(times), nmax, nmax)
     """
-    phases, rot, _ = _real_rotation(h.matrix, h.nmax)
-    centre, radius = _gershgorin_interval(rot)
-    double = ((rot - centre * sp.identity(rot.shape[0], format="csr")) * (2 / radius)).tocsr()
-    bessel = _chebyshev_bessel(radius * t)
-    weights = 2 * bessel
-    weights[0] = bessel[0]
-    u = np.conj(phases) * state.vector
-    sums = np.zeros((4, u.size, 2))
-    terms = _chebyshev_terms(double, np.column_stack([u.real, u.imag]))
-    for k, (weight, term) in enumerate(zip(weights, terms)):
-        sums[k % 4] += weight * term
-    # sum_k (-i)^k s_k = (s_0 - s_2) - i (s_1 - s_3), each s as re + i im
-    even, odd = sums[0] - sums[2], sums[1] - sums[3]
-    series = (even[:, 0] + odd[:, 1]) + 1j * (even[:, 1] - odd[:, 0])
-    return (np.exp(-1j * centre * t) * phases * series).reshape(h.nmax, h.nmax)
+    return _propagator(state, h)(times)
+
+
+def evolve(state, h, t):
+    """Propagate a state for a time t under a time-independent Hamiltonian.
+
+    Unitary to rounding: the returned state passes the normalization check
+    without renormalizing.
+    """
+    return QuantumState(evolve_series(state, h, [float(t)])[0])
 
 
 class _LadderFlow(NamedTuple):
@@ -706,8 +702,8 @@ def converge_truncation(
     differs from that of 2n by less than ``p_tol`` and whose own top-shell
     weight (the larger of the initial and the final state's) is below
     ``shell_tol``; n is returned, and both n and 2n are in the trace.  Each
-    size's Hamiltonian is built once and factorized never: psi(T) comes from
-    the Chebyshev series of :func:`_chebyshev_evolve`.
+    size's Hamiltonian is built once, and a :func:`_propagator` gives psi(T)
+    as a block of one time.
 
     Returns
     -------
@@ -732,7 +728,7 @@ def converge_truncation(
     while nmax <= nmax_cap:
         psi0 = make_state(nmax)
         h = build_fock_hamiltonian(protocol.config, nmax)
-        psi_t = _chebyshev_evolve(psi0, h, protocol.duration)
+        psi_t = _propagator(psi0, h)(protocol.duration)[0]
         p_final = survival_probability(psi0, psi_t)
         shell = max(top_shell_weight(psi0), top_shell_weight(psi_t))
         trace.append({"nmax": nmax, "survival": p_final, "shell_weight": shell})
@@ -887,10 +883,10 @@ def wavepacket_track(psi0, protocol, time_steps=2000, grid_points=201):
     """Accumulate the position density of an evolving state over one period.
 
     This is the Fock reference: ``psi0`` evolves under the truncated
-    Hamiltonian by one :func:`_propagator`, which every chunk of times
-    shares, so any state can be tracked, at the cost of one factorization.
+    Hamiltonian by one :func:`_propagator`, each chunk of times going on
+    from where the last ended, so any state can be tracked.
     :func:`coherent_track` gives the same density for a coherent state
-    without one.
+    with no basis.
 
     The density is the trapezoidal time quadrature of |psi(q1, q2, t)|^2
     with ``time_steps`` uniform steps on [0, T]; a halved-step comparison
@@ -992,7 +988,7 @@ def stability_sweep(psi0, protocol, epsilons):
 
 
 def _survival_sweep(psi0, protocol, h, epsilons):
-    """:func:`stability_sweep` under the Hamiltonian ``h``, factorized once."""
+    """:func:`stability_sweep` under the Hamiltonian ``h``, by one :func:`_propagator`."""
     epsilons = np.asarray(epsilons, dtype=float)
     values = survival_probability(psi0, evolve_series(psi0, h, protocol.duration + epsilons))
     return ObservableSeries(epsilons, values)
@@ -1039,7 +1035,7 @@ def measure_sensitivity(protocol, psi0=None, nmax=32):
     With no initial state the static-trap ground state at ``nmax`` is used,
     whose variance reduces to the closed form
     :func:`rotor.designer.ground_state_sensitivity`.  The Hamiltonian is
-    built once, for the variance and the sweep, and factorized once.
+    built once, for the variance and the sweep, which one propagator evolves.
 
     Raises
     ------
@@ -1238,6 +1234,9 @@ def conjugation_check(g, transform, nmax, levels=8):
         return 0.0
     ops = phase_space_operators(nmax)
     quad = sum(ops[j] @ sum(g[j, k] * ops[k] for k in range(4)) for j in range(4)).tocsr()
+    # entries below tiny / eps move U by nothing; subnormal ones stalled expm_multiply
+    quad.data[np.abs(quad.data) < np.finfo(float).tiny / np.finfo(float).eps] = 0
+    quad.eliminate_zeros()
 
     def kept_columns(sector, columns):
         basis = np.zeros((sector.size, columns.size), dtype=complex)

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import re
@@ -418,6 +417,31 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "closed" / "manifest.json").read_text())
         assert manifest["nmax_trace"] == []
 
+    def test_fixed_truncation_records_its_loss(self, tmp_path, capsys):
+        # the squeezing design leaves 4.6e-10 on the top shell of nmax 24,
+        # enough to move <N> by 1.4e-8 off the closed form
+        argv = ["simulate", "--omega1-khz", "1", "--theta-f", "7.2", "--n1", "1", "--n2", "4",
+                "--state", "coherent:2,0", "--samples", "401"]
+        assert main(argv + ["--nmax", "24", "--out-dir", str(tmp_path / "fock")]) == 0
+        out = capsys.readouterr().out
+        (record,) = json.loads((tmp_path / "fock" / "manifest.json").read_text())["nmax_trace"]
+        assert sorted(record) == ["max_norm_loss", "max_top_shell_weight", "nmax"]
+        assert record["nmax"] == 24
+        assert 1e-10 < record["max_top_shell_weight"] < 1e-9
+        # the evolution is unitary on the truncated basis
+        assert record["max_norm_loss"] < 1e-12
+        assert (f"nmax = 24; max top-shell weight = {record['max_top_shell_weight']:.3e}; "
+                f"max norm loss = {record['max_norm_loss']:.3e}\n") in out
+        assert main(argv + ["--out-dir", str(tmp_path / "closed")]) == 0
+        drift = np.abs(load_columns(tmp_path / "fock" / "observables.csv")["mean_excitation"]
+                       - load_columns(tmp_path / "closed" / "observables.csv")["mean_excitation"])
+        assert 1e-9 < drift.max() < 1e-7
+        assert main(["rerun", str(tmp_path / "fock" / "manifest.json"),
+                     "--out-dir", str(tmp_path / "again")]) == 0
+        for name in ("manifest.json", "observables.csv"):
+            again = (tmp_path / "again" / name).read_bytes()
+            assert again == (tmp_path / "fock" / name).read_bytes()
+
     def test_amplitude_beyond_any_truncation_runs(self, tmp_path, capsys):
         # |alpha|^2 = 1e10: coherent_nmax far above the cap, no basis needed
         argv = ["simulate", "--omega1-khz", "1", "--state", "coherent:1e5,0", "--samples", "5"]
@@ -759,21 +783,16 @@ class TestStateInputs:
 
 
 class TestFactorizationCount:
-    """Within one command each Hamiltonian is factorized once; no
-    factorization is kept from one command to the next."""
+    """No command factorizes a Hamiltonian: every Fock evolution is a
+    Chebyshev series, and running a command again writes the same body."""
 
     @pytest.fixture()
     def factorized(self, monkeypatch):
-        digests = []
-        eigh = np.linalg.eigh
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Hamiltonian was factorized")
 
-        def counting(a, *args, **kwargs):
-            a = np.ascontiguousarray(a)
-            digests.append(hashlib.blake2b(a.tobytes(), digest_size=16).digest())
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        return digests
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
 
     @pytest.mark.parametrize(
         "argv",
@@ -784,41 +803,29 @@ class TestFactorizationCount:
         ids=["simulate"],
     )
     def test_each_matrix_once_per_command(self, tmp_path, factorized, argv):
-        assert main(argv + ["--out-dir", str(tmp_path / "first")]) == 0
-        first = list(factorized)
-        assert first
-        assert len(set(first)) == len(first)
-        factorized.clear()
-        assert main(argv + ["--out-dir", str(tmp_path / "second")]) == 0
-        assert factorized == first
+        for run in ("first", "second"):
+            assert main(argv + ["--out-dir", str(tmp_path / run)]) == 0
+        first, second = ((tmp_path / run / "observables.csv").read_bytes()
+                         for run in ("first", "second"))
+        assert first == second
 
 
 class TestSearchFactorizesNothing:
-    """The truncation search of ``--ehrenfest`` evolves each size by a
-    Chebyshev series; the run factorizes the size it returns, once."""
+    """The truncation search of ``--ehrenfest`` and the series at the size it
+    returns are Chebyshev series: neither factorizes a Hamiltonian."""
 
     def test_simulate_factorizes_the_two_sectors_of_the_returned_size(self, tmp_path,
                                                                      monkeypatch, capsys):
-        factorized = []
-        eigh = np.linalg.eigh
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Hamiltonian was factorized")
 
-        def recording(a, *args, **kwargs):
-            factorized.append(np.array(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
         argv = ["simulate", "--omega1-khz", "1", "--state", "coherent:2,0", "--samples", "5",
                 "--ehrenfest", "--out-dir", str(tmp_path)]
         assert main(argv) == 0
         assert "(nmax = 24)" in capsys.readouterr().out
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert [step["nmax"] for step in manifest["nmax_trace"]] == [24, 48]
-        protocol = rotor.cli._protocol_from(manifest["parameters"])
-        h = rotor.build_fock_hamiltonian(protocol.config, 24)
-        _, rot, sectors = rotor.quantum._real_rotation(h.matrix, 24)
-        assert len(factorized) == 2
-        for got, idx in zip(factorized, sectors):
-            np.testing.assert_array_equal(got, rot[idx][:, idx].toarray())
 
     def test_search_runs_with_no_eigensolver(self, monkeypatch):
         def refuse(*args, **kwargs):

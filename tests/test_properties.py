@@ -44,7 +44,6 @@ from rotor import (
     conjugation_check,
     design_protocol,
     entangled_state,
-    evolve,
     from_normal_coords,
     kappa,
     lab_frame_state,
@@ -59,9 +58,9 @@ from rotor import (
 )
 from rotor.classical import _mode_rotation, flow_matrix
 from rotor.quantum import (
-    _chebyshev_evolve,
     _coherent_series,
     _lower_band,
+    _propagator,
     _real_rotation,
     eigenvalues,
     energy_variance,
@@ -321,15 +320,60 @@ def test_evolve_series_matches_the_dense_exponential(case, fracs):
 @settings(deadline=None)
 @given(fock_cases(), st.floats(0.0, 1.0))
 def test_chebyshev_evolve_matches_evolve_and_the_dense_exponential(case, frac):
-    """The factorization-free propagator of the truncation search, at one
-    time t in [0, T], against the sector factorization and against expm."""
+    """psi(t) of the truncation search, one time t in [0, T] as a block of
+    its own, against the same time reached through blocks of a grid and
+    against expm."""
     protocol, h, psi = case
     t = frac * protocol.duration
-    got = _chebyshev_evolve(psi, h, t)
+    (got,) = _propagator(psi, h)(t)
     assert got.shape == psi.coeffs.shape
-    assert np.abs(got - evolve(psi, h, t).coeffs).max() <= 1e-12
+    assert np.abs(got - evolve_series(psi, h, np.linspace(0.0, t, 50))[-1]).max() <= 1e-12
     want = expm(-1j * t * h.dense()) @ psi.vector
     assert np.abs(got.ravel() - want).max() <= 1e-12
+
+
+@settings(deadline=None)
+@given(fock_cases(), st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8))
+def test_evolve_series_takes_times_in_any_order_and_of_either_sign(case, fracs):
+    """Unsorted, repeated and negative times, each row against expm."""
+    protocol, h, psi = case
+    times = np.asarray(fracs) * protocol.duration
+    stack = evolve_series(psi, h, times)
+    for t, got in zip(times, stack):
+        want = expm(-1j * t * h.dense()) @ psi.vector
+        assert np.abs(got.ravel() - want).max() <= 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(fock_cases(), st.integers(2, 400),
+       st.lists(st.integers(1, 399), min_size=1, max_size=12, unique=True))
+def test_chunked_calls_continue_one_series(case, count, cuts):
+    """Increasing chunks of one uniform grid over a period, asked of one
+    propagator one after another as the Fock track asks them, give each
+    state of one call to 1e-13 of its unit norm, and both meet expm."""
+    protocol, h, psi = case
+    times = np.linspace(0.0, protocol.duration, count)
+    whole = evolve_series(psi, h, times)
+    propagate = _propagator(psi, h)
+    chunked = np.concatenate([propagate(part) for part in np.split(times, sorted(cuts))])
+    assert np.linalg.norm((chunked - whole).reshape(count, -1), axis=1).max() <= 1e-13
+    for t, got in zip(times[:: max(1, count // 8)], whole[:: max(1, count // 8)]):
+        want = expm(-1j * t * h.dense()) @ psi.vector
+        assert np.abs(got.ravel() - want).max() <= 1e-12
+
+
+@settings(deadline=None, max_examples=10)
+@given(fock_cases(), st.integers(3, 6))
+def test_norm_holds_over_many_periods(case, periods):
+    """2000 or more uniform steps over several periods lose less than 1e-12
+    of the norm, and end on the dense exponential."""
+    protocol, h, psi = case
+    times = np.linspace(0.0, periods * protocol.duration, 2000 * periods // 3 + 1)
+    stack = evolve_series(psi, h, times)
+    norms = np.linalg.norm(stack.reshape(times.size, -1), axis=1)
+    assert np.abs(norms - 1.0).max() < 1e-12
+    want = expm(-1j * times[-1] * h.dense()) @ psi.vector
+    assert np.abs(stack[-1].ravel() - want).max() <= 1e-11
 
 
 @settings(deadline=None)
@@ -366,8 +410,15 @@ def generator_cases(draw):
     return g, SymplecticTransform(expm(2 * J @ g)), nmax, levels
 
 
+# a subnormal coupling leaves the odd sector of nmax 2 a multiple of the
+# identity plus subnormal entries, on which expm_multiply took zero steps
+_SUBNORMAL_G = np.array([[0.25, 0, 0, 0.25], [0, 0, 0.25, 0], [0, 0.25, 0, 5e-324],
+                         [0.25, 0, 5e-324, 0]])
+
+
 @settings(deadline=None)
 @given(generator_cases())
+@example((_SUBNORMAL_G, SymplecticTransform(expm(2 * J @ _SUBNORMAL_G)), 2, 2))
 def test_conjugation_check_matches_the_full_space_residual(case):
     """The parity-block oracle against U from the dense exponential of
     the whole truncated basis, the residual on every kept row and column,

@@ -42,10 +42,10 @@ from rotor.quantum import (
     ObservableSeries,
     QuantumState,
     TrackGrid,
-    _chebyshev_evolve,
     _coherent_series,
     _coherent_tail,
     _gershgorin_interval,
+    _propagator,
     _real_rotation,
     _track_density,
     _track_grid,
@@ -58,6 +58,10 @@ from rotor.quantum import (
     phase_space_operators,
     top_shell_weight,
 )
+
+
+def _refuse_eigensolver(*args, **kwargs):
+    raise AssertionError("a Hamiltonian was factorized")
 
 
 class TestHermiteFunctions:
@@ -185,6 +189,13 @@ class TestFockHamiltonian:
         with pytest.raises(ValueError):
             build_fock_hamiltonian(row1_protocol.config, 1)
 
+    def test_compares_and_hashes_by_identity(self, row1_protocol):
+        # a sparse matrix has no truth value, so equal builds are distinct
+        h, again = (build_fock_hamiltonian(row1_protocol.config, 4) for _ in range(2))
+        assert h == h and h != again
+        assert len({h, h, again}) == 2
+        assert hash(h) == hash(h)
+
     def test_spectrum_matches_normal_modes(self, row1_protocol):
         # commensurate designs have degenerate levels, so match each
         # predicted energy to its nearest eigenvalue
@@ -269,34 +280,7 @@ class TestFockHamiltonian:
             assert after <= max(before, 1e-12)
 
 
-class _RealOnly(np.ndarray):
-    """A real array that refuses to enter any operation with a complex operand."""
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if any(np.iscomplexobj(x) for x in inputs):
-            raise AssertionError(f"{ufunc.__name__} of a real eigenvector matrix and a complex array")
-        inputs = [x.view(np.ndarray) if isinstance(x, _RealOnly) else x for x in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
-
 class TestEvolution:
-    def test_eigenvectors_meet_only_real_operands(self, rng, row1_protocol, monkeypatch):
-        eigh = np.linalg.eigh
-
-        def real_only(a, *args, **kwargs):
-            w, v = eigh(a, *args, **kwargs)
-            return w, v.view(_RealOnly)
-
-        monkeypatch.setattr(np.linalg, "eigh", real_only)
-        nmax = 8
-        h = build_fock_hamiltonian(row1_protocol.config, nmax)
-        c = rng.normal(size=(nmax, nmax)) + 1j * rng.normal(size=(nmax, nmax))
-        psi = QuantumState(c / np.linalg.norm(c))
-        times = np.array([0.3, 1.7, row1_protocol.duration])
-        got = evolve_series(psi, h, times)
-        for t, row in zip(times, got):
-            assert np.abs(row.ravel() - expm(-1j * h.dense() * t) @ psi.vector).max() < 1e-12
-
     def test_no_stale_factorization(self, rng, row1_protocol):
         # a Hamiltonian cannot change in place and caches no factorization,
         # so every series follows the matrix it is given, evolved before or not
@@ -359,9 +343,31 @@ class TestEvolution:
         with pytest.raises(ValueError):
             evolve(entangled_state(10), h, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, row1_protocol, bad):
+        h = build_fock_hamiltonian(row1_protocol.config, 4)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_series(entangled_state(4), h, [0.0, bad])
+
+    def test_uniform_grid_computes_few_bessel_tables(self, row1_protocol, monkeypatch):
+        # t = 0 is the initial state itself, and every block of a uniform grid
+        # repeats the offsets of the first, so one table serves them all
+        tables = []
+        bessel = rotor.quantum._chebyshev_bessel
+
+        def counting(z):
+            tables.append(z.size)
+            return bessel(z)
+
+        monkeypatch.setattr(rotor.quantum, "_chebyshev_bessel", counting)
+        h = build_fock_hamiltonian(row1_protocol.config, 16)
+        times = np.linspace(0.0, 3 * row1_protocol.duration, 601)
+        evolve_series(fock_state(0, 0, 16), h, times)
+        assert len(tables) == 1 and tables[0] < 601 / 4
+
 
 class TestChebyshevEvolve:
-    """The one-time propagator of the truncation search."""
+    """The Chebyshev propagator, at one time and over a grid."""
 
     @pytest.mark.parametrize(
         "config",
@@ -387,7 +393,7 @@ class TestChebyshevEvolve:
         h = build_fock_hamiltonian(row1_protocol.config, nmax)
         c = rng.normal(size=(nmax, nmax)) + 1j * rng.normal(size=(nmax, nmax))
         psi = QuantumState(c / np.linalg.norm(c))
-        assert _chebyshev_evolve(psi, h, 0.0).tobytes() == psi.coeffs.tobytes()
+        assert _propagator(psi, h)(0.0)[0].tobytes() == psi.coeffs.tobytes()
 
     def test_norm_of_the_benchmark_state_at_nmax_64(self, rng):
         # the perfbench simulate run's coherent state and design, one period
@@ -395,7 +401,7 @@ class TestChebyshevEvolve:
         phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 2))
         psi = coherent_state(1.0 * phases[0], 0.5 * phases[1], 64)
         h = build_fock_hamiltonian(protocol.config, 64)
-        psi_t = _chebyshev_evolve(psi, h, protocol.duration)
+        psi_t = _propagator(psi, h)(protocol.duration)[0]
         assert abs(np.linalg.norm(psi_t) - 1.0) <= 1e-12
         assert survival_probability(psi, psi_t) == pytest.approx(1.0, abs=1e-12)
 
@@ -625,17 +631,10 @@ class TestCoherentTrack:
         # at most three times per chunk, at nmax = 16
         per_time = 16 * (16**2 + 31 * 16 + 31**2) + 8 * 31**2
         monkeypatch.setattr(rotor.quantum, "_TRACK_CHUNK_BYTES", 3 * per_time)
-        # the 61 times run in 21 chunks, all from one factorization of the two sectors
-        factorized = []
-        eigh = np.linalg.eigh
-
-        def counting(a, *args, **kwargs):
-            factorized.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        # the 61 times run in 21 chunks, each continuing the series of the
+        # last, and no chunk factorizes anything
+        monkeypatch.setattr(np.linalg, "eigh", _refuse_eigensolver)
         chunked = wavepacket_track(psi0, row1_protocol, time_steps=60, grid_points=31)
-        assert factorized == [(128, 128), (128, 128)]
         np.testing.assert_allclose(chunked.density, whole.density, rtol=1e-13, atol=0)
         assert chunked.diagnostics == pytest.approx(whole.diagnostics, rel=1e-12)
 
@@ -729,23 +728,19 @@ class TestStability:
         assert not swept
 
     def test_one_build_and_one_factorization(self, row1_protocol, monkeypatch):
-        # the variance and the sweep share one Hamiltonian, factorized once
-        built, factorized = [], []
-        build, eigh = rotor.quantum.build_fock_hamiltonian, np.linalg.eigh
+        # the variance and the sweep share one Hamiltonian, and neither
+        # factorizes it
+        built = []
+        build = rotor.quantum.build_fock_hamiltonian
 
         def counting_build(config, nmax):
             built.append(nmax)
             return build(config, nmax)
 
-        def counting_eigh(a, *args, **kwargs):
-            factorized.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
-
         monkeypatch.setattr(rotor.quantum, "build_fock_hamiltonian", counting_build)
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "eigh", _refuse_eigensolver)
         measure_sensitivity(row1_protocol, nmax=16)
         assert built == [16]
-        assert factorized == [(128, 128), (128, 128)]
 
     def test_narrowing_with_n2(self):
         curvatures = []
@@ -828,7 +823,8 @@ class TestConjugation:
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle reached the Fock evolution")
 
-        for name in ("_propagator", "_real_rotation", "_chebyshev_evolve", "evolve_series"):
+        for name in ("_propagator", "_real_rotation", "_gershgorin_interval", "_chebyshev_bessel",
+                     "_chebyshev_terms", "evolve_series"):
             monkeypatch.setattr(rotor.quantum, name, refuse)
         _, s1, _, _ = step_transforms(row1_protocol.config)
         assert conjugation_check(symplectic_generator(s1), s1, 20, levels=10) < 1e-6
