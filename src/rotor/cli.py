@@ -125,7 +125,7 @@ def write_csv(path, columns, manifest_hash):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# manifest sha256: {manifest_hash}\n")
         fh.write(",".join(columns) + "\n")
-        fh.write("".join([template % tuple(row) for row in rows.tolist()]))
+        fh.write((template * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _record(command, params, out_dir, tolerances):

@@ -58,9 +58,10 @@ eigenvectors; and :func:`_propagator` runs its recurrence on the sparse
 rotated matrix, with the real and imaginary parts of the state side by
 side in one real vector.  The tests check both against the full dense
 matrix, by ``eigvalsh`` and by ``expm``.  :func:`conjugation_check`
-applies exp(i v^T G v) with ``expm_multiply`` on each parity sector alone,
-splits the basis with its own index arithmetic and shares no code with
-either of them.
+applies exp(i v^T G v) on each parity sector alone by its own Taylor
+series (:func:`_expm_action`, sized from the exact 1-norm), splits the
+basis with its own index arithmetic and shares no code with either of
+them.
 """
 
 import math
@@ -70,8 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigvals_banded, expm
-from scipy.sparse.linalg import expm_multiply
+from scipy.linalg import eigvals_banded
 from scipy.special import gammainc, jv, xlogy
 
 from .classical import Trajectory, flow_matrix, sample_trajectory
@@ -113,6 +113,11 @@ _CHEBYSHEV_TAIL = 1e-17
 _CHEBYSHEV_SPAN = 32
 #: orders held at once: more than the 70 a block within the span needs
 _CHEBYSHEV_TERMS = 96
+#: most Taylor terms per step of :func:`_expm_action`, and the largest 1-norm
+#: of a step's matrix at which that many keep the relative backward error of
+#: the truncation below 2**-53 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
+#: 488 (2011), Table 3.1)
+_TAYLOR_TERMS, _TAYLOR_THETA = 55, 9.9
 
 # a = L v and v = K (a; a+) for the ladder operators a = (a1, a2) and the
 # phase-space vector v = (q1, q2, p1, p2)
@@ -1187,6 +1192,31 @@ class ClosedFormState:
 # operator-identity verification
 
 
+def _expm_action(a, b):
+    """exp(a) @ b for a square sparse or dense ``a`` and a 2-D dense ``b``.
+
+    The truncated Taylor series of Al-Mohy and Higham with its parameters
+    taken from the exact 1-norm of ``a``: s = ceil(|a|_1 / 9.9) steps of
+    exp(a / s), each of at most 55 terms and stopped once two consecutive
+    terms sum below 2**-53 of the partial sum (infinity norms).  No norm is
+    estimated, so nothing random is drawn, and no multiple of the identity
+    is split off ``a``.
+    """
+    steps = max(1, math.ceil(abs(a).sum(axis=0).max() / _TAYLOR_THETA))
+    for _ in range(steps):
+        term, total = b, np.array(b, dtype=np.result_type(a.dtype, b.dtype))
+        size = np.abs(term).sum(axis=1).max()
+        for k in range(1, _TAYLOR_TERMS + 1):
+            term = a @ term
+            term *= 1.0 / (steps * k)
+            prev, size = size, np.abs(term).sum(axis=1).max()
+            total += term
+            if prev + size <= 2.0**-53 * np.abs(total).sum(axis=1).max():
+                break
+        b = total
+    return b
+
+
 def conjugation_check(g, transform, nmax, levels=8):
     """Residual of the operator identity U+ v_j U = (S^-1 v)_j.
 
@@ -1194,9 +1224,10 @@ def conjugation_check(g, transform, nmax, levels=8):
     U = exp(i v^T G v) is built on the truncated basis and the identity is
     evaluated on the sub-block of states with n1, n2 < ``levels``, where
     truncation effects are negligible.  Only those columns of U are formed,
-    by ``scipy.sparse.linalg.expm_multiply``, so the oracle shares no code
-    with the Fock evolution.  That routine's 1-norm estimate advances numpy's
-    global random stream; the residual does not depend on it.
+    by the Taylor series of :func:`_expm_action`, which also checks the
+    branch exp(2 J G) = S; so the oracle shares no code with the Fock
+    evolution.  U is not shifted by its trace, since a different phase on
+    each sector would enter the residual's odd-even block.
 
     v^T G v is quadratic, so U keeps the parity of n1 + n2 and is formed on
     each parity's basis states alone, from that sector of v^T G v.  Every
@@ -1221,7 +1252,7 @@ def conjugation_check(g, transform, nmax, levels=8):
         raise ValueError(f"levels must be at least 1, got {levels}")
     if nmax < 2:
         raise ValueError("nmax must be at least 2")
-    if np.abs(expm(2 * J @ g) - transform.s).max() > 1e-10:
+    if np.abs(_expm_action(2 * J @ g, np.eye(4)) - transform.s).max() > 1e-10:
         raise LogBranchFailure("generator does not reproduce the transform")
     s_inv = transform.inverse
     n1, n2 = _index_grids(nmax)
@@ -1229,19 +1260,16 @@ def conjugation_check(g, transform, nmax, levels=8):
     even, odd = (np.flatnonzero((n1 + n2) % 2 == parity) for parity in (0, 1))
     # positions of the kept states within their own sector
     even_kept, odd_kept = np.flatnonzero(kept[even]), np.flatnonzero(kept[odd])
-    # B_j is empty (and expm_multiply refuses zero columns)
+    # B_j is empty: no odd state is kept
     if not odd_kept.size:
         return 0.0
     ops = phase_space_operators(nmax)
     quad = sum(ops[j] @ sum(g[j, k] * ops[k] for k in range(4)) for j in range(4)).tocsr()
-    # entries below tiny / eps move U by nothing; subnormal ones stalled expm_multiply
-    quad.data[np.abs(quad.data) < np.finfo(float).tiny / np.finfo(float).eps] = 0
-    quad.eliminate_zeros()
 
     def kept_columns(sector, columns):
         basis = np.zeros((sector.size, columns.size), dtype=complex)
         basis[columns, np.arange(columns.size)] = 1.0
-        return expm_multiply(1j * quad[sector][:, sector], basis)
+        return _expm_action(1j * quad[sector][:, sector], basis)
 
     u_even, u_odd = kept_columns(even, even_kept), kept_columns(odd, odd_kept)
     flips = [op[odd][:, even] for op in ops]

@@ -7,11 +7,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import rotor.cli
 import rotor.quantum
 from rotor import ConvergenceFailure, DegenerateOverlap, TrapConfig, normal_frequencies
 from rotor.cli import RunManifest, main, parse_angle, parse_complex, write_csv
+
+
+# any double, with the values whose text is special drawn often
+_CSV_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e-310, 1e16, 0.1]),
+)
+# (column count, rows): up to 5 columns and 30 rows, no rows included
+_CSV_TABLES = st.integers(1, 5).flatmap(
+    lambda ncols: st.tuples(
+        st.just(ncols), st.lists(st.lists(_CSV_VALUES, min_size=ncols, max_size=ncols), max_size=30)
+    )
+)
 
 
 def read_body(path):
@@ -1188,6 +1203,19 @@ class TestTableLayout:
         assert path.read_text() == "# manifest sha256: abc\nx,y,z\n" + expected
         assert expected.startswith("nan,0.10000000000000001,0\ninf,10000000000000000,1\n")
         assert "\n-0,3,3\n" in expected and "\n4.9406564584124654e-324," in expected
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_CSV_TABLES)
+    @example((3, []))
+    @example((2, [[np.nan, -0.0], [np.inf, -np.inf], [5e-324, -1e-310]]))
+    def test_write_csv_bytes_equal_the_per_row_reference(self, tmp_path, table):
+        ncols, rows = table
+        names = [f"c{j}" for j in range(ncols)]
+        path = tmp_path / "table.csv"
+        write_csv(path, {name: [row[j] for row in rows] for j, name in enumerate(names)}, "abc")
+        body = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+        header = "# manifest sha256: abc\n" + ",".join(names) + "\n"
+        assert path.read_bytes() == (header + body).encode()
 
 
 def test_version_matches_pyproject():

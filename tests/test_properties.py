@@ -411,14 +411,23 @@ def generator_cases(draw):
 
 
 # a subnormal coupling leaves the odd sector of nmax 2 a multiple of the
-# identity plus subnormal entries, on which expm_multiply took zero steps
+# identity plus subnormal entries, on which scipy's expm_multiply took zero
+# steps
 _SUBNORMAL_G = np.array([[0.25, 0, 0, 0.25], [0, 0, 0.25, 0], [0, 0.25, 0, 5e-324],
                          [0.25, 0, 5e-324, 0]])
+# a p2^2 coefficient of 1.8e-159 next to a q2 p2 coupling: the powers of its
+# sectors underflow, and scipy's 1-norm estimate of them overflowed in a
+# divide (Hypothesis seed 11)
+_TINY_G = np.zeros((4, 4))
+_TINY_G[2, 3] = _TINY_G[3, 2] = 0.28125
+_TINY_G[3, 3] = 1.7598605e-159
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(deadline=None)
 @given(generator_cases())
 @example((_SUBNORMAL_G, SymplecticTransform(expm(2 * J @ _SUBNORMAL_G)), 2, 2))
+@example((_TINY_G, SymplecticTransform(expm(2 * J @ _TINY_G)), 6, 5))
 def test_conjugation_check_matches_the_full_space_residual(case):
     """The parity-block oracle against U from the dense exponential of
     the whole truncated basis, the residual on every kept row and column,

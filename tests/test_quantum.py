@@ -1,7 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 import rotor.quantum
@@ -44,6 +46,7 @@ from rotor.quantum import (
     TrackGrid,
     _coherent_series,
     _coherent_tail,
+    _expm_action,
     _gershgorin_interval,
     _propagator,
     _real_rotation,
@@ -837,9 +840,15 @@ class TestConjugation:
             for seed in (0, 1):
                 np.random.seed(seed)
                 residuals.append(conjugation_check(g, s2, 24, levels=8))
+            # and draws nothing from it
+            before = np.random.get_state()
+            conjugation_check(g, s2, 24, levels=8)
+            after = np.random.get_state()
         finally:
             np.random.set_state(saved)
         assert residuals[0] == residuals[1]
+        assert before[0] == after[0] and before[2:] == after[2:]
+        np.testing.assert_array_equal(before[1], after[1])
 
     def test_one_level_keeps_no_odd_state(self, row1_protocol):
         # |0, 0> alone is kept: every v_j maps it off the kept block
@@ -848,14 +857,14 @@ class TestConjugation:
 
     @pytest.mark.parametrize("levels", [0, -1])
     def test_levels_below_one_rejected(self, row1_protocol, monkeypatch, levels):
-        monkeypatch.setattr(rotor.quantum, "expm", None)  # nothing may run
+        monkeypatch.setattr(rotor.quantum, "_expm_action", None)  # nothing may run
         _, s1, _, _ = step_transforms(row1_protocol.config)
         with pytest.raises(ValueError, match="levels must be at least 1"):
             conjugation_check(symplectic_generator(s1), s1, 12, levels=levels)
 
     @pytest.mark.parametrize("nmax", [1, 0])
     def test_nmax_below_two_rejected(self, row1_protocol, monkeypatch, nmax):
-        monkeypatch.setattr(rotor.quantum, "expm", None)  # nothing may run
+        monkeypatch.setattr(rotor.quantum, "_expm_action", None)  # nothing may run
         _, s1, _, _ = step_transforms(row1_protocol.config)
         with pytest.raises(ValueError, match="nmax must be at least 2"):
             conjugation_check(symplectic_generator(s1), s1, nmax)
@@ -875,6 +884,48 @@ class TestConjugation:
         _, s1, _, _ = step_transforms(row1_protocol.config)
         with pytest.raises(LogBranchFailure):
             conjugation_check(np.eye(4), s1, 12)
+
+
+class TestExpmAction:
+    """The conjugation oracle's Taylor series against the dense ``expm``,
+    on normal matrices whose exponential keeps every norm: anti-Hermitian
+    (complex) and skew-symmetric (real), dense and sparse, with 1-norms
+    from 0 to 40 (up to five steps of the series), applied to one column
+    and to 30."""
+
+    @pytest.mark.parametrize("norm", [0.0, 1e-3, 3.0, 9.9, 10.0, 25.0, 40.0])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_matches_the_dense_exponential(self, norm, field, storage):
+        rng = np.random.default_rng(int(norm * 10) + 7 * (field == "real"))
+        for n in (9, 24, 64):
+            x = rng.normal(size=(n, n))
+            if field == "real":
+                a, b = x - x.T, rng.normal(size=(n, 30))
+            else:
+                x = x + 1j * rng.normal(size=(n, n))
+                a, b = 1j * (x + x.conj().T), rng.normal(size=(n, 30)) + 1j * rng.normal(size=(n, 30))
+            a *= norm / np.abs(a).sum(axis=0).max()
+            op = sp.csr_matrix(a) if storage == "sparse" else a
+            for cols in (b[:, :1], b):
+                got, want = _expm_action(op, cols), expm(a) @ cols
+                assert got.dtype == want.dtype
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("angle", [3.0, 7.0, 9.9, 25.0, 40.0])
+    def test_rounding_grows_with_the_largest_term(self, angle):
+        # a plane rotation has a 2-norm equal to its 1-norm, so the terms of
+        # a step peak near e^(|A|_1 / s) / sqrt(2 pi |A|_1 / s), up to 2.5e3
+        # at 9.9; the rounding of their sum grows with them, to 1.5e-13 here
+        # (scipy's expm_multiply picks the same steps and terms)
+        steps = max(1, math.ceil(angle / 9.9))
+        bound = 4 * steps * 2.0**-53 * math.exp(angle / steps)
+        a = np.array([[0.0, angle], [-angle, 0.0]])
+        b = np.eye(2)
+        for op in (a, 1j * np.diag([angle, -angle]), sp.csr_matrix(a)):
+            dense = op.toarray() if sp.issparse(op) else op
+            want = expm(dense) @ b
+            assert np.abs(_expm_action(op, b) - want).max() <= bound
 
 
 def test_observable_series_validation():
