@@ -74,4 +74,4 @@ from .symplectic import (
     to_normal_coords,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -1,12 +1,13 @@
 """Command-line front end: design, analyze, simulate, and sweep workflows.
 
 Every run writes its data files plus a ``manifest.json`` capturing the
-command, raw parameters, tolerances and output list; ``rotor rerun
-manifest.json`` reproduces the outputs from that record.  CSV bodies are
-deterministic (17 significant digits, no timestamps), and each file carries
+command, raw parameters, truncation trace and output list; ``rotor rerun
+manifest.json`` reproduces the outputs from that record.  The command line
+holds a run's only settings: rotor reads no environment variable.  CSV bodies
+are deterministic (17 significant digits, no timestamps), and each file carries
 the manifest hash in a leading ``#`` comment.
 
-Each ``cmd_*`` handler takes ``(params, tolerances)``, computes, and returns
+Each ``cmd_*`` handler takes ``(params)``, computes, and returns
 ``(tables, nmax_trace)`` where ``tables`` maps a file name to its columns,
 an ordered ``{column name: 1-D values}`` dict.  No handler writes a file or
 lays out a row: ``_record`` alone builds the manifest, hashes it and passes
@@ -23,7 +24,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -63,7 +63,6 @@ from .quantum import (
 )
 from .symplectic import normal_frequency_sweep
 
-DEFAULT_CONVERGENCE_TOL = 1e-8
 #: 1 - P at the edge of the sensitivity fit window above which the survival
 #: is no longer quadratic in the offset, so the fitted curvature means little
 _FIT_EDGE_DECAY = 0.1
@@ -81,7 +80,6 @@ class RunManifest:
     version: str
     command: str
     parameters: dict
-    tolerances: dict = field(default_factory=dict)
     nmax_trace: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
 
@@ -99,7 +97,7 @@ class RunManifest:
     @classmethod
     def load(cls, path):
         """Read a manifest of a command rotor can rerun, with parameters that
-        command accepts and valid tolerances; anything else raises
+        command accepts; anything else, an unknown field included, raises
         ``ValueError``."""
         try:
             manifest = cls(**json.loads(Path(path).read_text(encoding="utf-8")))
@@ -110,7 +108,6 @@ class RunManifest:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path} is not a rotor manifest: {exc}") from None
         _check_parameters(manifest.command, manifest.parameters)
-        _check_tolerances(manifest.tolerances)
         return manifest
 
 
@@ -128,14 +125,12 @@ def write_csv(path, columns, manifest_hash):
         fh.write((template * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-def _record(command, params, out_dir, tolerances):
+def _record(command, params, out_dir):
     """Run one command and write its run record: the manifest is hashed with
     the outputs listed (bodies pending), then every table is written as a CSV
     carrying that hash, then ``manifest.json``."""
-    tables, nmax_trace = _HANDLERS[command](params, tolerances)
-    manifest = RunManifest(
-        "rotor", __version__, command, params, tolerances, nmax_trace, sorted(tables)
-    )
+    tables, nmax_trace = _HANDLERS[command](params)
+    manifest = RunManifest("rotor", __version__, command, params, nmax_trace, sorted(tables))
     digest = manifest.hash()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -274,27 +269,6 @@ def _freq_out(value, unit):
     return value / (2 * np.pi) if unit == "khz" else value
 
 
-def _check_tolerances(tolerances):
-    """``tolerances`` if it maps "convergence" and "shell", and nothing else,
-    each to a finite number of at least 0; ValueError otherwise."""
-    if not isinstance(tolerances, dict) or sorted(tolerances) != ["convergence", "shell"]:
-        raise ValueError(f"tolerances must hold convergence and shell alone, got {tolerances!r}")
-    for key, value in tolerances.items():
-        if type(value) not in (int, float) or not 0 <= value < np.inf:
-            raise ValueError(f"tolerance {key} must be a finite number >= 0, got {value!r}")
-    return tolerances
-
-
-def _tolerances():
-    """The tolerances of a new run: ROTOR_TOL, or 1e-8, for both."""
-    text = os.environ.get("ROTOR_TOL")
-    try:
-        tol = DEFAULT_CONVERGENCE_TOL if text is None else float(text)
-        return _check_tolerances({"convergence": tol, "shell": tol})
-    except ValueError as exc:
-        raise ValueError(f"ROTOR_TOL={text}: {exc}") from None
-
-
 def _protocol_from(params):
     omega1, _ = resolve_frequency(params, "omega1")
     theta_f = parse_angle(params["theta_f"])
@@ -330,7 +304,7 @@ def _fock_states(state):
 # subcommands
 
 
-def cmd_design(params, tolerances):
+def cmd_design(params):
     given = [f"--omega1-{u}" for u in ("khz", "rad") if params.get(f"omega1_{u}") is not None]
     if params.get("table1") and given:
         raise InfeasibleDesign(f"--table1, {given[0]}: the reference rows set their own frequencies")
@@ -376,7 +350,7 @@ def cmd_design(params, tolerances):
     return {"design.csv": columns}, []
 
 
-def cmd_modes(params, tolerances):
+def cmd_modes(params):
     # the output is labelled in omega1's unit, so every frequency must share it
     given = ["--" + k.replace("_", "-") for k, v in params.items()
              if v is not None and k.endswith(("_khz", "_rad"))]
@@ -413,7 +387,7 @@ def cmd_modes(params, tolerances):
     return {"modes.csv": columns}, []
 
 
-def cmd_simulate(params, tolerances):
+def cmd_simulate(params):
     """Closed forms, unless ``--nmax`` or ``--ehrenfest`` asks for a Fock run."""
     protocol = _protocol_from(params)
     state = _initial_state(params["state"])
@@ -429,12 +403,7 @@ def cmd_simulate(params, tolerances):
             nmax, trace = int(params["nmax"]), None
         else:
             nmax, trace = converge_truncation(
-                protocol,
-                make_state,
-                nmax_start=nmax_start,
-                p_tol=tolerances["convergence"],
-                shell_tol=tolerances["shell"],
-                nmax_cap=params["nmax_cap"],
+                protocol, make_state, nmax_start=nmax_start, nmax_cap=params["nmax_cap"]
             )
         psi0 = make_state(nmax)
         coeffs = evolve_series(psi0, build_fock_hamiltonian(protocol.config, nmax), times)
@@ -486,7 +455,7 @@ def _trajectory_table(trajectory):
     return {"t": trajectory.times, "q1": q1, "q2": q2, "p1": p1, "p2": p2}
 
 
-def cmd_classical(params, tolerances):
+def cmd_classical(params):
     state0 = _initial_point(params)
     protocol = _protocol_from(params)
     frame = params["frame"]
@@ -498,7 +467,7 @@ def cmd_classical(params, tolerances):
     return {f"trajectory_{frame}.csv": _trajectory_table(trajectory)}, []
 
 
-def cmd_track(params, tolerances):
+def cmd_track(params):
     protocol = _protocol_from(params)
     a1, a2 = parse_complex(params["alpha1"]), parse_complex(params["alpha2"])
     steps, points = int(params["steps"]), int(params["grid_points"])
@@ -521,7 +490,7 @@ def cmd_track(params, tolerances):
     return tables, [grid.diagnostics]
 
 
-def cmd_stability(params, tolerances):
+def cmd_stability(params):
     n2_list = [int(x) for x in str(params["n2_list"]).split(",")]
     state = _initial_state(params["state"])
     eps_frac = params["eps_range"]
@@ -668,11 +637,10 @@ def main(argv=None):
     params = _parameters(args)
     try:
         if args.command != "rerun":
-            return _record(args.command, params, args.out_dir, _tolerances())
-        # a rerun takes the recorded tolerances and never reads ROTOR_TOL
+            return _record(args.command, params, args.out_dir)
         manifest = RunManifest.load(args.manifest)
         out_dir = args.out_dir or Path(args.manifest).parent
-        return _record(manifest.command, manifest.parameters, out_dir, manifest.tolerances)
+        return _record(manifest.command, manifest.parameters, out_dir)
     except (RotorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, (ConvergenceFailure, TruncationTooSmall)) else 2

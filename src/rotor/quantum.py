@@ -74,7 +74,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigvals_banded
 from scipy.special import gammainc, jv, xlogy
 
-from .classical import Trajectory, flow_matrix, sample_trajectory
+from .classical import Trajectory, _mode_rotation, flow_matrix, sample_trajectory
 from .core import J, PhaseSpaceState, build_rotating_hamiltonian
 from .errors import (
     ConvergenceFailure,
@@ -82,7 +82,7 @@ from .errors import (
     LogBranchFailure,
     TruncationTooSmall,
 )
-from .symplectic import normal_modes
+from .symplectic import NormalModes, normal_modes
 
 #: rms spread of the ground-state position density, the natural length for
 #: "within one ground-state width" statements.
@@ -565,27 +565,40 @@ class _LadderFlow(NamedTuple):
     vacuum is U|0> = G0 exp(a+ B a+ / 2)|0> with ``b`` = B = -alpha'^-1 beta'
     and G0 = <0|U|0> = det(alpha')^(-1/2), whose branch starts at 1 at t = 0
     (:meth:`ClosedFormState.overlap` follows it).  The zero-point energy is
-    inside the determinant because H is Weyl-ordered.
+    inside the determinant because H is Weyl-ordered.  ``modes`` and
+    ``times`` are those the flow was formed from.
     """
 
     flow: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     b: np.ndarray
+    modes: NormalModes
+    times: np.ndarray
 
     def mean(self, d0):
         """The evolved mean amplitudes alpha_t = L F(t) d0, shape (times, 2),
         of a state centred at the phase-space point ``d0``."""
         return (self.flow @ d0) @ _L.T
 
+    def offset(self, d0):
+        """alpha - alpha_t = L S (I - R(t)) S^-1 d0, shape (times, 2), of a
+        state centred at ``d0``, from the normal-mode rotation R(t) rather
+        than by subtracting :meth:`mean`: F(0) = S S^-1 is not I in doubles,
+        while R(0) is, so the offset at t = 0 is exactly 0 at any amplitude."""
+        s = self.modes.transform
+        turn = np.eye(4) - _mode_rotation(self.modes, self.times)
+        return (s.s @ turn @ (s.inverse @ d0)) @ _L.T
+
 
 def _ladder_flow(config, times):
     """The :class:`_LadderFlow` of ``config`` at ``times`` (a scalar counts as one)."""
-    flow = flow_matrix(normal_modes(config), np.atleast_1d(np.asarray(times, dtype=float)))
+    modes, times = normal_modes(config), np.atleast_1d(np.asarray(times, dtype=float))
+    flow = flow_matrix(modes, times)
     inverse = -J @ flow.transpose(0, 2, 1) @ J
     ladder = _L @ inverse @ _K
     alpha, beta = ladder[:, :, :2], ladder[:, :, 2:]
-    return _LadderFlow(flow, alpha, beta, -np.linalg.solve(alpha, beta))
+    return _LadderFlow(flow, alpha, beta, -np.linalg.solve(alpha, beta), modes, times)
 
 
 def _coherent_series(alpha1, alpha2, config, nmax, times):
@@ -708,7 +721,8 @@ def converge_truncation(
     weight (the larger of the initial and the final state's) is below
     ``shell_tol``; n is returned, and both n and 2n are in the trace.  Each
     size's Hamiltonian is built once, and a :func:`_propagator` gives psi(T)
-    as a block of one time.
+    as a block of one time.  ``simulate --ehrenfest`` runs the search at the
+    default tolerances.
 
     Returns
     -------
@@ -1083,8 +1097,9 @@ class ClosedFormState:
 
     No observable needs a truncation or an eigendecomposition.  With
     G0 = det(alpha')^(-1/2) the overlap <psi0|U|psi0> is G0 times
-    exp(i Im(alpha_t . alpha*) + d*^T B d* / 2 - |d|^2 / 2), d = alpha - alpha_t,
-    for a coherent state, and G0 (w^T alpha'* w + w^T beta'* B w) for A+|0>.
+    exp(-i Im(d . alpha*) + d*^T B d* / 2 - |d|^2 / 2), d = alpha - alpha_t
+    (:meth:`_LadderFlow.offset`, exactly 0 at t = 0), for a coherent state,
+    and G0 (w^T alpha'* w + w^T beta'* B w) for A+|0>.
     Second moments follow the classical flow, Sigma(t) = F Sigma0 F^T.
 
     Raises ValueError if either |alpha|^2 is not finite, or if an entangled
@@ -1120,10 +1135,10 @@ class ClosedFormState:
             pairing = ladder.alpha.conj() + ladder.beta.conj() @ ladder.b
             return np.einsum("i,tij,j->t", _W, pairing, _W)
         alpha = np.array([self.alpha1, self.alpha2], dtype=complex)
-        mean = ladder.mean(self.centroid)
-        d = alpha - mean
+        # Im(alpha_t . alpha*) = -Im(d . alpha*), since |alpha|^2 is real
+        d = ladder.offset(self.centroid)
         return np.exp(
-            1j * (mean @ alpha.conj()).imag
+            -1j * (d @ alpha.conj()).imag
             + 0.5 * np.einsum("ti,tij,tj->t", d.conj(), ladder.b, d.conj())
             - 0.5 * (np.abs(d) ** 2).sum(-1)
         )

@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import subprocess
 import sys
@@ -12,7 +11,15 @@ from hypothesis import strategies as st
 
 import rotor.cli
 import rotor.quantum
-from rotor import ConvergenceFailure, DegenerateOverlap, TrapConfig, normal_frequencies
+from rotor import (
+    ConvergenceFailure,
+    DegenerateOverlap,
+    TrapConfig,
+    coherent_state,
+    converge_truncation,
+    design_protocol,
+    normal_frequencies,
+)
 from rotor.cli import RunManifest, main, parse_angle, parse_complex, write_csv
 
 
@@ -27,6 +34,14 @@ _CSV_TABLES = st.integers(1, 5).flatmap(
         st.just(ncols), st.lists(st.lists(_CSV_VALUES, min_size=ncols, max_size=ncols), max_size=30)
     )
 )
+
+
+# the design of ``simulate --omega1-khz 1`` and the state of ``--state ground``
+_DEFAULT_DESIGN = design_protocol(2 * np.pi, np.pi / 2, 1, 2)
+
+
+def _ground(nmax):
+    return coherent_state(0, 0, nmax)
 
 
 def read_body(path):
@@ -342,20 +357,11 @@ class TestSimulateCommand:
             assert manifest["outputs"] == ["observables.csv"]
             assert bool(manifest["nmax_trace"]) == bool(extra)
 
-    def test_convergence_failure_exit(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ROTOR_TOL", "0")
-        code = main(
-            [
-                "simulate",
-                "--omega1-khz", "1",
-                "--state", "ground",
-                "--samples", "10",
-                "--nmax-cap", "32",
-                "--ehrenfest",
-                "--out-dir", str(tmp_path),
-            ]
-        )
-        assert code == 3
+    def test_convergence_failure_exit(self):
+        # no pair of sizes meets a zero tolerance; the CLI's exit 3 for this
+        # error is test_cap_below_the_first_probe_refused's
+        with pytest.raises(ConvergenceFailure):
+            converge_truncation(_DEFAULT_DESIGN, _ground, p_tol=0, nmax_cap=32)
 
     @pytest.mark.parametrize(
         "state, cap, start",
@@ -380,33 +386,15 @@ class TestSimulateCommand:
         )
         assert not (tmp_path / "manifest.json").exists()
 
-    def test_unconverged_search_names_the_probe_above_the_cap(self, tmp_path, monkeypatch,
-                                                              capsys):
-        monkeypatch.setenv("ROTOR_TOL", "0")
-        argv = ["simulate", "--omega1-khz", "1", "--state", "ground", "--samples", "10",
-                "--nmax-cap", "32", "--ehrenfest", "--out-dir", str(tmp_path)]
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(
-            "error: survival not converged: the search started at nmax = 16, and the next "
+    def test_unconverged_search_names_the_probe_above_the_cap(self):
+        with pytest.raises(ConvergenceFailure) as failure:
+            converge_truncation(_DEFAULT_DESIGN, _ground, p_tol=0, nmax_cap=32)
+        message = str(failure.value)
+        assert message.startswith(
+            "survival not converged: the search started at nmax = 16, and the next "
             "probe, nmax = 64, is above the cap nmax = 32; trace = [{'nmax': 16, "
         )
-        assert "{'nmax': 32, " in err
-        assert not (tmp_path / "manifest.json").exists()
-
-    def test_tolerance_env_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ROTOR_TOL", "1e-6")
-        main(
-            [
-                "simulate",
-                "--omega1-khz", "1",
-                "--state", "ground",
-                "--samples", "10",
-                "--out-dir", str(tmp_path),
-            ]
-        )
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["tolerances"]["convergence"] == 1e-6
+        assert "{'nmax': 32, " in message
 
     def test_moderate_amplitude_converges_below_the_cap(self, tmp_path, capsys):
         # |alpha|^2 = 4 starts at coherent_nmax = 24, so 2 * 24 fits below 50
@@ -918,21 +906,6 @@ class TestReproducibility:
         redo = json.loads((tmp_path / "redo/manifest.json").read_text())
         assert orig == redo
 
-    def test_rerun_uses_recorded_tolerances(self, tmp_path, monkeypatch):
-        args = ["simulate", "--omega1-khz", "1", "--state", "entangled", "--samples", "20"]
-        monkeypatch.setenv("ROTOR_TOL", "1e-8")
-        assert main(args + ["--out-dir", str(tmp_path / "orig")]) == 0
-        monkeypatch.setenv("ROTOR_TOL", "1e-3")
-        code = main(
-            ["rerun", str(tmp_path / "orig/manifest.json"), "--out-dir", str(tmp_path / "redo")]
-        )
-        assert code == 0
-        for name in ("observables.csv", "manifest.json"):
-            assert (tmp_path / "orig" / name).read_bytes() == (
-                tmp_path / "redo" / name
-            ).read_bytes()
-        assert os.environ["ROTOR_TOL"] == "1e-3"
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -961,6 +934,7 @@ class TestReproducibility:
     @pytest.mark.parametrize(
         "tolerances",
         [
+            {"convergence": 1e-8, "shell": 1e-8},
             [],
             {"convergence": "abc", "shell": 1e-8},
             {"convergence": None, "shell": 1e-8},
@@ -970,29 +944,45 @@ class TestReproducibility:
             {"convergence": 1e-8, "shell": 1e-8, "unknown": 1e-8},
             {"convergence": 1e-8},
         ],
-        ids=["list", "text", "null", "negative", "nan", "bool", "unknown-key", "missing-key"],
+        ids=["version-0.4.0", "list", "text", "null", "negative", "nan", "bool", "unknown-key",
+             "missing-key"],
     )
     def test_rerun_rejects_bad_tolerances(self, tmp_path, capsys, monkeypatch, tolerances):
+        """A manifest has no tolerances field: one that carries any, as every
+        0.4.0 manifest does, is refused before a handler runs."""
         orig, redo = tmp_path / "orig", tmp_path / "redo"
         argv = ["simulate", "--omega1-khz", "1", "--samples", "5"]
         assert main(argv + ["--out-dir", str(orig)]) == 0
         manifest = json.loads((orig / "manifest.json").read_text())
         manifest["tolerances"] = tolerances
         (orig / "manifest.json").write_text(json.dumps(manifest))
-        monkeypatch.setattr(rotor.cli, "converge_truncation", None)  # nothing may run
+        for command in rotor.cli._HANDLERS:  # nothing may run
+            monkeypatch.setitem(rotor.cli._HANDLERS, command, None)
         capsys.readouterr()
         assert main(["rerun", str(orig / "manifest.json"), "--out-dir", str(redo)]) == 2
-        assert capsys.readouterr().err.startswith("error: tolerance")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {orig / 'manifest.json'} is not a rotor manifest: ")
+        assert "'tolerances'" in err
         assert not redo.exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
-    def test_bad_tolerance_env_rejected(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("ROTOR_TOL", value)
-        monkeypatch.setattr(rotor.cli, "converge_truncation", None)  # nothing may run
-        argv = ["simulate", "--omega1-khz", "1", "--samples", "5", "--out-dir", str(tmp_path)]
-        assert main(argv) == 2
-        assert capsys.readouterr().err.startswith(f"error: ROTOR_TOL={value}: ")
-        assert list(tmp_path.iterdir()) == []
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["design", "--omega1-khz", "1"],
+            ["simulate", "--omega1-khz", "1", "--samples", "5", "--ehrenfest"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_tolerance_env_changes_nothing(self, tmp_path, monkeypatch, argv):
+        # rotor reads no environment variable: a ROTOR_TOL left set changes no byte
+        plain, env = tmp_path / "plain", tmp_path / "env"
+        assert main(argv + ["--out-dir", str(plain)]) == 0
+        monkeypatch.setenv("ROTOR_TOL", "nan")
+        assert main(argv + ["--out-dir", str(env)]) == 0
+        names = sorted(p.name for p in plain.iterdir())
+        assert sorted(p.name for p in env.iterdir()) == names
+        for name in names:
+            assert (plain / name).read_bytes() == (env / name).read_bytes(), name
 
     def test_rerun_ignores_the_tolerance_env(self, tmp_path, monkeypatch):
         orig, redo = tmp_path / "orig", tmp_path / "redo"

@@ -16,7 +16,8 @@ the band storage of each sector rebuilt bit for bit.  The parity-block
 operator-conjugation oracle is checked against the residual on the whole
 truncated basis, with U from the dense exponential.  The
 vectorised velocity sweep of the normal frequencies is checked bit for bit
-against the per-velocity loop.
+against the per-velocity loop.  The closed-form survival and overlap at
+t = 0 are checked against the ground state's and 1 up to |alpha| = 1e150.
 """
 
 import numpy as np
@@ -599,3 +600,27 @@ def test_revival_phase_drift_grows_with_the_occupation(protocol, alpha1, alpha2)
     occupation = abs(alpha1) ** 2 + abs(alpha2) ** 2
     bound = PHASE_DRIFT_MARGIN * (n1 + n2) * (occupation + 1) * np.finfo(float).eps
     assert abs(phase - (-1) ** (n1 + n2)) <= bound
+
+
+huge_amplitudes = st.builds(
+    lambda log_r, phi: 10**log_r * np.exp(1j * phi), st.floats(-2.0, 150.0), st.floats(0.0, 2 * np.pi)
+)
+
+
+@settings(deadline=None, max_examples=200)
+# 1 - P(0) of simulate --omega1-khz 1 --state coherent:1e12,0.5e12j read 1.9e-8 at 0.4.0
+@example(design_protocol(2 * np.pi, np.pi / 2, 1, 2), 1e12, 0.5e12j)
+@example(design_protocol(2 * np.pi, np.pi / 2, 1, 2), 1e150, 0)
+@given(wide_protocols(), huge_amplitudes, huge_amplitudes)
+def test_closed_forms_start_at_one_at_any_amplitude(protocol, alpha1, alpha2):
+    """At t = 0 the offset alpha - alpha_t is exactly 0, so the closed-form
+    survival and overlap there are the ground state's, bit for bit, up to
+    |alpha| = 1e150.  Those miss 1 only by the rounding of F(0) = S S^-1 in
+    det alpha': at most 5 eps (1.1e-15) over 20,000 draws of these designs."""
+    config = protocol.config
+    state, ground = ClosedFormState(alpha1, alpha2), ClosedFormState()
+    survival, overlap = state.survival(config, [0.0])[0], state.overlap(config, 0.0)
+    assert survival == ground.survival(config, [0.0])[0]
+    assert overlap == ground.overlap(config, 0.0)
+    eps = np.finfo(float).eps
+    assert abs(survival - 1) <= 8 * eps and abs(overlap - 1) <= 8 * eps
