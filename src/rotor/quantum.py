@@ -474,8 +474,9 @@ def _propagator(state, h):
     sum_k (2 - delta_k0) J_k(r tau) (-i)^k T_k(R') (Tal-Ezer and Kosloff,
     J. Chem. Phys. 81, 3967 (1984)).  The function keeps the last state it
     computed and takes the times in increasing order, in blocks from that
-    state: the times within ``_CHEBYSHEV_SPAN`` / r of it, or the next one
-    alone; the chunks of one grid continue one another.  A block is one real
+    state: the times within ``_CHEBYSHEV_SPAN`` / r of it, after equal hops
+    of at most that span towards a farther next time; the chunks of one grid
+    continue one another.  A block is one real
     product of its Bessel weights (:func:`_chebyshev_bessel`, reused to
     first order by a next block whose r tau are within sqrt(``_CHEBYSHEV_TAIL``)
     of them, so a uniform grid needs one table) with the terms of
@@ -525,10 +526,13 @@ def _propagator(state, h):
             if ordered[start] == last["time"]:  # the last state itself, with no series
                 out[order[start]], start = last["state"], start + 1
                 continue
-            stop = start + 1
-            if abs(ordered[start] - last["time"]) * radius <= _CHEBYSHEV_SPAN:
-                reach = last["time"] + _CHEBYSHEV_SPAN / radius
-                stop = max(stop, int(np.searchsorted(ordered, reach, side="right")))
+            gap = ordered[start] - last["time"]
+            # a far time is reached in equal hops of at most the span: one
+            # series over r |gap| orders lets the norm drift by ~ (r gap)^2 eps
+            hops = math.ceil(abs(gap) * radius / _CHEBYSHEV_SPAN)
+            for _ in range(hops - 1):
+                block(np.array([last["time"] + gap / hops]))
+            stop = max(start + 1, int(np.searchsorted(ordered, last["time"] + _CHEBYSHEV_SPAN / radius, side="right")))
             out[order[start:stop]] = block(ordered[start:stop])
             start = stop
         return (out * phases).reshape(times.size, h.nmax, h.nmax)
