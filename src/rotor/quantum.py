@@ -111,8 +111,6 @@ _CHEBYSHEV_TAIL = 1e-17
 #: largest r |t - t0| in a block of the Chebyshev propagator, with r the
 #: half-width of the spectrum and t0 the time of the state it starts from
 _CHEBYSHEV_SPAN = 32
-#: orders held at once: more than the 70 a block within the span needs
-_CHEBYSHEV_TERMS = 96
 #: most Taylor terms per step of :func:`_expm_action`, and the largest 1-norm
 #: of a step's matrix at which that many keep the relative backward error of
 #: the truncation below 2**-53 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
@@ -463,6 +461,14 @@ def _chebyshev_terms(turn, x):
         previous, current = current, turn @ current + previous
 
 
+def _finite_times(times):
+    """``times`` as a 1-D float array; ValueError unless all are finite."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.isfinite(times).all():
+        raise ValueError("evolution times must be finite")
+    return times
+
+
 def _propagator(state, h):
     """The function ``times -> (len(times), nmax, nmax)`` coefficients of
     exp(-i H t) |psi> for ``state`` under ``h``, at times in any order and
@@ -480,7 +486,7 @@ def _propagator(state, h):
     product of its Bessel weights (:func:`_chebyshev_bessel`, reused to
     first order by a next block whose r tau are within sqrt(``_CHEBYSHEV_TAIL``)
     of them, so a uniform grid needs one table) with the terms of
-    :func:`_chebyshev_terms`, ``_CHEBYSHEV_TERMS`` orders at a time.
+    :func:`_chebyshev_terms`, at most 70 orders within the span.
 
     Raises ValueError, before any product, if the truncations differ or
     where :func:`_real_rotation` does, and on a time that is not finite.
@@ -508,16 +514,13 @@ def _propagator(state, h):
         weights = 2 * bessel[:, 1:-1] + (z - z0)[:, None] * (bessel[:, :-2] - bessel[:, 2:])
         weights[:, 0] /= 2
         terms = _chebyshev_terms(turn, np.concatenate([last["state"].real, last["state"].imag]))
-        chunks = np.hsplit(weights, range(_CHEBYSHEV_TERMS, weights.shape[1], _CHEBYSHEV_TERMS))
-        series = sum(w @ np.stack(list(islice(terms, w.shape[1]))) for w in chunks)
+        series = weights @ np.stack(list(islice(terms, weights.shape[1])))
         states = np.exp(-1j * centre * offsets)[:, None] * (series[:, :dim] + 1j * series[:, dim:])
         last.update(time=times[-1], state=states[-1])
         return states
 
     def coefficients(times):
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if not np.isfinite(times).all():
-            raise ValueError("evolution times must be finite")
+        times = _finite_times(times)
         order = np.argsort(times, kind="stable")
         ordered = times[order]
         out = np.empty((times.size, dim), dtype=complex)
@@ -567,10 +570,9 @@ class _LadderFlow(NamedTuple):
     the classical flow ``flow`` = F(t) and F(-t) = -J F(t)^T J; ``alpha``
     and ``beta`` are the (times, 2, 2) blocks alpha' and beta'.  The evolved
     vacuum is U|0> = G0 exp(a+ B a+ / 2)|0> with ``b`` = B = -alpha'^-1 beta'
-    and G0 = <0|U|0> = det(alpha')^(-1/2), whose branch starts at 1 at t = 0
-    (:meth:`ClosedFormState.overlap` follows it).  The zero-point energy is
-    inside the determinant because H is Weyl-ordered.  ``modes`` and
-    ``times`` are those the flow was formed from.
+    and G0 = <0|U|0> = det(alpha')^(-1/2) (:meth:`g0`, branch included).  The
+    zero-point energy is inside the determinant because H is Weyl-ordered.
+    ``modes`` and ``times`` are those the flow was formed from.
     """
 
     flow: np.ndarray
@@ -594,10 +596,18 @@ class _LadderFlow(NamedTuple):
         turn = np.eye(4) - _mode_rotation(self.modes, self.times)
         return (s.s @ turn @ (s.inverse @ d0)) @ _L.T
 
+    def g0(self):
+        """G0 = e^(-i phi/2) / sqrt(e^(-i phi) det alpha') at each time, phi = (O1 + O2) t.
+        With the static vacuum exp(b+ Z b+ / 2)|0_b> in the normal-mode ladder, |Z| < 1,
+        and E = diag(e^(-i O_j t)), e^(-i phi) det alpha' = det(I - Z* E Z E) / det(I - Z* Z)
+        has its argument inside (-pi, pi): the principal root is continuous and 1 at 0."""
+        phi = (self.modes.omega_cap1 + self.modes.omega_cap2) * self.times
+        return np.exp(-0.5j * phi) / np.sqrt(np.exp(-1j * phi) * np.linalg.det(self.alpha))
+
 
 def _ladder_flow(config, times):
     """The :class:`_LadderFlow` of ``config`` at ``times`` (a scalar counts as one)."""
-    modes, times = normal_modes(config), np.atleast_1d(np.asarray(times, dtype=float))
+    modes, times = normal_modes(config), _finite_times(times)
     flow = flow_matrix(modes, times)
     inverse = -J @ flow.transpose(0, 2, 1) @ J
     ladder = _L @ inverse @ _K
@@ -1099,8 +1109,8 @@ class ClosedFormState:
     when ``entangled``, the one-quantum state A+|0> of :func:`entangled_state`,
     evolved exactly through the :class:`_LadderFlow` of the protocol.
 
-    No observable needs a truncation or an eigendecomposition.  With
-    G0 = det(alpha')^(-1/2) the overlap <psi0|U|psi0> is G0 times
+    No observable needs a truncation, an eigendecomposition or an iteration.
+    With G0 (:meth:`_LadderFlow.g0`) the overlap <psi0|U|psi0> is G0 times
     exp(-i Im(d . alpha*) + d*^T B d* / 2 - |d|^2 / 2), d = alpha - alpha_t
     (:meth:`_LadderFlow.offset`, exactly 0 at t = 0), for a coherent state,
     and G0 (w^T alpha'* w + w^T beta'* B w) for A+|0>.
@@ -1154,26 +1164,15 @@ class ClosedFormState:
 
     def mean_excitation(self, config, times):
         """<N>(t) = (tr F Sigma0 F^T + |F d0|^2 - 2) / 2 at each of ``times``."""
-        flow = flow_matrix(normal_modes(config), np.atleast_1d(np.asarray(times, dtype=float)))
+        flow = flow_matrix(normal_modes(config), _finite_times(times))
         spread = np.einsum("tij,jk,tik->t", flow, self.covariance, flow)
         return (spread + ((flow @ self.centroid) ** 2).sum(-1) - 2) / 2
 
     def overlap(self, config, t):
-        """<psi0|U(t)|psi0>, with G0 on the branch that is 1 at 0.
-
-        arg det alpha' is followed over a uniform grid on [0, t] whose step
-        count doubles from 64 until no step moves it by pi/2 or more.
-        """
-        steps = 64
-        while True:
-            ladder = _ladder_flow(config, np.linspace(0.0, t, steps + 1))
-            det = np.linalg.det(ladder.alpha)
-            turns = np.angle(det[1:] * det[:-1].conj())
-            if not np.abs(turns).max() >= np.pi / 2:
-                break
-            steps *= 2
-        g0 = np.exp(-0.5j * turns.sum()) / np.sqrt(np.abs(det[-1]))
-        return complex(g0 * self._reduced_overlap(ladder)[-1])
+        """<psi0|U(t)|psi0>: G0 (:meth:`_LadderFlow.g0`) times the reduced
+        overlap, from the one :class:`_LadderFlow` at t."""
+        ladder = _ladder_flow(config, t)
+        return complex(ladder.g0()[0] * self._reduced_overlap(ladder)[0])
 
     def revival_phase(self, protocol):
         """The unit-modulus <psi0|U(T)|psi0> / |<psi0|U(T)|psi0>|, as

@@ -292,6 +292,32 @@ def test_closed_forms_match_fock_evolution(protocol, state, fracs):
     assert np.abs(closed - overlaps).max() <= 1e-12
 
 
+#: largest |overlap(kT + tau) - (-1)^(k(n1+n2)) overlap(tau)| /
+#: (k eps (O1 + O2) T (<N> + 1)) over 20,000 random draws of the strategies
+#: below was 1.3 (median 0.13); the bound leaves a factor of about 6
+PERIOD_DRIFT_MARGIN = 8
+
+
+@settings(deadline=None)
+@example(design_protocol(1.0, 7.2, 1, 4), ClosedFormState(entangled=True), 10**4, 0.5)
+@example(design_protocol(1.0, 1.0, 2, 3), ClosedFormState(-0.5, 1j), 10**4, 0.0)
+@given(protocols(), closed_form_states, st.integers(0, 10**4), st.floats(0.0, 1.0, exclude_max=True))
+def test_overlap_repeats_each_period_up_to_its_revival_sign(protocol, state, k, frac):
+    """G0 is a closed form at any time, with no branch to follow from 0: the
+    overlap k periods on is (-1)^(k(n1+n2)) times the overlap now, up to the
+    rounding of kT + tau and of the mode angles, which grows as k eps O T."""
+    config, period = protocol.config, protocol.duration
+    tau = frac * period
+    later, now = state.overlap(config, k * period + tau), state.overlap(config, tau)
+    o1, o2 = normal_frequencies(config)
+    occupation = abs(state.alpha1) ** 2 + abs(state.alpha2) ** 2 + state.entangled
+    eps = np.finfo(float).eps
+    bound = PERIOD_DRIFT_MARGIN * (k + 1) * eps * (o1 + o2) * period * (occupation + 1)
+    assert abs(later - (-1) ** (k * (protocol.n1 + protocol.n2)) * now) <= bound
+    # |overlap| is at most 1, up to the rounding it has at t = 0
+    assert max(abs(later), abs(now)) <= 1 + 8 * eps
+
+
 @st.composite
 def fock_cases(draw):
     """A feasible design, its Hamiltonian at a truncation of at most 12 and

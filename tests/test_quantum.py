@@ -784,6 +784,32 @@ class TestClosedFormState:
         overlap = ClosedFormState().overlap(row1_protocol.config, duration)
         assert abs(overlap - np.exp(-1j * (o1 + o2) * duration / 2)) < 1e-12
 
+    @pytest.mark.parametrize("t", [0.0, 0.37, -2.5, 17.0])
+    def test_overlap_forms_one_flow_at_its_time(self, monkeypatch, row1_protocol, t):
+        # G0 is a closed form: no grid over [0, t] follows its branch
+        calls = []
+        ladder_flow = rotor.quantum._ladder_flow
+
+        def recording(config, times):
+            calls.append(np.atleast_1d(times).tolist())
+            return ladder_flow(config, times)
+
+        monkeypatch.setattr(rotor.quantum, "_ladder_flow", recording)
+        for state in (ClosedFormState(), ClosedFormState(entangled=True), ClosedFormState(1, 0.5j)):
+            calls.clear()
+            state.overlap(row1_protocol.config, t * row1_protocol.duration)
+            assert calls == [[t * row1_protocol.duration]]
+
+    @pytest.mark.parametrize(
+        "state", [ClosedFormState(), ClosedFormState(entangled=True)], ids=["ground", "entangled"]
+    )
+    @pytest.mark.parametrize("method", ["survival", "overlap", "mean_excitation"])
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_time_not_finite_rejected(self, row1_protocol, state, method, t):
+        times = t if method == "overlap" else [0.0, t]
+        with pytest.raises(ValueError, match="evolution times must be finite"):
+            getattr(state, method)(row1_protocol.config, times)
+
     def test_ground_state_sensitivity(self, row1_protocol):
         report = ClosedFormState().sensitivity(row1_protocol)
         fock = measure_sensitivity(row1_protocol, nmax=16)
