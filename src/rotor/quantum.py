@@ -9,13 +9,16 @@ exact to rounding on the truncated basis.
 
 No Hamiltonian is factorized.  :func:`_propagator` makes, for one state,
 the function of time that evolves it, one Chebyshev recurrence of sparse
-products per block of nearby times.  :func:`evolve_series`,
-:func:`stability_sweep`, :func:`wavepacket_track` and
-:func:`measure_sensitivity` make one per call, :func:`converge_truncation`
-one per size for psi(T).  :func:`revival_phase` evolves nothing: it reads
-the phase from psi(T), the state its caller has already evolved.
-:func:`measure_sensitivity` refuses a state with no energy variance, whose
-survival does not decay.
+products per block of nearby times.  :func:`evolve_series` and
+:func:`wavepacket_track` make one per call, :func:`converge_truncation` one
+per size for psi(T).  :func:`stability_sweep` and
+:func:`measure_sensitivity` need only the survival amplitude
+<psi0|exp(-i H t)|psi0> and evolve no state: :func:`_autocorrelation` takes
+it from the Chebyshev moments of psi0, one recurrence of about half as many
+sparse products as the series has orders, summed as a Gauss-Chebyshev rule.
+:func:`revival_phase` evolves nothing: it reads the phase from psi(T), the
+state its caller has already evolved.  :func:`measure_sensitivity` refuses a
+state with no energy variance, whose survival does not decay.
 
 Each observable takes one :class:`QuantumState` or a (..., nmax, nmax)
 coefficient stack, the shape :func:`evolve_series` returns, and gives one
@@ -54,14 +57,14 @@ symmetric matrix.  :func:`_real_rotation` makes, and checks, that real
 rotated matrix, and each reader of the Hamiltonian computes only what it
 needs from it: :func:`eigenvalues` reads each sector into band storage and
 takes its spectrum from ``eigvals_banded``, with no dense block and no
-eigenvectors; and :func:`_propagator` runs its recurrence on the sparse
-rotated matrix, with the real and imaginary parts of the state side by
-side in one real vector.  The tests check both against the full dense
-matrix, by ``eigvalsh`` and by ``expm``.  :func:`conjugation_check`
-applies exp(i v^T G v) on each parity sector alone by its own Taylor
-series (:func:`_expm_action`, sized from the exact 1-norm), splits the
-basis with its own index arithmetic and shares no code with either of
-them.
+eigenvectors; and :func:`_propagator` and :func:`_autocorrelation` run
+their recurrences on the sparse rotated matrix, with the real and imaginary
+parts of the state side by side in real arithmetic.  The tests check all
+three against the full dense matrix, by ``eigvalsh``, ``expm`` and
+``eigh``.  :func:`conjugation_check` applies exp(i v^T G v) on each parity
+sector alone by its own Taylor series (:func:`_expm_action`, sized from the
+exact 1-norm), splits the basis with its own index arithmetic and shares no
+code with any of them.
 """
 
 import math
@@ -435,18 +438,24 @@ def _gershgorin_interval(rot):
     return (high + low) / 2, (high - low) / 2 + 4 * np.spacing(max(-low, high))
 
 
-def _chebyshev_bessel(z):
-    """The (len(z), K) table J_k(z_i), k < K, with K the first order past
-    max |z| at which |J_k(max |z|)| is below ``_CHEBYSHEV_TAIL``; past |z|,
-    |J_k(z)| falls with k and rises with |z|.  Orders are searched 16 at a
-    time.  A negative z needs no care: J_k(-z) = (-1)^k J_k(z)."""
-    top = np.abs(z).max()
+def _chebyshev_orders(top):
+    """K, the number of Chebyshev orders a series keeps for |r t| <= ``top``:
+    the first order past ``top`` at which |J_K(top)| is below
+    ``_CHEBYSHEV_TAIL``.  Past top, |J_k(z)| falls with k and rises with |z|
+    <= top, so every later order is below the tail at every such z.  Orders
+    are searched 16 at a time."""
     start = math.floor(top) + 1
     while True:
         (below,) = np.nonzero(np.abs(jv(np.arange(start, start + 16), top)) < _CHEBYSHEV_TAIL)
         if below.size:
-            return jv(np.arange(start + below[0]), z[:, None])
+            return start + below[0]
         start += 16
+
+
+def _chebyshev_bessel(z):
+    """The (len(z), K) table J_k(z_i), k < K = :func:`_chebyshev_orders` of
+    max |z|.  A negative z needs no care: J_k(-z) = (-1)^k J_k(z)."""
+    return jv(np.arange(_chebyshev_orders(np.abs(z).max())), z[:, None])
 
 
 def _chebyshev_terms(turn, x):
@@ -541,6 +550,58 @@ def _propagator(state, h):
         return (out * phases).reshape(times.size, h.nmax, h.nmax)
 
     return coefficients
+
+
+def _autocorrelation(psi0, h, times):
+    """C(t) = <psi0| exp(-i H t) |psi0> at each of ``times``, of either sign,
+    from the Chebyshev moments of psi0, with no evolved state.
+
+    With R', c, r and x = D* psi0 as in :func:`_propagator`, C(t) =
+    exp(-i c t) sum_k (2 - delta_k0) (-i)^k J_k(r t) mu_k over the K orders
+    of :func:`_chebyshev_orders` at max r |t|, with the real moments
+    mu_k = <x|T_k(R')|x>.  R' is real symmetric, so T_2k = 2 T_k^2 - T_0 and
+    T_2k+1 = 2 T_k+1 T_k - T_1 give mu_2k = 2 |v_k|^2 - mu_0 and
+    mu_2k+1 = 2 <v_k+1, v_k> - mu_1 with v_k = T_k(R') x (Weisse, Wellein,
+    Alvermann and Fehske, Rev. Mod. Phys. 78, 275 (2006)): about K / 2 sparse
+    products in one series on the real (dim, 2) [Re x, Im x], with no hops,
+    since a scalar has no norm to drift.  By Jacobi-Anger the sum is the
+    K-point Gauss-Chebyshev rule sum_j w_j exp(-i r t x_j) on the nodes
+    x_j = cos(pi (j + 1/2) / K), with w = DCT-III(mu) / K: the rule is
+    exact on every T_k, k < K, so it sums the truncated series with no
+    Bessel table.  As
+    sum_j w_j = mu_0, it is summed as mu_0 + sum_j w_j (exp(-i r t x_j) - 1),
+    and C(0) is mu_0 = |psi0|^2 exactly.
+
+    Raises ValueError, before any product, where :func:`_propagator` does.
+    """
+    if psi0.nmax != h.nmax:
+        raise ValueError("state and Hamiltonian use different truncations")
+    times = _finite_times(times)
+    phases, rot, _ = _real_rotation(h.matrix, h.nmax)
+    centre, radius = _gershgorin_interval(rot)
+    orders = _chebyshev_orders(radius * np.abs(times).max(initial=0.0))
+    double = (rot - centre * sp.identity(phases.size)) * (2 / radius)
+    x = np.conj(phases) * psi0.vector
+    previous = np.stack([x.real, x.imag], axis=1)
+    current = double @ previous / 2
+    squares = [np.vdot(previous, previous), np.vdot(current, current)]
+    crosses = [np.vdot(current, previous)]
+    for _ in range(orders // 2 - 1):
+        previous, current = current, double @ current - previous
+        squares.append(np.vdot(current, current))
+        crosses.append(np.vdot(current, previous))
+    moments = np.empty(len(squares) + len(crosses))
+    moments[0::2] = 2 * np.array(squares) - squares[0]
+    moments[1::2] = 2 * np.array(crosses) - crosses[0]
+    moments = moments[:orders]
+    # w_j = (mu_0 + 2 sum_k mu_k cos(pi k (j + 1/2) / K)) / K, by one FFT of length 2K
+    k = np.arange(orders)
+    shifted = 2 * moments * np.exp(0.5j * np.pi * k / orders)
+    shifted[0] = moments[0]
+    weights = 2 * np.fft.ifft(shifted, 2 * orders)[:orders].real
+    nodes = np.cos(np.pi * (k + 0.5) / orders)
+    amplitudes = moments[0] + np.expm1(-1j * radius * np.outer(times, nodes)) @ weights
+    return np.exp(-1j * centre * times) * amplitudes
 
 
 def evolve_series(state, h, times):
@@ -1015,15 +1076,19 @@ def coherent_track(alpha1, alpha2, protocol, time_steps=2000, grid_points=201):
 
 
 def stability_sweep(psi0, protocol, epsilons):
-    """Survival probability P(T + eps) for each timing offset eps."""
+    """Survival probability P(T + eps) for each timing offset eps, from the
+    Chebyshev moments of ``psi0`` (:func:`_autocorrelation`): no state is
+    evolved.  Raises ValueError, before any product of the series, if an
+    offset is not finite."""
     h = build_fock_hamiltonian(protocol.config, psi0.nmax)
     return _survival_sweep(psi0, protocol, h, epsilons)
 
 
 def _survival_sweep(psi0, protocol, h, epsilons):
-    """:func:`stability_sweep` under the Hamiltonian ``h``, by one :func:`_propagator`."""
+    """:func:`stability_sweep` under the Hamiltonian ``h``: |C(T + eps)|^2
+    from one :func:`_autocorrelation`, with no state evolved."""
     epsilons = np.asarray(epsilons, dtype=float)
-    values = survival_probability(psi0, evolve_series(psi0, h, protocol.duration + epsilons))
+    values = np.abs(_autocorrelation(psi0, h, protocol.duration + epsilons)) ** 2
     return ObservableSeries(epsilons, values)
 
 
@@ -1068,7 +1133,10 @@ def measure_sensitivity(protocol, psi0=None, nmax=32):
     With no initial state the static-trap ground state at ``nmax`` is used,
     whose variance reduces to the closed form
     :func:`rotor.designer.ground_state_sensitivity`.  The Hamiltonian is
-    built once, for the variance and the sweep, which one propagator evolves.
+    built once, for the variance and the sweep; the sweep evolves no state,
+    but sums the survival amplitude from one series of Chebyshev moments
+    (:func:`_autocorrelation`), about r (T + 0.01 T) / 2 sparse products for
+    a spectral half-width r.
 
     Raises
     ------

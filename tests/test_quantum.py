@@ -725,10 +725,66 @@ class TestStability:
         p = design_protocol(1.0, np.pi / 2, 1, 2)
         isotropic = type(p)(**{**p.__dict__, "omega2": p.omega1})
         swept = []
-        monkeypatch.setattr(rotor.quantum, "_propagator", lambda *a: swept.append(a))
+        monkeypatch.setattr(rotor.quantum, "_autocorrelation", lambda *a: swept.append(a))
         with pytest.raises(ValueError, match="variance"):
             measure_sensitivity(isotropic, nmax=8)
         assert not swept
+
+    @staticmethod
+    def _dense_products(monkeypatch, refuse=False):
+        """The shapes of the dense operands of every sparse CSR product from
+        now on, the products of a Chebyshev series; with ``refuse``, any one
+        fails."""
+        products = []
+        matmul = sp.csr_matrix.__matmul__
+
+        def counting(matrix, other):
+            if isinstance(other, np.ndarray):
+                if refuse:
+                    raise AssertionError("a sparse product ran")
+                products.append(other.shape)
+            return matmul(matrix, other)
+
+        monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting)
+        return products
+
+    def test_sweep_takes_half_the_orders_in_products(self, monkeypatch):
+        # K moments from about K / 2 products of one series, with no hops
+        protocol = design_protocol(1.0, np.pi / 2, 1, 10)
+        h = build_fock_hamiltonian(protocol.config, 16)
+        _, rot, _ = _real_rotation(h.matrix, 16)
+        _, radius = _gershgorin_interval(rot)
+        orders, count = [], rotor.quantum._chebyshev_orders
+        monkeypatch.setattr(rotor.quantum, "_chebyshev_orders", lambda top: orders.append(count(top)) or orders[-1])
+        products = self._dense_products(monkeypatch)
+        window = 0.01 * protocol.duration
+        rotor.quantum._survival_sweep(fock_state(0, 0, 16), protocol, h, np.linspace(-window, window, 25))
+        (k,) = orders
+        assert k > radius * (protocol.duration + window)
+        assert 0 < len(products) <= math.ceil(k / 2) + 2
+
+    def test_sweep_forms_no_bessel_table_and_no_state(self, row1_protocol, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep evolved a state or formed a Bessel table")
+
+        for name in ("_chebyshev_bessel", "_propagator", "evolve_series"):
+            monkeypatch.setattr(rotor.quantum, name, refuse)
+        sweep = stability_sweep(entangled_state(16), row1_protocol, [-row1_protocol.duration, 0.0])
+        assert sweep.values[0] == pytest.approx(1.0, abs=1e-15)
+        assert sweep.values[1] == pytest.approx(1.0, abs=1e-9)
+        measure_sensitivity(row1_protocol, nmax=16)
+
+    def test_mismatched_truncation_rejected_before_any_product(self, row1_protocol, monkeypatch):
+        h = build_fock_hamiltonian(row1_protocol.config, 8)
+        self._dense_products(monkeypatch, refuse=True)
+        with pytest.raises(ValueError, match="truncations"):
+            rotor.quantum._survival_sweep(entangled_state(10), row1_protocol, h, [0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_offset_not_finite_rejected_before_any_product(self, row1_protocol, monkeypatch, bad):
+        self._dense_products(monkeypatch, refuse=True)
+        with pytest.raises(ValueError, match="finite"):
+            stability_sweep(fock_state(0, 0, 8), row1_protocol, [0.0, bad])
 
     def test_one_build_and_one_factorization(self, row1_protocol, monkeypatch):
         # the variance and the sweep share one Hamiltonian, and neither
@@ -852,8 +908,8 @@ class TestConjugation:
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle reached the Fock evolution")
 
-        for name in ("_propagator", "_real_rotation", "_gershgorin_interval", "_chebyshev_bessel",
-                     "_chebyshev_terms", "evolve_series"):
+        for name in ("_propagator", "_autocorrelation", "_real_rotation", "_gershgorin_interval",
+                     "_chebyshev_orders", "_chebyshev_bessel", "_chebyshev_terms", "evolve_series"):
             monkeypatch.setattr(rotor.quantum, name, refuse)
         _, s1, _, _ = step_transforms(row1_protocol.config)
         assert conjugation_check(symplectic_generator(s1), s1, 20, levels=10) < 1e-6
