@@ -106,6 +106,8 @@ _TRACK_BLOCK = 32
 #: evenly spaced times on [0, T], ends included, at which the Gaussian track
 #: samples its truncation diagnostics
 _TRACK_TRUNCATION_TIMES = 21
+#: bytes of the complex (times, orders) table of one chunk of a survival sweep
+_SWEEP_CHUNK_BYTES = 2**24
 #: half-width of the timing-error window of the sensitivity fit, as a fraction of T
 SENSITIVITY_WINDOW = 0.01
 #: the Chebyshev propagator keeps every order up to the first past r t at
@@ -570,7 +572,12 @@ def _autocorrelation(psi0, h, times):
     exact on every T_k, k < K, so it sums the truncated series with no
     Bessel table.  As
     sum_j w_j = mu_0, it is summed as mu_0 + sum_j w_j (exp(-i r t x_j) - 1),
-    and C(0) is mu_0 = |psi0|^2 exactly.
+    and C(0) is mu_0 = |psi0|^2 exactly.  The rule is summed by ``einsum``
+    in numpy's own loop, over chunks of times whose complex (times, K)
+    table holds at most ``_SWEEP_CHUNK_BYTES``, so a long sweep's memory is
+    bounded and no BLAS call wakes a thread pool: a gemv of even the
+    25-offset sweep's table does, and its idle threads then spin for about
+    0.1 s of CPU.
 
     Raises ValueError, before any product, where :func:`_propagator` does.
     """
@@ -600,8 +607,15 @@ def _autocorrelation(psi0, h, times):
     shifted[0] = moments[0]
     weights = 2 * np.fft.ifft(shifted, 2 * orders)[:orders].real
     nodes = np.cos(np.pi * (k + 0.5) / orders)
-    amplitudes = moments[0] + np.expm1(-1j * radius * np.outer(times, nodes)) @ weights
-    return np.exp(-1j * centre * times) * amplitudes
+    amplitudes = np.empty(times.size, dtype=complex)
+    chunk = max(1, int(_SWEEP_CHUNK_BYTES // (16 * orders)))
+    for start in range(0, times.size, chunk):
+        part = times[start : start + chunk]
+        # einsum runs numpy's own loop; a BLAS gemv here wakes its thread pool
+        amplitudes[start : start + chunk] = np.einsum(
+            "tj,j->t", np.expm1(-1j * radius * np.outer(part, nodes)), weights
+        )
+    return np.exp(-1j * centre * times) * (moments[0] + amplitudes)
 
 
 def evolve_series(state, h, times):
@@ -1078,8 +1092,8 @@ def coherent_track(alpha1, alpha2, protocol, time_steps=2000, grid_points=201):
 def stability_sweep(psi0, protocol, epsilons):
     """Survival probability P(T + eps) for each timing offset eps, from the
     Chebyshev moments of ``psi0`` (:func:`_autocorrelation`): no state is
-    evolved.  Raises ValueError, before any product of the series, if an
-    offset is not finite."""
+    evolved.  A scalar offset gives a one-point series.  Raises ValueError,
+    before any product of the series, if an offset is not finite."""
     h = build_fock_hamiltonian(protocol.config, psi0.nmax)
     return _survival_sweep(psi0, protocol, h, epsilons)
 
@@ -1087,7 +1101,7 @@ def stability_sweep(psi0, protocol, epsilons):
 def _survival_sweep(psi0, protocol, h, epsilons):
     """:func:`stability_sweep` under the Hamiltonian ``h``: |C(T + eps)|^2
     from one :func:`_autocorrelation`, with no state evolved."""
-    epsilons = np.asarray(epsilons, dtype=float)
+    epsilons = _finite_times(epsilons)
     values = np.abs(_autocorrelation(psi0, h, protocol.duration + epsilons)) ** 2
     return ObservableSeries(epsilons, values)
 
@@ -1323,6 +1337,13 @@ def conjugation_check(g, transform, nmax, levels=8):
     spectral norm is that of R_j.  Only B_j is formed.  At ``levels`` = 1 no
     odd state is kept, B_j is empty and the residual is 0.
 
+    No step wakes a BLAS thread pool: U+ (v_j U) is contracted by
+    ``einsum`` in numpy's own loop, and the 4 x 4 products and the SVD of
+    B_j stay in the calling thread.  As a zgemm (50 x 288 x 50 at nmax 24)
+    the contraction wakes the pool, whose threads then spin for about 0.1 s
+    of CPU after each call; the loop costs about 2 ms per product against
+    0.15 ms for one thread of zgemm.
+
     Returns
     -------
     float: the largest spectral norm over j of the restricted residual.
@@ -1362,6 +1383,7 @@ def conjugation_check(g, transform, nmax, levels=8):
     worst = 0.0
     for j in range(4):
         target = sum(s_inv[j, k] * flips[k] for k in range(4))[odd_kept][:, even_kept].toarray()
-        resid = u_odd.conj().T @ (flips[j] @ u_even) - target
+        # einsum runs numpy's own loop; a BLAS zgemm here wakes its thread pool
+        resid = np.einsum("ij,ik->jk", u_odd.conj(), flips[j] @ u_even) - target
         worst = max(worst, float(np.linalg.norm(resid, 2)))
     return worst

@@ -15,13 +15,18 @@ The transformation mixes coordinates with momenta, so it is canonical but
 not a point transformation.  The normal frequencies O1 <= O2 also follow in
 closed form from the trap parameters; they coincide with the moduli of the
 imaginary eigenvalues of the linear dynamics matrix 2*J*A.
+
+The module uses numpy alone.  :func:`symplectic_generator` takes its 4x4
+logarithm and exponential by its own iterations of ``inv``, ``solve`` and
+``@``, which stay in the calling thread: scipy's ``logm`` and ``expm`` of
+a 4x4 wake its BLAS thread pool, which then spins for about 0.1 s of CPU
+after each call.
 """
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 from .core import J, PhaseSpaceState, TrapConfig, build_rotating_hamiltonian, williamson_valid
 from .errors import LogBranchFailure, WilliamsonViolation
@@ -29,6 +34,12 @@ from .errors import LogBranchFailure, WilliamsonViolation
 SYMPLECTIC_TOL = 1e-12
 #: accuracy :func:`symplectic_generator` demands of G and of exp(2 J G)
 GENERATOR_TOL = 1e-10
+#: 1-norm of X - I at or below which :func:`_logm` sums the atanh series
+_LOG_SERIES_RADIUS = 0.25
+#: most square roots, Denman-Beavers steps per root, or series terms that
+#: :func:`_logm` and :func:`_expm` take; a spectrum within about 1e-10 of the
+#: negative real axis leaves a square root unconverged after this many steps
+_ITERATION_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -225,33 +236,106 @@ def normal_mode_energy(state_v, modes):
     )
 
 
+def _norm1(x):
+    """The 1-norm (largest column sum) of a matrix."""
+    return np.abs(x).sum(axis=0).max()
+
+
+def _sqrtm(x):
+    """Principal square root by the Denman-Beavers iteration
+    Y <- (Y + Z^-1) / 2, Z <- (Z + Y^-1) / 2 from Y = X, Z = I.
+
+    The iteration converges quadratically, so the step that moves Y by at
+    most 2**-30 of its norm leaves it at rounding.  Raises LogBranchFailure
+    on a singular or non-finite iterate or after ``_ITERATION_CAP`` steps,
+    which is how a spectrum on the closed negative real axis shows."""
+    y, z = x, np.eye(len(x))
+    for _ in range(_ITERATION_CAP):
+        try:
+            y_next, z = (y + np.linalg.inv(z)) / 2, (z + np.linalg.inv(y)) / 2
+        except np.linalg.LinAlgError:
+            raise LogBranchFailure("no principal logarithm: a square root met a singular iterate") from None
+        if not np.isfinite(y_next).all():
+            raise LogBranchFailure("no principal logarithm: a square root is not finite")
+        step, y = _norm1(y_next - y), y_next
+        if step <= 2.0**-30 * _norm1(y):
+            return y
+    raise LogBranchFailure(f"no principal logarithm: a square root did not converge in {_ITERATION_CAP} steps")
+
+
+def _logm(x):
+    """Principal real logarithm of a real square matrix, by inverse scaling
+    and squaring (Higham, Functions of Matrices, SIAM 2008, ch. 11).
+
+    k square roots (:func:`_sqrtm`) bring X^(1/2^k) within 1-norm
+    ``_LOG_SERIES_RADIUS`` of I, and log X = 2^k 2 atanh(Z) with
+    Z = (X^(1/2^k) - I)(X^(1/2^k) + I)^-1, summed as 2 sum_j Z^(2j+1) / (2j+1)
+    until a term falls below 2**-53 of the sum.  Raises LogBranchFailure
+    where :func:`_sqrtm` does, or if the roots or the series do not
+    converge in ``_ITERATION_CAP`` steps."""
+    eye = np.eye(len(x))
+    roots = 0
+    while _norm1(x - eye) > _LOG_SERIES_RADIUS:
+        if roots == _ITERATION_CAP:
+            raise LogBranchFailure(f"no principal logarithm within {_ITERATION_CAP} square roots")
+        x, roots = _sqrtm(x), roots + 1
+    z = np.linalg.solve(x + eye, x - eye)
+    z_sq, term = z @ z, z
+    total = z.copy()
+    for j in range(1, _ITERATION_CAP):
+        term = term @ z_sq
+        size = _norm1(term) / (2 * j + 1)
+        total += term / (2 * j + 1)
+        if size <= 2.0**-53 * _norm1(total):
+            return 2.0 ** (roots + 1) * total
+    raise LogBranchFailure(f"the logarithm's series did not converge in {_ITERATION_CAP} terms")
+
+
+def _expm(a):
+    """exp(a) of a small dense matrix by scaling and squaring: the Taylor
+    series of a / 2^s, with s taken from the binary exponent of |a|_1 so
+    that |a / 2^s|_1 < 1/2, summed until a term falls below 2**-53 of the
+    sum, then squared s times.  Kept apart from the conjugation oracle's own series,
+    which checks a generator that this routine helped to make."""
+    squarings = max(0, math.frexp(_norm1(a))[1] + 1)
+    x = a * 2.0**-squarings
+    term, total = np.eye(len(a)), np.eye(len(a))
+    for k in range(1, _ITERATION_CAP):
+        term = term @ x / k
+        total += term
+        if _norm1(term) <= 2.0**-53 * _norm1(total):
+            break
+    for _ in range(squarings):
+        total = total @ total
+    return total
+
+
 def symplectic_generator(transform):
     """Extract the symmetric generator G with S = exp(2 J G).
 
-    Uses the principal real matrix logarithm.  The principal branch does
-    not exist for every symplectic matrix (eigenvalues on the closed
-    negative real axis), in which case the failure is reported instead of
-    switching branches.
+    Uses the principal real matrix logarithm (:func:`_logm`), and checks
+    the result with its own exponential (:func:`_expm`).  Both are numpy
+    iterations of 4x4 ``inv``, ``solve`` and ``@``, which wake no BLAS
+    thread pool: scipy's ``logm`` and ``expm`` do, and each call then costs
+    about 0.1 s of spinning CPU.  The principal branch does not exist for
+    every symplectic matrix (eigenvalues on the closed negative real axis),
+    in which case the failure is reported instead of switching branches.
 
     Raises
     ------
     LogBranchFailure
-        If the logarithm is complex/inaccurate, the generator is not
-        symmetric to ``GENERATOR_TOL``, or exp(2 J G) misses S by more
-        than ``GENERATOR_TOL``.
+        If the logarithm meets a singular or non-finite iterate or does not
+        converge, the generator is not symmetric to ``GENERATOR_TOL``, or
+        exp(2 J G) misses S by more than ``GENERATOR_TOL``.
     """
     s = transform.s
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        log_s = logm(s)
-    if np.abs(np.imag(log_s)).max() > GENERATOR_TOL:
-        raise LogBranchFailure("principal logarithm is not real for this matrix")
-    log_s = np.real(log_s)
+    with np.errstate(all="ignore"):
+        log_s = _logm(s)
     g = 0.5 * (-J) @ log_s
     if np.abs(g - g.T).max() > GENERATOR_TOL:
         raise LogBranchFailure("extracted generator is not symmetric")
     g = (g + g.T) / 2
-    recon = expm(2 * J @ g)
+    recon = _expm(2 * J @ g)
     if np.abs(recon - s).max() > GENERATOR_TOL:
         raise LogBranchFailure("exp(2 J G) does not reconstruct the input matrix")
     return g

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -65,6 +66,36 @@ from rotor.quantum import (
 
 def _refuse_eigensolver(*args, **kwargs):
     raise AssertionError("a Hamiltonian was factorized")
+
+
+class _EinsumSpy(types.ModuleType):
+    """numpy as ``rotor.quantum`` sees it, recording the subscripts and
+    options of the two contractions that stand in for BLAS products: the
+    survival sum and the conjugation residual.  With ``blas`` set, each runs
+    as the ``@`` product it replaced."""
+
+    _BLAS_FORMS = {"tj,j->t": lambda a, b: a @ b, "ij,ik->jk": lambda a, b: a.T @ b}
+
+    def __init__(self):
+        super().__init__("numpy")
+        self.blas, self.calls = False, []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def einsum(self, subscripts, *operands, **kwargs):
+        if subscripts in self._BLAS_FORMS:
+            self.calls.append((subscripts, kwargs))
+            if self.blas:
+                return self._BLAS_FORMS[subscripts](*operands)
+        return np.einsum(subscripts, *operands, **kwargs)
+
+    def own_loops(self, subscripts):
+        """The number of recorded contractions, after checking that each
+        has ``subscripts`` and runs numpy's own loop (no ``optimize``,
+        which may hand a contraction to BLAS)."""
+        assert all(spec == subscripts and not kw.get("optimize", False) for spec, kw in self.calls)
+        return len(self.calls)
 
 
 class TestHermiteFunctions:
@@ -820,6 +851,51 @@ class TestStability:
         with pytest.raises(ValueError):
             fit_quadratic_decay(ObservableSeries([0.0], [1.0]))
 
+    def test_scalar_offset_gives_a_one_point_series(self, row1_protocol, monkeypatch):
+        psi0 = fock_state(0, 0, 8)
+        offset = 0.01 * row1_protocol.duration
+        scalar = stability_sweep(psi0, row1_protocol, offset)
+        listed = stability_sweep(psi0, row1_protocol, [offset])
+        assert scalar.times.shape == scalar.values.shape == (1,)
+        np.testing.assert_array_equal(scalar.times, listed.times)
+        np.testing.assert_array_equal(scalar.values, listed.values)
+        # a scalar that is not finite is still refused before any product
+        self._dense_products(monkeypatch, refuse=True)
+        with pytest.raises(ValueError, match="finite"):
+            stability_sweep(psi0, row1_protocol, np.nan)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 2**15])
+    def test_chunked_sum_equals_one_chunk(self, monkeypatch, chunk_bytes):
+        protocol = design_protocol(1.0, np.pi / 2, 1, 10)
+        h = build_fock_hamiltonian(protocol.config, 16)
+        psi0 = entangled_state(16)
+        times = protocol.duration * np.linspace(-1.0, 1.0, 101)
+        spy = _EinsumSpy()
+        monkeypatch.setattr(rotor.quantum, "np", spy)
+        whole = rotor.quantum._autocorrelation(psi0, h, times)
+        assert spy.own_loops("tj,j->t") == 1
+        monkeypatch.setattr(rotor.quantum, "_SWEEP_CHUNK_BYTES", chunk_bytes)
+        chunked = rotor.quantum._autocorrelation(psi0, h, times)
+        assert spy.own_loops("tj,j->t") > 2
+        assert np.abs(chunked - whole).max() <= 1e-15
+
+    @pytest.mark.parametrize("n2", [2, 5, 10])
+    def test_survival_sum_leaves_blas_alone(self, monkeypatch, n2):
+        # numpy's own loop against the gemv it replaced, on the sensitivity sweep
+        protocol = design_protocol(1.0, np.pi / 2, 1, n2)
+        h = build_fock_hamiltonian(protocol.config, 16)
+        window = rotor.quantum.SENSITIVITY_WINDOW * protocol.duration
+        times = protocol.duration + np.linspace(-window, window, 25)
+        spy = _EinsumSpy()
+        monkeypatch.setattr(rotor.quantum, "np", spy)
+        got = rotor.quantum._autocorrelation(fock_state(0, 0, 16), h, times)
+        assert spy.own_loops("tj,j->t") == 1
+        spy.blas = True
+        want = rotor.quantum._autocorrelation(fock_state(0, 0, 16), h, times)
+        # the two orders of summing the K (656 at n2 = 10) terms of the rule
+        # differ by a few eps: 1.1e-15 at n2 = 10
+        assert np.abs(got - want).max() <= 1e-14
+
 
 class TestClosedFormState:
     @pytest.mark.parametrize(
@@ -903,6 +979,20 @@ class TestConjugation:
         small = conjugation_check(g, s2, 20, levels=8)
         large = conjugation_check(g, s2, 40, levels=8)
         assert large < small
+
+    @pytest.mark.parametrize("nmax", [12, 24])
+    @pytest.mark.parametrize("step, levels", [(1, 10), (2, 8)], ids=["shear", "squeeze"])
+    def test_residual_contraction_leaves_blas_alone(self, row1_protocol, monkeypatch, nmax, step, levels):
+        # numpy's own loop against the zgemm it replaced
+        transform = step_transforms(row1_protocol.config)[step]
+        g = symplectic_generator(transform)
+        spy = _EinsumSpy()
+        monkeypatch.setattr(rotor.quantum, "np", spy)
+        got = conjugation_check(g, transform, nmax, levels=levels)
+        assert spy.own_loops("ij,ik->jk") == 4
+        spy.blas = True
+        want = conjugation_check(g, transform, nmax, levels=levels)
+        assert 0 < got and abs(got - want) <= 1e-15
 
     def test_shares_no_code_with_the_evolution(self, row1_protocol, monkeypatch):
         def refuse(*args, **kwargs):

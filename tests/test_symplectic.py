@@ -19,6 +19,7 @@ from rotor import (
     symplectic_generator,
     to_normal_coords,
 )
+from rotor.symplectic import _block_rotation
 
 
 def sweep_configs():
@@ -242,9 +243,19 @@ class TestGenerator:
         assert np.abs(expm(2 * J @ g) - transform.s).max() < 1e-10
 
     def test_rotation_with_negative_eigenvalue_reports(self):
-        # a pi block rotation has spectrum {-1}, off the principal branch
+        # a pi block rotation has spectrum {-1}, off the principal branch;
+        # its first square root meets a zero matrix
         r = -np.eye(4)
-        with pytest.raises(LogBranchFailure):
+        with pytest.raises(LogBranchFailure, match="singular"):
+            symplectic_generator(SymplecticTransform(r))
+
+    def test_rounded_pi_rotation_reports(self):
+        # cos(pi) and sin(pi) in floating point leave the spectrum 1e-16 off
+        # -1: a square root then does not converge within the cap, and the
+        # failure is a LogBranchFailure, not numpy's LinAlgError
+        r = _block_rotation(np.pi)
+        assert r[1, 0] != 0.0
+        with pytest.raises(LogBranchFailure, match="did not converge"):
             symplectic_generator(SymplecticTransform(r))
 
 
