@@ -53,18 +53,24 @@ so its matrix splits into an even and an odd parity sector, and in
 row-major (n1, n2) order each sector is a band of half-width about
 nmax / 2.  And the diagonal phase rotation ``i**n1`` turns every coupling
 element of the Hamiltonian real, so each of its sectors is a real
-symmetric matrix.  :func:`_real_rotation` makes, and checks, that real
-rotated matrix, and each reader of the Hamiltonian computes only what it
-needs from it: :func:`eigenvalues` reads each sector into band storage and
-takes its spectrum from ``eigvals_banded``, with no dense block and no
-eigenvectors; and :func:`_propagator` and :func:`_autocorrelation` run
-their recurrences on the sparse rotated matrix, with the real and imaginary
-parts of the state side by side in real arithmetic.  The tests check all
-three against the full dense matrix, by ``eigvalsh``, ``expm`` and
-``eigh``.  :func:`conjugation_check` applies exp(i v^T G v) on each parity
-sector alone by its own Taylor series (:func:`_expm_action`, sized from the
-exact 1-norm), splits the basis with its own index arithmetic and shares no
-code with any of them.
+symmetric matrix.  :func:`build_fock_hamiltonian` builds that rotated
+matrix in closed form, as the band of a diagonal and four index shifts, and
+:class:`FockHamiltonian` holds it; the complex matrix is derived from it on
+request, and only :meth:`FockHamiltonian.from_matrix`, which takes a
+foreign complex matrix, rotates one and checks it.  Each reader computes
+only what it needs from the real band: :func:`eigenvalues` reads each
+sector into band storage and takes its spectrum from ``eigvals_banded``,
+with no dense block and no eigenvectors; :func:`_propagator` and
+:func:`_autocorrelation` run their recurrences on the sparse band, with the
+real and imaginary parts of the state side by side in real arithmetic; and
+:func:`energy_variance` takes <H^2> - <H>^2 from one product of the band.
+The tests check the band against H formed from the sparse q and p of
+:func:`phase_space_operators`, and the readers against the full dense
+matrix, by ``eigvalsh``, ``expm`` and ``eigh``.
+:func:`conjugation_check` builds v^T G v from :func:`phase_space_operators`,
+applies exp(i v^T G v) on each parity sector alone by its own Taylor series
+(:func:`_expm_action`, sized from the exact 1-norm), splits the basis with
+its own index arithmetic and shares no code with the builder or any reader.
 """
 
 import math
@@ -346,14 +352,57 @@ def phase_space_expectations(state):
 # Hamiltonian and propagation
 
 
+def _rotation_phases(nmax):
+    """The diagonal i**n1 of D, whose rotation D* H D of the Fock Hamiltonian is real."""
+    n1, _ = _index_grids(nmax)
+    return (1j) ** (n1 % 4)
+
+
+def _parity_sectors(nmax):
+    """The indices of the basis states of even and of odd n1 + n2."""
+    n1, n2 = _index_grids(nmax)
+    return np.flatnonzero((n1 + n2) % 2 == 0), np.flatnonzero((n1 + n2) % 2 == 1)
+
+
 @dataclass(frozen=True, eq=False)
 class FockHamiltonian:
-    """Hermitian matrix of the rotating-frame Hamiltonian on the truncated
-    basis, row-major ordering (n1, n2), stored sparse.  Nothing derived from
-    it is kept, and Hamiltonians compare and hash by identity."""
+    """The rotating-frame Hamiltonian on the truncated basis, row-major
+    ordering (n1, n2), held as its real symmetric rotation ``rotated`` =
+    R = D* H D with D = diag(i**n1), stored sparse: every reader works on R,
+    so none rotates or checks it.  The complex H = D R D* is the derived
+    :attr:`matrix`, formed anew on each access.  Nothing derived is kept,
+    and Hamiltonians compare and hash by identity."""
 
-    matrix: sp.csr_matrix
+    rotated: sp.csr_matrix
     nmax: int
+
+    @classmethod
+    def from_matrix(cls, matrix, nmax):
+        """The Hamiltonian whose complex matrix on the nmax x nmax truncation
+        is the sparse ``matrix``, rotated by D.
+
+        Raises ValueError if the matrix couples the even and odd sectors of
+        n1 + n2, which no quadratic operator does, or if its rotation is not
+        real symmetric, which every Hamiltonian's is.
+        """
+        phases = _rotation_phases(nmax)
+        rot = (sp.diags(np.conj(phases)) @ matrix @ sp.diags(phases)).tocsr()
+        # magnitudes are read from ``.data``: abs() of a sparse ``.imag`` view
+        # sorts index arrays it shares with its parent and corrupts the parent
+        tol = 1e-12 * np.abs(rot.data).max(initial=0.0)
+        even, odd = _parity_sectors(nmax)
+        if np.abs(rot[even][:, odd].data).max(initial=0.0) > tol:
+            raise ValueError("operator couples the even and odd parity sectors of n1 + n2")
+        skew = rot - rot.T
+        if max(np.abs(rot.data.imag).max(initial=0.0), np.abs(skew.data).max(initial=0.0)) > tol:
+            raise ValueError("operator is not real symmetric after the diag(i**n1) rotation")
+        return cls(rot.real, nmax)
+
+    @property
+    def matrix(self):
+        """The complex sparse H = D R D*."""
+        phases = _rotation_phases(self.nmax)
+        return (sp.diags(phases) @ self.rotated @ sp.diags(np.conj(phases))).tocsr()
 
     def dense(self):
         return self.matrix.toarray()
@@ -365,46 +414,41 @@ def build_fock_hamiltonian(config, nmax):
     H = omega1 (a1+ a1 + 1/2) + omega2 (a2+ a2 + 1/2)
         - theta_dot (q1 p2 / eta - eta q2 p1)
     with q_j = (a_j + a_j+)/sqrt(2) and p_j = (a_j - a_j+)/(i sqrt(2)).
+
+    Besides the diagonal, H holds only the a1+ a2 and a1 a2+ terms, with
+    coefficient i theta_dot (1/eta + eta) / 2 and its conjugate, and the
+    a1 a2 and a1+ a2+ terms, with -+ i theta_dot (1/eta - eta) / 2.  So
+    R = D* H D is built in closed form as the real symmetric band it is:
+    with c+- = theta_dot (1/eta +- eta) / 2 it couples (n1, n2) to
+    (n1 + 1, n2 - 1) by c+ sqrt((n1 + 1) n2), at the index shift nmax - 1,
+    and to (n1 + 1, n2 + 1) by -c- sqrt((n1 + 1) (n2 + 1)), at the shift
+    nmax + 1, and each row holds the mirrors of the couplings into it.
+    Each row's entries are stored in column order, and zero couplings (all
+    of them in a static trap) are not stored.
     """
     if nmax < 2:
         raise ValueError("nmax must be at least 2")
-    w1, w2, td = config.omega1, config.omega2, config.theta_dot
-    eta = config.eta
-    q1, q2, p1, p2 = phase_space_operators(nmax)
+    td, eta = config.theta_dot, config.eta
+    plus, minus = td * (1 / eta + eta) / 2, td * (1 / eta - eta) / 2
     n1, n2 = _index_grids(nmax)
-    h = (
-        sp.diags(w1 * (n1 + 0.5) + w2 * (n2 + 0.5))
-        - td * ((1 / eta) * (q1 @ p2) - eta * (p1 @ q2))
-    ).tocsr()
-    herm = h - h.getH()
-    resid = np.abs(herm.data).max() if herm.nnz else 0.0
-    if resid > 1e-12 * np.abs(h.data).max():
-        raise ValueError("constructed matrix is not Hermitian")
-    return FockHamiltonian(matrix=h, nmax=nmax)
-
-
-def _real_rotation(matrix, nmax):
-    """``(phases, rot, sectors)``: the diagonal of D = diag(i**n1), the real
-    sparse matrix D* H D of the Fock Hamiltonian and the indices of its
-    sectors of even and of odd n1 + n2.
-
-    Raises ValueError if the operator couples the two sectors, which no
-    quadratic operator does, or is not real after the rotation, which no
-    Hamiltonian built here is.
-    """
-    n1, n2 = _index_grids(nmax)
-    phases = (1j) ** (n1 % 4)
-    rot = (sp.diags(np.conj(phases)) @ matrix @ sp.diags(phases)).tocsr()
-    # magnitudes are read from ``.data``: abs() of a sparse ``.imag`` view
-    # sorts index arrays it shares with its parent and corrupts the parent
-    tol = 1e-12 * np.abs(matrix.data).max(initial=0.0)
-    even = np.where((n1 + n2) % 2 == 0)[0]
-    odd = np.where((n1 + n2) % 2 == 1)[0]
-    if np.abs(rot[even][:, odd].data).max(initial=0.0) > tol:
-        raise ValueError("operator couples the even and odd parity sectors of n1 + n2")
-    if np.abs(rot.data.imag).max(initial=0.0) > tol:
-        raise ValueError("operator is not real symmetric after the diag(i**n1) rotation")
-    return phases, rot.real, (even, odd)
+    up1, up2 = n1 + 1 < nmax, n2 + 1 < nmax
+    # the five shifts of each row, in column order, and the value and the
+    # validity of each; the mirrors repeat the integer under each root
+    shifts = np.array([-nmax - 1, -nmax + 1, 0, nmax - 1, nmax + 1])
+    values = np.stack([
+        -minus * np.sqrt(n1 * n2),
+        plus * np.sqrt(n1 * (n2 + 1)),
+        config.omega1 * (n1 + 0.5) + config.omega2 * (n2 + 0.5),
+        plus * np.sqrt((n1 + 1) * n2),
+        -minus * np.sqrt((n1 + 1) * (n2 + 1)),
+    ], axis=1)
+    down1, down2 = n1 > 0, n2 > 0
+    valid = np.stack([down1 & down2, down1 & up2, np.ones_like(up1), up1 & down2, up1 & up2], axis=1)
+    stored = valid & (values != 0)
+    columns = np.arange(nmax * nmax)[:, None] + shifts
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    rotated = sp.csr_matrix((values[stored], columns[stored], indptr), shape=(nmax * nmax,) * 2)
+    return FockHamiltonian(rotated, nmax)
 
 
 def _lower_band(block):
@@ -421,11 +465,12 @@ def _lower_band(block):
 
 def eigenvalues(h):
     """Sorted eigenvalues of the truncated Hamiltonian.  Each real sector of
-    :func:`_real_rotation`, a band of half-width about nmax / 2, is read from
-    the sparse matrix into band storage (:func:`_lower_band`) and solved by
-    ``eigvals_banded``: no dense block and no eigenvectors are formed.
-    Raises ValueError where :func:`_real_rotation` does."""
-    _, rot, sectors = _real_rotation(h.matrix, h.nmax)
+    n1 + n2 of :attr:`FockHamiltonian.rotated`, a band of half-width about
+    nmax / 2, is read from the sparse matrix into band storage
+    (:func:`_lower_band`) and solved by ``eigvals_banded``: no dense block
+    and no eigenvectors are formed."""
+    rot = h.rotated
+    sectors = _parity_sectors(h.nmax)
     spectra = [eigvals_banded(_lower_band(rot[idx][:, idx]), lower=True) for idx in sectors]
     return np.sort(np.concatenate(spectra))
 
@@ -486,7 +531,7 @@ def _propagator(state, h):
     of either sign, by Chebyshev series.
 
     With c +- r the Gershgorin interval (:func:`_gershgorin_interval`) of
-    R = D* H D (:func:`_real_rotation`), R' = (R - c) / r has its spectrum
+    R = D* H D (:attr:`FockHamiltonian.rotated`), R' = (R - c) / r has its spectrum
     in [-1, 1], where |T_k| <= 1, and exp(-i R tau) = exp(-i c tau)
     sum_k (2 - delta_k0) J_k(r tau) (-i)^k T_k(R') (Tal-Ezer and Kosloff,
     J. Chem. Phys. 81, 3967 (1984)).  The function keeps the last state it
@@ -499,12 +544,12 @@ def _propagator(state, h):
     of them, so a uniform grid needs one table) with the terms of
     :func:`_chebyshev_terms`, at most 70 orders within the span.
 
-    Raises ValueError, before any product, if the truncations differ or
-    where :func:`_real_rotation` does, and on a time that is not finite.
+    Raises ValueError, before any product, if the truncations differ, and
+    on a time that is not finite.
     """
     if state.nmax != h.nmax:
         raise ValueError("state and Hamiltonian use different truncations")
-    phases, rot, _ = _real_rotation(h.matrix, h.nmax)
+    phases, rot = _rotation_phases(h.nmax), h.rotated
     centre, radius = _gershgorin_interval(rot)
     dim = phases.size
     double = (rot - centre * sp.identity(dim)) * (2 / radius)
@@ -584,7 +629,7 @@ def _autocorrelation(psi0, h, times):
     if psi0.nmax != h.nmax:
         raise ValueError("state and Hamiltonian use different truncations")
     times = _finite_times(times)
-    phases, rot, _ = _real_rotation(h.matrix, h.nmax)
+    phases, rot = _rotation_phases(h.nmax), h.rotated
     centre, radius = _gershgorin_interval(rot)
     orders = _chebyshev_orders(radius * np.abs(times).max(initial=0.0))
     double = (rot - centre * sp.identity(phases.size)) * (2 / radius)
@@ -1116,11 +1161,16 @@ def fit_quadratic_decay(series):
 
 
 def energy_variance(psi0, h):
-    """<H^2> - <H>^2 of a state (exact on the truncated basis)."""
-    v = psi0.vector
-    hv = h.matrix @ v
-    mean = np.vdot(v, hv).real
-    return float(np.vdot(hv, hv).real - mean**2)
+    """<H^2> - <H>^2 of a state (exact on the truncated basis), as
+    <x|R^2|x> - <x|R|x>^2 = |R x|^2 - <x|R x>^2 with x = D* psi and the
+    real symmetric R = D* H D of :attr:`FockHamiltonian.rotated`.  Raises
+    ValueError if the truncations differ."""
+    if psi0.nmax != h.nmax:
+        raise ValueError("state and Hamiltonian use different truncations")
+    x = np.conj(_rotation_phases(h.nmax)) * psi0.vector
+    rx = h.rotated @ x
+    mean = np.vdot(x, rx).real
+    return float(np.vdot(rx, rx).real - mean**2)
 
 
 @dataclass(frozen=True)
@@ -1337,12 +1387,13 @@ def conjugation_check(g, transform, nmax, levels=8):
     spectral norm is that of R_j.  Only B_j is formed.  At ``levels`` = 1 no
     odd state is kept, B_j is empty and the residual is 0.
 
-    No step wakes a BLAS thread pool: U+ (v_j U) is contracted by
-    ``einsum`` in numpy's own loop, and the 4 x 4 products and the SVD of
-    B_j stay in the calling thread.  As a zgemm (50 x 288 x 50 at nmax 24)
-    the contraction wakes the pool, whose threads then spin for about 0.1 s
-    of CPU after each call; the loop costs about 2 ms per product against
-    0.15 ms for one thread of zgemm.
+    No step wakes a BLAS thread pool: U+ (v_j U) is contracted by one real
+    ``einsum`` of the stacked [Re, Im] blocks, in numpy's own loop, and the
+    4 x 4 products and the SVD of B_j stay in the calling thread.  As a
+    zgemm (50 x 288 x 50 at nmax 24) the contraction wakes the pool, whose
+    threads then spin for about 0.1 s of CPU after each call; the real loop
+    costs about 1.3 ms per product, the complex one 3 ms and one thread of
+    zgemm 0.15 ms.
 
     Returns
     -------
@@ -1380,10 +1431,18 @@ def conjugation_check(g, transform, nmax, levels=8):
 
     u_even, u_odd = kept_columns(even, even_kept), kept_columns(odd, odd_kept)
     flips = [op[odd][:, even] for op in ops]
+    # U_odd+ X = (A^T C + B^T D) + i (A^T D - B^T C) for U_odd = A + i B and
+    # X = C + i D, read from the one real product [A, B]^T [C, D]
+    rows, cols = odd_kept.size, even_kept.size
+    stacked = np.hstack([u_odd.real, u_odd.imag])
     worst = 0.0
     for j in range(4):
         target = sum(s_inv[j, k] * flips[k] for k in range(4))[odd_kept][:, even_kept].toarray()
-        # einsum runs numpy's own loop; a BLAS zgemm here wakes its thread pool
-        resid = np.einsum("ij,ik->jk", u_odd.conj(), flips[j] @ u_even) - target
+        moved = flips[j] @ u_even
+        # einsum runs numpy's own loop; a BLAS gemm here wakes its thread pool
+        blocks = np.einsum("ij,ik->jk", stacked, np.hstack([moved.real, moved.imag]))
+        a_c, a_d = blocks[:rows, :cols], blocks[:rows, cols:]
+        b_c, b_d = blocks[rows:, :cols], blocks[rows:, cols:]
+        resid = (a_c + b_d) + 1j * (a_d - b_c) - target
         worst = max(worst, float(np.linalg.norm(resid, 2)))
     return worst

@@ -25,6 +25,7 @@ t = 0 are checked against the ground state's and 1 up to |alpha| = 1e150.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -66,10 +67,11 @@ from rotor import (
 )
 from rotor.classical import _mode_rotation, flow_matrix
 from rotor.quantum import (
+    FockHamiltonian,
     _coherent_series,
     _lower_band,
+    _parity_sectors,
     _propagator,
-    _real_rotation,
     eigenvalues,
     energy_variance,
     evolve_series,
@@ -88,6 +90,18 @@ def protocols(draw):
     """Feasible designs: theta_f below the excluded band (pi(n2-n1), pi(n2+n1))."""
     n1, n2 = draw(st.sampled_from(COPRIME_PAIRS))
     omega1 = draw(st.floats(0.1, 10.0))
+    theta_f = draw(st.floats(0.05, 0.95 * np.pi * (n2 - n1)))
+    try:
+        return design_protocol(omega1, theta_f, n1, n2)
+    except InfeasibleDesign:
+        assume(False)
+
+
+@st.composite
+def wide_protocols(draw):
+    """Feasible designs with omega1 / 2 pi from 0.1 to 100 (kHz on the command line)."""
+    n1, n2 = draw(st.sampled_from((*COPRIME_PAIRS, (1, 5))))
+    omega1 = 2 * np.pi * 10 ** draw(st.floats(-1.0, 2.0))
     theta_f = draw(st.floats(0.05, 0.95 * np.pi * (n2 - n1)))
     try:
         return design_protocol(omega1, theta_f, n1, n2)
@@ -463,9 +477,8 @@ def test_band_storage_rebuilds_each_real_sector(config, nmax):
     """Each sector is a band of half-width about nmax / 2 in row-major
     (n1, n2) order, and its lower band storage holds it bit for bit; the
     static trap's sectors are diagonal, a band of width 0."""
-    h = build_fock_hamiltonian(config, nmax)
-    _, rot, sectors = _real_rotation(h.matrix, nmax)
-    for idx in sectors:
+    rot = build_fock_hamiltonian(config, nmax).rotated
+    for idx in _parity_sectors(nmax):
         block = rot[idx][:, idx].toarray()
         band = _lower_band(rot[idx][:, idx])
         assert band.shape[0] <= (nmax // 2 + 2 if config.theta_dot else 1)
@@ -475,6 +488,42 @@ def test_band_storage_rebuilds_each_real_sector(config, nmax):
             rebuilt[cols + d, cols] = rebuilt[cols, cols + d] = row[: cols.size]
             assert not row[cols.size :].any()
         np.testing.assert_array_equal(rebuilt, block)
+
+
+def _kron_hamiltonian(config, nmax):
+    """H from the sparse q and p of phase_space_operators: the products of
+    kron factors the closed-form band replaced, kept as its oracle."""
+    q1, q2, p1, p2 = phase_space_operators(nmax)
+    n1, n2 = np.divmod(np.arange(nmax**2), nmax)
+    diagonal = sp.diags(config.omega1 * (n1 + 0.5) + config.omega2 * (n2 + 0.5))
+    eta = config.eta
+    return (diagonal - config.theta_dot * ((1 / eta) * (q1 @ p2) - eta * (p1 @ q2))).tocsr()
+
+
+band_configs = st.one_of(
+    protocols().map(lambda protocol: protocol.config),
+    wide_protocols().map(lambda protocol: protocol.config),
+    st.builds(TrapConfig, st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+)
+
+
+@settings(deadline=None)
+@example(TrapConfig(1.0, 1.7, 0.0), 48)
+@example(design_protocol(1.0, 7.2, 1, 4).config, 2)
+@given(band_configs, st.integers(2, 48))
+def test_band_matches_the_rotated_kron_build(config, nmax):
+    """The closed-form R = D* H D against the rotation of H formed from the
+    sparse q and p, to 1e-15 of its largest entry; H itself is the derived
+    complex matrix.  A static trap stores no coupling, not even a zero."""
+    h = build_fock_hamiltonian(config, nmax)
+    kron = _kron_hamiltonian(config, nmax)
+    oracle = FockHamiltonian.from_matrix(kron, nmax).rotated
+    scale = abs(oracle).max()
+    assert abs(h.rotated - oracle).max() <= 1e-15 * scale
+    assert abs(h.matrix - kron).max() <= 1e-15 * scale
+    assert (h.rotated != h.rotated.T).nnz == 0
+    if config.theta_dot == 0:
+        assert h.rotated.nnz == nmax**2 and not (h.rotated - sp.diags(h.rotated.diagonal())).nnz
 
 
 @st.composite
@@ -695,18 +744,6 @@ def test_revival_phase_is_the_phase_of_vdot(pair):
 #: closed-form revival phase over 40,000 random draws of the strategies
 #: below was 12.2 (median 1.5); the bound leaves a factor of about 2.6
 PHASE_DRIFT_MARGIN = 32
-
-
-@st.composite
-def wide_protocols(draw):
-    """Feasible designs with omega1 / 2 pi from 0.1 to 100 (kHz on the command line)."""
-    n1, n2 = draw(st.sampled_from((*COPRIME_PAIRS, (1, 5))))
-    omega1 = 2 * np.pi * 10 ** draw(st.floats(-1.0, 2.0))
-    theta_f = draw(st.floats(0.05, 0.95 * np.pi * (n2 - n1)))
-    try:
-        return design_protocol(omega1, theta_f, n1, n2)
-    except InfeasibleDesign:
-        assume(False)
 
 
 large_amplitudes = st.builds(

@@ -50,7 +50,6 @@ from rotor.quantum import (
     _expm_action,
     _gershgorin_interval,
     _propagator,
-    _real_rotation,
     _track_density,
     _track_grid,
     eigenvalues,
@@ -219,6 +218,17 @@ class TestFockHamiltonian:
         resid = h.matrix - h.matrix.getH()
         assert (np.abs(resid.data).max() if resid.nnz else 0.0) < 1e-14
 
+    def test_built_from_neither_ladder_products_nor_kron(self, row1_protocol, monkeypatch):
+        # the band is its own closed form; the sparse q and p stay the oracle's
+        def refuse(*args, **kwargs):
+            raise AssertionError("the band was built from the sparse q and p")
+
+        monkeypatch.setattr(rotor.quantum, "phase_space_operators", refuse)
+        monkeypatch.setattr(sp, "kron", refuse)
+        for config in (row1_protocol.config, TrapConfig(1.0, 1.7, 0.0)):
+            for nmax in (2, 9):
+                assert build_fock_hamiltonian(config, nmax).rotated.shape == (nmax**2, nmax**2)
+
     def test_nmax_validation(self, row1_protocol):
         with pytest.raises(ValueError):
             build_fock_hamiltonian(row1_protocol.config, 1)
@@ -246,26 +256,22 @@ class TestFockHamiltonian:
         nmax = 8
         h = build_fock_hamiltonian(row1_protocol.config, nmax)
         q1 = phase_space_operators(nmax)[0]
-        coupled = FockHamiltonian(h.matrix + 0.1 * q1, nmax)
         with pytest.raises(ValueError, match="parity"):
-            eigenvalues(coupled)
-        with pytest.raises(ValueError, match="parity"):
-            evolve(entangled_state(nmax), coupled, 1.0)
+            FockHamiltonian.from_matrix(h.matrix + 0.1 * q1, nmax)
 
     def test_complex_sector_rejected(self, row1_protocol):
         # a q1 p1 squeeze term stays imaginary under the diag(i**n1) rotation
         nmax = 8
         h = build_fock_hamiltonian(row1_protocol.config, nmax)
         q1, _, p1, _ = phase_space_operators(nmax)
-        squeezed = FockHamiltonian(h.matrix + 0.1 * (q1 @ p1 + p1 @ q1), nmax)
         with pytest.raises(ValueError, match="not real"):
-            eigenvalues(squeezed)
+            FockHamiltonian.from_matrix(h.matrix + 0.1 * (q1 @ p1 + p1 @ q1), nmax)
 
     def test_parity_coupling_rejected_by_the_search(self, row1_protocol, monkeypatch):
-        # the truncation search meets the same check through its Chebyshev propagator
+        # a search whose build takes a foreign matrix meets the same check
         def coupled(config, nmax):
             h = build_fock_hamiltonian(config, nmax)
-            return FockHamiltonian(h.matrix + 0.1 * phase_space_operators(nmax)[0], nmax)
+            return FockHamiltonian.from_matrix(h.matrix + 0.1 * phase_space_operators(nmax)[0], nmax)
 
         monkeypatch.setattr(rotor.quantum, "build_fock_hamiltonian", coupled)
         with pytest.raises(ValueError, match="parity"):
@@ -275,11 +281,29 @@ class TestFockHamiltonian:
         def squeezed(config, nmax):
             h = build_fock_hamiltonian(config, nmax)
             q1, _, p1, _ = phase_space_operators(nmax)
-            return FockHamiltonian(h.matrix + 0.1 * (q1 @ p1 + p1 @ q1), nmax)
+            return FockHamiltonian.from_matrix(h.matrix + 0.1 * (q1 @ p1 + p1 @ q1), nmax)
 
         monkeypatch.setattr(rotor.quantum, "build_fock_hamiltonian", squeezed)
         with pytest.raises(ValueError, match="not real"):
             converge_truncation(row1_protocol, entangled_state, nmax_start=8)
+
+    def test_asymmetric_rotation_rejected(self, row1_protocol):
+        # i a1+ a2 without its conjugate is real after the rotation, but the
+        # rotated matrix is not symmetric: no Hamiltonian
+        nmax = 8
+        h = build_fock_hamiltonian(row1_protocol.config, nmax)
+        q1, q2, p1, p2 = phase_space_operators(nmax)
+        hop = (q1 - 1j * p1) @ (q2 + 1j * p2) / 2
+        with pytest.raises(ValueError, match="not real symmetric"):
+            FockHamiltonian.from_matrix(h.matrix + 0.1j * hop, nmax)
+
+    def test_from_matrix_keeps_the_built_band(self, row1_protocol):
+        # the unit phases i**n1 round nothing, so the rotation of the derived
+        # complex matrix is the band itself, bit for bit
+        for config in (row1_protocol.config, TrapConfig(1.0, 1.7, 0.0)):
+            h = build_fock_hamiltonian(config, 9)
+            again = FockHamiltonian.from_matrix(h.matrix, 9).rotated
+            assert abs(again - h.rotated).max() == 0.0
 
     def test_spectrum_forms_no_eigenvectors(self, row1_protocol, monkeypatch):
         def refuse(*args, **kwargs):
@@ -320,7 +344,7 @@ class TestEvolution:
         # so every series follows the matrix it is given, evolved before or not
         nmax = 8
         h = build_fock_hamiltonian(row1_protocol.config, nmax)
-        other = build_fock_hamiltonian(design_protocol(1.0, np.pi / 2, 1, 3).config, nmax).matrix
+        other = build_fock_hamiltonian(design_protocol(1.0, np.pi / 2, 1, 3).config, nmax)
         c = rng.normal(size=(nmax, nmax)) + 1j * rng.normal(size=(nmax, nmax))
         psi = QuantumState(c / np.linalg.norm(c))
         times = np.array([0.3, 1.7, row1_protocol.duration])
@@ -331,10 +355,12 @@ class TestEvolution:
                 assert np.abs(row.ravel() - exact).max() < 1e-12
 
         assert_evolves_under(h.matrix, evolve_series(psi, h, times))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            h.matrix = other
+        for name in ("rotated", "matrix"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(h, name, other.rotated)
         assert_evolves_under(h.matrix, evolve_series(psi, h, times))
-        assert_evolves_under(other, evolve_series(psi, dataclasses.replace(h, matrix=other), times))
+        swapped = dataclasses.replace(h, rotated=other.rotated)
+        assert_evolves_under(other.matrix, evolve_series(psi, swapped, times))
 
     def test_matches_dense_exponential(self, rng, row1_protocol):
         nmax = 8
@@ -376,6 +402,8 @@ class TestEvolution:
         h = build_fock_hamiltonian(row1_protocol.config, 8)
         with pytest.raises(ValueError):
             evolve(entangled_state(10), h, 1.0)
+        with pytest.raises(ValueError, match="truncations"):
+            energy_variance(entangled_state(10), h)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_rejected(self, row1_protocol, bad):
@@ -416,8 +444,7 @@ class TestChebyshevEvolve:
     )
     @pytest.mark.parametrize("nmax", [2, 7, 16])
     def test_scaled_spectrum_within_unit_interval(self, config, nmax):
-        h = build_fock_hamiltonian(config, nmax)
-        _, rot, _ = _real_rotation(h.matrix, nmax)
+        rot = build_fock_hamiltonian(config, nmax).rotated
         centre, radius = _gershgorin_interval(rot)
         scaled = (np.linalg.eigvalsh(rot.toarray()) - centre) / radius
         assert scaled.min() >= -1.0 and scaled.max() <= 1.0
@@ -783,8 +810,7 @@ class TestStability:
         # K moments from about K / 2 products of one series, with no hops
         protocol = design_protocol(1.0, np.pi / 2, 1, 10)
         h = build_fock_hamiltonian(protocol.config, 16)
-        _, rot, _ = _real_rotation(h.matrix, 16)
-        _, radius = _gershgorin_interval(rot)
+        _, radius = _gershgorin_interval(h.rotated)
         orders, count = [], rotor.quantum._chebyshev_orders
         monkeypatch.setattr(rotor.quantum, "_chebyshev_orders", lambda top: orders.append(count(top)) or orders[-1])
         products = self._dense_products(monkeypatch)
@@ -995,11 +1021,13 @@ class TestConjugation:
         assert 0 < got and abs(got - want) <= 1e-15
 
     def test_shares_no_code_with_the_evolution(self, row1_protocol, monkeypatch):
+        # nor with the closed-form band it would otherwise check itself against
         def refuse(*args, **kwargs):
-            raise AssertionError("the oracle reached the Fock evolution")
+            raise AssertionError("the oracle reached the Fock evolution or the band builder")
 
-        for name in ("_propagator", "_autocorrelation", "_real_rotation", "_gershgorin_interval",
-                     "_chebyshev_orders", "_chebyshev_bessel", "_chebyshev_terms", "evolve_series"):
+        for name in ("_propagator", "_autocorrelation", "_gershgorin_interval",
+                     "_chebyshev_orders", "_chebyshev_bessel", "_chebyshev_terms", "evolve_series",
+                     "build_fock_hamiltonian", "FockHamiltonian", "_rotation_phases", "_parity_sectors"):
             monkeypatch.setattr(rotor.quantum, name, refuse)
         _, s1, _, _ = step_transforms(row1_protocol.config)
         assert conjugation_check(symplectic_generator(s1), s1, 20, levels=10) < 1e-6
