@@ -427,7 +427,9 @@ def cmd_simulate(params):
     if "P" in observables:
         p_values = columns["survival"] = series["P"]
         print(f"1 - P(T) = {1.0 - p_values[-1]:.3e}")
-    print(f"revival phase = {phase.real:+.6f} {phase.imag:+.6f}j ({source})")
+    # + 0.0 turns a part that rounds to -0 into +0, so no sign rests on rounding
+    real, imag = (round(part, 6) + 0.0 for part in (phase.real, phase.imag))
+    print(f"revival phase = {real:+.6f} {imag:+.6f}j ({source})")
 
     if params.get("ehrenfest"):
         centroid0 = PhaseSpaceState.from_vector(phase_space_expectations(psi0))

@@ -15,7 +15,8 @@ per size for psi(T).  :func:`stability_sweep` and
 :func:`measure_sensitivity` need only the survival amplitude
 <psi0|exp(-i H t)|psi0> and evolve no state: :func:`_autocorrelation` takes
 it from the Chebyshev moments of psi0, one recurrence of about half as many
-sparse products as the series has orders, summed as a Gauss-Chebyshev rule.
+sparse products as the series has orders.  Both series weigh their orders
+by one FFT table, :func:`_chebyshev_weights`; ``jv`` only counts the orders.
 :func:`revival_phase` evolves nothing: it reads the phase from psi(T), the
 state its caller has already evolved.  :func:`measure_sensitivity` refuses a
 state with no energy variance, whose survival does not decay.
@@ -112,7 +113,8 @@ _TRACK_BLOCK = 32
 #: evenly spaced times on [0, T], ends included, at which the Gaussian track
 #: samples its truncation diagnostics
 _TRACK_TRUNCATION_TIMES = 21
-#: bytes of the complex (times, orders) table of one chunk of a survival sweep
+#: bytes of the complex (times, 2 orders) FFT input and output that
+#: :func:`_chebyshev_weights` holds for one chunk of a survival sweep
 _SWEEP_CHUNK_BYTES = 2**24
 #: half-width of the timing-error window of the sensitivity fit, as a fraction of T
 SENSITIVITY_WINDOW = 0.01
@@ -499,10 +501,25 @@ def _chebyshev_orders(top):
         start += 16
 
 
-def _chebyshev_bessel(z):
-    """The (len(z), K) table J_k(z_i), k < K = :func:`_chebyshev_orders` of
-    max |z|.  A negative z needs no care: J_k(-z) = (-1)^k J_k(z)."""
-    return jv(np.arange(_chebyshev_orders(np.abs(z).max())), z[:, None])
+def _chebyshev_weights(z, orders):
+    """The (len(z), ``orders``) table c_k(z) = (2 - delta_k0) (-i)^k J_k(z),
+    the Chebyshev coefficients of exp(-i z x) (Jacobi-Anger): the K-point
+    DCT-II of exp(-i z x_j) - 1 on the Gauss-Chebyshev nodes x_j =
+    cos(pi (j + 1/2) / K) = sin(pi (K - 1 - 2 j) / (2 K)), plus delta_k0, as
+    one FFT of length 2K of the samples and their mirror.  Orders past K
+    alias in only below the series' tail.  The sine form is odd to the bit,
+    and the rounding of pi moves its nodes less than the cosine form's; expm1
+    makes the table exactly delta_k0 at z = 0."""
+    k = np.arange(orders)
+    nodes = np.sin(np.pi * (orders - 1 - 2 * k) / (2 * orders))
+    table = np.empty((z.size, 2 * orders), dtype=complex)
+    table[:, :orders] = np.expm1(np.outer(-1j * z, nodes))
+    table[:, orders:] = table[:, orders - 1 :: -1]
+    # rebound at once, so at most the FFT's input and output are held
+    table = np.fft.fft(table)
+    table = table[:, :orders] * (np.exp(-0.5j * np.pi * k / orders) / orders)
+    table[:, 0] = table[:, 0] / 2 + 1
+    return table
 
 
 def _chebyshev_terms(turn, x):
@@ -538,11 +555,12 @@ def _propagator(state, h):
     computed and takes the times in increasing order, in blocks from that
     state: the times within ``_CHEBYSHEV_SPAN`` / r of it, after equal hops
     of at most that span towards a farther next time; the chunks of one grid
-    continue one another.  A block is one real
-    product of its Bessel weights (:func:`_chebyshev_bessel`, reused to
-    first order by a next block whose r tau are within sqrt(``_CHEBYSHEV_TAIL``)
-    of them, so a uniform grid needs one table) with the terms of
-    :func:`_chebyshev_terms`, at most 70 orders within the span.
+    continue one another.  A block is one real product of its weights, the
+    real (2 - delta_k0) J_k(r tau) = i^k c_k(r tau) of
+    :func:`_chebyshev_weights`, with the terms of :func:`_chebyshev_terms`,
+    over the orders of :func:`_chebyshev_orders` at its largest r tau: at
+    most 70 within the span.  At tau = 0 the weights are exactly delta_k0,
+    so the last state comes back bit for bit, and alone with no product.
 
     Raises ValueError, before any product, if the truncations differ, and
     on a time that is not finite.
@@ -554,23 +572,17 @@ def _propagator(state, h):
     dim = phases.size
     double = (rot - centre * sp.identity(dim)) * (2 / radius)
     turn = sp.kron([[0.0, 1.0], [-1.0, 0.0]], double, format="csr")
-    # the last state computed (as D* psi) and its time; the last table and its r tau
-    last = {"time": 0.0, "state": np.conj(phases) * state.vector, "z0": np.empty(0)}
+    # the last state computed (as D* psi) and its time
+    last = {"time": 0.0, "state": np.conj(phases) * state.vector}
 
     def block(times):
         """D* psi at the increasing ``times``, from the last state."""
         offsets = times - last["time"]
-        z, z0 = radius * offsets, last["z0"][: times.size]
-        if z0.size < z.size or not np.abs(z - z0).max() <= math.sqrt(_CHEBYSHEV_TAIL):
-            last.update(z0=z, bessel=_chebyshev_bessel(z))
-            z0 = z
-        # J_k(z) = J_k(z0) + (z - z0) (J_(k-1) - J_(k+1)) / 2 + O(tail), J_(-1) = -J_1
-        bessel = np.pad(last["bessel"][: z.size], ((0, 0), (1, 1)))
-        bessel[:, 0] = -bessel[:, 2]
-        weights = 2 * bessel[:, 1:-1] + (z - z0)[:, None] * (bessel[:, :-2] - bessel[:, 2:])
-        weights[:, 0] /= 2
+        z = radius * offsets
+        orders = _chebyshev_orders(np.abs(z).max())
+        weights = (_chebyshev_weights(z, orders) * 1j ** np.arange(orders)).real
         terms = _chebyshev_terms(turn, np.concatenate([last["state"].real, last["state"].imag]))
-        series = weights @ np.stack(list(islice(terms, weights.shape[1])))
+        series = weights @ np.stack(list(islice(terms, orders)))
         states = np.exp(-1j * centre * offsets)[:, None] * (series[:, :dim] + 1j * series[:, dim:])
         last.update(time=times[-1], state=states[-1])
         return states
@@ -582,9 +594,6 @@ def _propagator(state, h):
         out = np.empty((times.size, dim), dtype=complex)
         start = 0
         while start < times.size:
-            if ordered[start] == last["time"]:  # the last state itself, with no series
-                out[order[start]], start = last["state"], start + 1
-                continue
             gap = ordered[start] - last["time"]
             # a far time is reached in equal hops of at most the span: one
             # series over r |gap| orders lets the norm drift by ~ (r gap)^2 eps
@@ -611,18 +620,14 @@ def _autocorrelation(psi0, h, times):
     mu_2k+1 = 2 <v_k+1, v_k> - mu_1 with v_k = T_k(R') x (Weisse, Wellein,
     Alvermann and Fehske, Rev. Mod. Phys. 78, 275 (2006)): about K / 2 sparse
     products in one series on the real (dim, 2) [Re x, Im x], with no hops,
-    since a scalar has no norm to drift.  By Jacobi-Anger the sum is the
-    K-point Gauss-Chebyshev rule sum_j w_j exp(-i r t x_j) on the nodes
-    x_j = cos(pi (j + 1/2) / K), with w = DCT-III(mu) / K: the rule is
-    exact on every T_k, k < K, so it sums the truncated series with no
-    Bessel table.  As
-    sum_j w_j = mu_0, it is summed as mu_0 + sum_j w_j (exp(-i r t x_j) - 1),
-    and C(0) is mu_0 = |psi0|^2 exactly.  The rule is summed by ``einsum``
-    in numpy's own loop, over chunks of times whose complex (times, K)
-    table holds at most ``_SWEEP_CHUNK_BYTES``, so a long sweep's memory is
-    bounded and no BLAS call wakes a thread pool: a gemv of even the
-    25-offset sweep's table does, and its idle threads then spin for about
-    0.1 s of CPU.
+    since a scalar has no norm to drift.  The weights c_k(r t) are the
+    propagator's, from :func:`_chebyshev_weights`, which is exactly delta_k0
+    at t = 0, so C(0) is mu_0 = |psi0|^2 exactly.  They are contracted with
+    the moments by ``einsum`` in numpy's own loop, over chunks of times
+    whose complex (times, 2K) FFT input and output hold at most
+    ``_SWEEP_CHUNK_BYTES``, so a long sweep's memory is bounded and no BLAS
+    call wakes a thread pool: a gemv of even the 25-offset sweep's table
+    does, and its idle threads then spin for about 0.1 s of CPU.
 
     Raises ValueError, before any product, where :func:`_propagator` does.
     """
@@ -646,21 +651,13 @@ def _autocorrelation(psi0, h, times):
     moments[0::2] = 2 * np.array(squares) - squares[0]
     moments[1::2] = 2 * np.array(crosses) - crosses[0]
     moments = moments[:orders]
-    # w_j = (mu_0 + 2 sum_k mu_k cos(pi k (j + 1/2) / K)) / K, by one FFT of length 2K
-    k = np.arange(orders)
-    shifted = 2 * moments * np.exp(0.5j * np.pi * k / orders)
-    shifted[0] = moments[0]
-    weights = 2 * np.fft.ifft(shifted, 2 * orders)[:orders].real
-    nodes = np.cos(np.pi * (k + 0.5) / orders)
     amplitudes = np.empty(times.size, dtype=complex)
-    chunk = max(1, int(_SWEEP_CHUNK_BYTES // (16 * orders)))
+    chunk = max(1, int(_SWEEP_CHUNK_BYTES // (64 * orders)))
     for start in range(0, times.size, chunk):
         part = times[start : start + chunk]
         # einsum runs numpy's own loop; a BLAS gemv here wakes its thread pool
-        amplitudes[start : start + chunk] = np.einsum(
-            "tj,j->t", np.expm1(-1j * radius * np.outer(part, nodes)), weights
-        )
-    return np.exp(-1j * centre * times) * (moments[0] + amplitudes)
+        amplitudes[start : start + chunk] = np.einsum("tj,j->t", _chebyshev_weights(radius * part, orders), moments)
+    return np.exp(-1j * centre * times) * amplitudes
 
 
 def evolve_series(state, h, times):

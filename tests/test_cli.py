@@ -454,6 +454,13 @@ class TestSimulateCommand:
         assert abs(cols["survival"][-1] - 1) < 1e-12
         assert abs(cols["mean_excitation"][0] / 1e10 - 1) < 1e-12
 
+    def test_revival_phase_prints_no_negative_zero(self, tmp_path, monkeypatch, capsys):
+        # an imaginary part of -1e-17 rounds to zero and prints as +0
+        monkeypatch.setattr("rotor.cli.revival_phase", lambda *args: -1 - 1e-17j)
+        argv = ["simulate", "--omega1-khz", "1", "--samples", "10", "--nmax", "8"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        assert "revival phase = -1.000000 +0.000000j" in capsys.readouterr().out
+
     def test_degenerate_overlap_exit(self, tmp_path, monkeypatch, capsys):
         def degenerate(*args, **kwargs):
             raise DegenerateOverlap("overlap too small")

@@ -5,10 +5,12 @@ import types
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import rotor.quantum
-from scipy.special import eval_hermite, factorial
+from scipy.special import eval_hermite, factorial, jv
 
 from rotor import (
     ClosedFormState,
@@ -411,21 +413,20 @@ class TestEvolution:
         with pytest.raises(ValueError, match="finite"):
             evolve_series(entangled_state(4), h, [0.0, bad])
 
-    def test_uniform_grid_computes_few_bessel_tables(self, row1_protocol, monkeypatch):
-        # t = 0 is the initial state itself, and every block of a uniform grid
-        # repeats the offsets of the first, so one table serves them all
-        tables = []
-        bessel = rotor.quantum._chebyshev_bessel
-
-        def counting(z):
-            tables.append(z.size)
-            return bessel(z)
-
-        monkeypatch.setattr(rotor.quantum, "_chebyshev_bessel", counting)
-        h = build_fock_hamiltonian(row1_protocol.config, 16)
-        times = np.linspace(0.0, 3 * row1_protocol.duration, 601)
-        evolve_series(fock_state(0, 0, 16), h, times)
-        assert len(tables) == 1 and tables[0] < 601 / 4
+    @settings(deadline=None)
+    @given(st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=8))
+    def test_chebyshev_weights_match_bessel(self, offsets):
+        # the FFT rule against scipy's jv, with K from the order rule; jv
+        # itself errs by up to 1.5e-14 near the turning point k = |z| at |z|
+        # near 100, where the FFT rule holds to 2e-15 of the exact values
+        z = np.array([0.0, *offsets])
+        orders = rotor.quantum._chebyshev_orders(np.abs(z).max())
+        k = np.arange(orders)
+        weights = rotor.quantum._chebyshev_weights(z, orders)
+        assert weights.shape == (z.size, orders)
+        np.testing.assert_array_equal(weights[0], k == 0)
+        want = (2 - (k == 0)) * (-1j) ** k * jv(k, z[:, None])
+        assert np.abs(weights - want).max() <= 2e-14
 
 
 class TestChebyshevEvolve:
@@ -822,9 +823,9 @@ class TestStability:
 
     def test_sweep_forms_no_bessel_table_and_no_state(self, row1_protocol, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the sweep evolved a state or formed a Bessel table")
+            raise AssertionError("the sweep evolved a state")
 
-        for name in ("_chebyshev_bessel", "_propagator", "evolve_series"):
+        for name in ("_propagator", "evolve_series"):
             monkeypatch.setattr(rotor.quantum, name, refuse)
         sweep = stability_sweep(entangled_state(16), row1_protocol, [-row1_protocol.duration, 0.0])
         assert sweep.values[0] == pytest.approx(1.0, abs=1e-15)
@@ -1026,7 +1027,7 @@ class TestConjugation:
             raise AssertionError("the oracle reached the Fock evolution or the band builder")
 
         for name in ("_propagator", "_autocorrelation", "_gershgorin_interval",
-                     "_chebyshev_orders", "_chebyshev_bessel", "_chebyshev_terms", "evolve_series",
+                     "_chebyshev_orders", "_chebyshev_weights", "_chebyshev_terms", "evolve_series",
                      "build_fock_hamiltonian", "FockHamiltonian", "_rotation_phases", "_parity_sectors"):
             monkeypatch.setattr(rotor.quantum, name, refuse)
         _, s1, _, _ = step_transforms(row1_protocol.config)
