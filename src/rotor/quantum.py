@@ -8,15 +8,16 @@ Chebyshev series in H rather than by time stepping; the propagator is then
 exact to rounding on the truncated basis.
 
 No Hamiltonian is factorized.  :func:`_propagator` makes, for one state,
-the function of time that evolves it, one Chebyshev recurrence of sparse
+the function of time that evolves it, one Chebyshev series of sparse
 products per block of nearby times.  :func:`evolve_series` and
 :func:`wavepacket_track` make one per call, :func:`converge_truncation` one
 per size for psi(T).  :func:`stability_sweep` and
 :func:`measure_sensitivity` need only the survival amplitude
-<psi0|exp(-i H t)|psi0> and evolve no state: :func:`_autocorrelation` takes
-it from the Chebyshev moments of psi0, one recurrence of about half as many
-sparse products as the series has orders.  Both series weigh their orders
-by one FFT table, :func:`_chebyshev_weights`; ``jv`` only counts the orders.
+<psi0|exp(-i H t)|psi0> and evolve no state: :func:`_autocorrelation` reads
+the Chebyshev moments of psi0 from half as many of the same terms.  Both
+series share one start, :func:`_chebyshev_start`, one recurrence,
+:func:`_chebyshev_terms`, and one FFT weight table, :func:`_chebyshev_weights`;
+``jv`` only counts the orders.
 :func:`revival_phase` evolves nothing: it reads the phase from psi(T), the
 state its caller has already evolved.  :func:`measure_sensitivity` refuses a
 state with no energy variance, whose survival does not decay.
@@ -61,9 +62,9 @@ request, and only :meth:`FockHamiltonian.from_matrix`, which takes a
 foreign complex matrix, rotates one and checks it.  Each reader computes
 only what it needs from the real band: :func:`eigenvalues` reads each
 sector into band storage and takes its spectrum from ``eigvals_banded``,
-with no dense block and no eigenvectors; :func:`_propagator` and
-:func:`_autocorrelation` run their recurrences on the sparse band, with the
-real and imaginary parts of the state side by side in real arithmetic; and
+with no dense block and no eigenvectors; :func:`_chebyshev_terms` runs
+the one recurrence of both series on the sparse band, with the real and
+imaginary parts of the state side by side in real arithmetic; and
 :func:`energy_variance` takes <H^2> - <H>^2 from one product of the band.
 The tests check the band against H formed from the sparse q and p of
 :func:`phase_space_operators`, and the readers against the full dense
@@ -76,7 +77,7 @@ its own index arithmetic and shares no code with the builder or any reader.
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import islice, pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -197,7 +198,7 @@ class QuantumState:
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError("coefficients must form a square (nmax, nmax) array")
         norm = np.linalg.norm(c)
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"state must be normalized (|psi| = {norm:.12g})")
         c = c.copy()
         c.setflags(write=False)
@@ -522,10 +523,27 @@ def _chebyshev_weights(z, orders):
     return table
 
 
+def _chebyshev_start(state, h):
+    """``(phases, centre, radius, turn, x)`` that start a Chebyshev series for
+    ``state`` under ``h``.  With c +- r the Gershgorin interval of R = D* H D
+    (:attr:`FockHamiltonian.rotated`, D the diagonal ``phases``), R' =
+    (R - c) / r has its spectrum in [-1, 1], where |T_k| <= 1; ``turn`` is the
+    real [[0, 2 R'], [-2 R', 0]] and ``x`` is D* psi as the real [Re, Im].
+    Raises ValueError, before any product, if the truncations differ."""
+    if state.nmax != h.nmax:
+        raise ValueError("state and Hamiltonian use different truncations")
+    phases, rot = _rotation_phases(h.nmax), h.rotated
+    centre, radius = _gershgorin_interval(rot)
+    turn = sp.kron([[0, 2 / radius], [-2 / radius, 0]], rot - centre * sp.eye(phases.size, format="csr"), format="csr")
+    x = np.conj(phases) * state.vector
+    return phases, centre, radius, turn, np.concatenate([x.real, x.imag])
+
+
 def _chebyshev_terms(turn, x):
-    """S_k = (-i)^k T_k(R) x for k = 0, 1, ..., one per request, each a real
-    [Re, Im] like x, by S_(k+1) = -i 2 R S_k + S_(k-1): ``turn``, the real
-    [[0, 2 R], [-2 R, 0]], maps [a, b] to -i 2 R (a + i b)."""
+    """S_k = (-i)^k T_k(R') x for k = 0, 1, ..., one per request, each a real
+    [Re, Im] like x, by S_(k+1) = -i 2 R' S_k + S_(k-1): ``turn``, the real
+    [[0, 2 R'], [-2 R', 0]], maps [a, b] to -i 2 R' (a + i b).  The one
+    recurrence of both series, from :func:`_chebyshev_start`."""
     previous = x
     yield previous
     current = turn @ x / 2
@@ -547,16 +565,14 @@ def _propagator(state, h):
     exp(-i H t) |psi> for ``state`` under ``h``, at times in any order and
     of either sign, by Chebyshev series.
 
-    With c +- r the Gershgorin interval (:func:`_gershgorin_interval`) of
-    R = D* H D (:attr:`FockHamiltonian.rotated`), R' = (R - c) / r has its spectrum
-    in [-1, 1], where |T_k| <= 1, and exp(-i R tau) = exp(-i c tau)
-    sum_k (2 - delta_k0) J_k(r tau) (-i)^k T_k(R') (Tal-Ezer and Kosloff,
-    J. Chem. Phys. 81, 3967 (1984)).  The function keeps the last state it
-    computed and takes the times in increasing order, in blocks from that
-    state: the times within ``_CHEBYSHEV_SPAN`` / r of it, after equal hops
-    of at most that span towards a farther next time; the chunks of one grid
-    continue one another.  A block is one real product of its weights, the
-    real (2 - delta_k0) J_k(r tau) = i^k c_k(r tau) of
+    With R', c and r of :func:`_chebyshev_start`, exp(-i R tau) =
+    exp(-i c tau) sum_k (2 - delta_k0) J_k(r tau) (-i)^k T_k(R') (Tal-Ezer
+    and Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The function keeps the
+    last state it computed and takes the times in increasing order, in
+    blocks from that state: the times within ``_CHEBYSHEV_SPAN`` / r of it,
+    after equal hops of at most that span towards a farther next time; the
+    chunks of one grid continue one another.  A block is one real product of
+    its weights, the real (2 - delta_k0) J_k(r tau) = i^k c_k(r tau) of
     :func:`_chebyshev_weights`, with the terms of :func:`_chebyshev_terms`,
     over the orders of :func:`_chebyshev_orders` at its largest r tau: at
     most 70 within the span.  At tau = 0 the weights are exactly delta_k0,
@@ -565,15 +581,10 @@ def _propagator(state, h):
     Raises ValueError, before any product, if the truncations differ, and
     on a time that is not finite.
     """
-    if state.nmax != h.nmax:
-        raise ValueError("state and Hamiltonian use different truncations")
-    phases, rot = _rotation_phases(h.nmax), h.rotated
-    centre, radius = _gershgorin_interval(rot)
+    phases, centre, radius, turn, x = _chebyshev_start(state, h)
     dim = phases.size
-    double = (rot - centre * sp.identity(dim)) * (2 / radius)
-    turn = sp.kron([[0.0, 1.0], [-1.0, 0.0]], double, format="csr")
-    # the last state computed (as D* psi) and its time
-    last = {"time": 0.0, "state": np.conj(phases) * state.vector}
+    # the last state computed (as D* psi, the real [Re, Im]) and its time
+    last = {"time": 0.0, "state": x}
 
     def block(times):
         """D* psi at the increasing ``times``, from the last state."""
@@ -581,10 +592,9 @@ def _propagator(state, h):
         z = radius * offsets
         orders = _chebyshev_orders(np.abs(z).max())
         weights = (_chebyshev_weights(z, orders) * 1j ** np.arange(orders)).real
-        terms = _chebyshev_terms(turn, np.concatenate([last["state"].real, last["state"].imag]))
-        series = weights @ np.stack(list(islice(terms, orders)))
+        series = weights @ np.stack(list(islice(_chebyshev_terms(turn, last["state"]), orders)))
         states = np.exp(-1j * centre * offsets)[:, None] * (series[:, :dim] + 1j * series[:, dim:])
-        last.update(time=times[-1], state=states[-1])
+        last.update(time=times[-1], state=np.concatenate([states[-1].real, states[-1].imag]))
         return states
 
     def coefficients(times):
@@ -612,45 +622,35 @@ def _autocorrelation(psi0, h, times):
     """C(t) = <psi0| exp(-i H t) |psi0> at each of ``times``, of either sign,
     from the Chebyshev moments of psi0, with no evolved state.
 
-    With R', c, r and x = D* psi0 as in :func:`_propagator`, C(t) =
+    With R', c, r and x = D* psi0 of :func:`_chebyshev_start`, C(t) =
     exp(-i c t) sum_k (2 - delta_k0) (-i)^k J_k(r t) mu_k over the K orders
     of :func:`_chebyshev_orders` at max r |t|, with the real moments
     mu_k = <x|T_k(R')|x>.  R' is real symmetric, so T_2k = 2 T_k^2 - T_0 and
-    T_2k+1 = 2 T_k+1 T_k - T_1 give mu_2k = 2 |v_k|^2 - mu_0 and
-    mu_2k+1 = 2 <v_k+1, v_k> - mu_1 with v_k = T_k(R') x (Weisse, Wellein,
-    Alvermann and Fehske, Rev. Mod. Phys. 78, 275 (2006)): about K / 2 sparse
-    products in one series on the real (dim, 2) [Re x, Im x], with no hops,
-    since a scalar has no norm to drift.  The weights c_k(r t) are the
-    propagator's, from :func:`_chebyshev_weights`, which is exactly delta_k0
-    at t = 0, so C(0) is mu_0 = |psi0|^2 exactly.  They are contracted with
-    the moments by ``einsum`` in numpy's own loop, over chunks of times
-    whose complex (times, 2K) FFT input and output hold at most
-    ``_SWEEP_CHUNK_BYTES``, so a long sweep's memory is bounded and no BLAS
-    call wakes a thread pool: a gemv of even the 25-offset sweep's table
-    does, and its idle threads then spin for about 0.1 s of CPU.
+    T_2k+1 = 2 T_k+1 T_k - T_1 (Weisse, Wellein, Alvermann and Fehske, Rev.
+    Mod. Phys. 78, 275 (2006)) give, from the propagator's own terms
+    S_k = (-i)^k T_k(R') x of :func:`_chebyshev_terms`, mu_2k = 2 |S_k|^2 -
+    mu_0 and mu_2k+1 = 2 Im <S_k+1|S_k> - mu_1: about K / 2 sparse products
+    in one series, with no hops, since a scalar has no norm to drift.  The
+    weights c_k(r t) are the propagator's, from :func:`_chebyshev_weights`,
+    which is exactly delta_k0 at t = 0, so C(0) is mu_0 = |psi0|^2 exactly.
+    They are contracted with the moments by ``einsum`` in numpy's own loop,
+    over chunks of times whose complex (times, 2K) FFT input and output hold
+    at most ``_SWEEP_CHUNK_BYTES``, so a long sweep's memory is bounded and
+    no BLAS call wakes a thread pool: a gemv of even the 25-offset sweep's
+    table does, and its idle threads then spin for about 0.1 s of CPU.
 
     Raises ValueError, before any product, where :func:`_propagator` does.
     """
-    if psi0.nmax != h.nmax:
-        raise ValueError("state and Hamiltonian use different truncations")
     times = _finite_times(times)
-    phases, rot = _rotation_phases(h.nmax), h.rotated
-    centre, radius = _gershgorin_interval(rot)
+    phases, centre, radius, turn, x = _chebyshev_start(psi0, h)
+    dim = phases.size
     orders = _chebyshev_orders(radius * np.abs(times).max(initial=0.0))
-    double = (rot - centre * sp.identity(phases.size)) * (2 / radius)
-    x = np.conj(phases) * psi0.vector
-    previous = np.stack([x.real, x.imag], axis=1)
-    current = double @ previous / 2
-    squares = [np.vdot(previous, previous), np.vdot(current, current)]
-    crosses = [np.vdot(current, previous)]
-    for _ in range(orders // 2 - 1):
-        previous, current = current, double @ current - previous
-        squares.append(np.vdot(current, current))
-        crosses.append(np.vdot(current, previous))
-    moments = np.empty(len(squares) + len(crosses))
-    moments[0::2] = 2 * np.array(squares) - squares[0]
-    moments[1::2] = 2 * np.array(crosses) - crosses[0]
-    moments = moments[:orders]
+    # |S_0|^2, then for each b = S_k, a = S_k+1: Im <a|b> = a_re . b_im - a_im . b_re and |a|^2
+    overlaps = [np.vdot(x, x)]
+    for b, a in pairwise(islice(_chebyshev_terms(turn, x), max(1, orders // 2) + 1)):
+        overlaps += [np.vdot(a[:dim], b[dim:]) - np.vdot(a[dim:], b[:dim]), np.vdot(a, a)]
+    overlaps = np.array(overlaps[:orders])
+    moments = 2 * overlaps - np.resize(overlaps[:2], orders)
     amplitudes = np.empty(times.size, dtype=complex)
     chunk = max(1, int(_SWEEP_CHUNK_BYTES // (64 * orders)))
     for start in range(0, times.size, chunk):

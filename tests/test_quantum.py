@@ -193,6 +193,13 @@ class TestStates:
         with pytest.raises(ValueError):
             QuantumState(c)
 
+    def test_nan_coefficient_rejected(self):
+        # a NaN norm fails every comparison, so it must not pass as "not too far from 1"
+        c = np.zeros((4, 4), dtype=complex)
+        c[0, 0], c[1, 1] = 1.0, np.nan
+        with pytest.raises(ValueError, match="normalized"):
+            QuantumState(c)
+
 
 class TestFockHamiltonian:
     def test_static_trap_diagonal(self):
@@ -837,6 +844,20 @@ class TestStability:
         self._dense_products(monkeypatch, refuse=True)
         with pytest.raises(ValueError, match="truncations"):
             rotor.quantum._survival_sweep(entangled_state(10), row1_protocol, h, [0.0])
+        with pytest.raises(ValueError, match="truncations"):
+            evolve_series(entangled_state(10), h, [0.0, 1.0])
+
+    def test_sweep_runs_the_propagators_recurrence(self, row1_protocol, monkeypatch):
+        # one Chebyshev recurrence: the survival sum reads its moments from
+        # the propagator's own terms, one series per sweep
+        calls = []
+        terms = rotor.quantum._chebyshev_terms
+        monkeypatch.setattr(rotor.quantum, "_chebyshev_terms", lambda *a: calls.append("terms") or terms(*a))
+        psi0 = entangled_state(16)
+        stability_sweep(psi0, row1_protocol, [-0.01, 0.0, 0.01])
+        assert len(calls) == 1
+        evolve_series(psi0, build_fock_hamiltonian(row1_protocol.config, 16), [0.0, 0.1])
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_offset_not_finite_rejected_before_any_product(self, row1_protocol, monkeypatch, bad):
@@ -1026,7 +1047,7 @@ class TestConjugation:
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle reached the Fock evolution or the band builder")
 
-        for name in ("_propagator", "_autocorrelation", "_gershgorin_interval",
+        for name in ("_propagator", "_autocorrelation", "_gershgorin_interval", "_chebyshev_start",
                      "_chebyshev_orders", "_chebyshev_weights", "_chebyshev_terms", "evolve_series",
                      "build_fock_hamiltonian", "FockHamiltonian", "_rotation_phases", "_parity_sectors"):
             monkeypatch.setattr(rotor.quantum, name, refuse)
