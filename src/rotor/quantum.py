@@ -17,7 +17,10 @@ per size for psi(T).  :func:`stability_sweep` and
 the Chebyshev moments of psi0 from half as many of the same terms.  Both
 series share one start, :func:`_chebyshev_start`, one recurrence,
 :func:`_chebyshev_terms`, and one FFT weight table, :func:`_chebyshev_weights`;
-``jv`` only counts the orders.
+``jv`` only counts the orders.  Each step of the recurrence is one sparse
+product added in place into a preallocated table of terms, and the series
+read the tables whole: the propagator multiplies its weights by its block's
+one table, and the survival sum takes its moments from row sums.
 :func:`revival_phase` evolves nothing: it reads the phase from psi(T), the
 state its caller has already evolved.  :func:`measure_sensitivity` refuses a
 state with no energy variance, whose survival does not decay.
@@ -77,7 +80,6 @@ its own index arithmetic and shares no code with the builder or any reader.
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import islice, pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -371,8 +373,9 @@ def _parity_sectors(nmax):
 class FockHamiltonian:
     """The rotating-frame Hamiltonian on the truncated basis, row-major
     ordering (n1, n2), held as its real symmetric rotation ``rotated`` =
-    R = D* H D with D = diag(i**n1), stored sparse: every reader works on R,
-    so none rotates or checks it.  The complex H = D R D* is the derived
+    R = D* H D with D = diag(i**n1), stored sparse with each diagonal entry
+    stored once, a zero one too: every reader works on R, so none rotates
+    or checks it.  The complex H = D R D* is the derived
     :attr:`matrix`, formed anew on each access.  Nothing derived is kept,
     and Hamiltonians compare and hash by identity."""
 
@@ -386,7 +389,8 @@ class FockHamiltonian:
 
         Raises ValueError if the matrix couples the even and odd sectors of
         n1 + n2, which no quadratic operator does, or if its rotation is not
-        real symmetric, which every Hamiltonian's is.
+        real symmetric, which every Hamiltonian's is.  A zero diagonal entry
+        of the rotation is stored, as the builder stores every diagonal entry.
         """
         phases = _rotation_phases(nmax)
         rot = (sp.diags(np.conj(phases)) @ matrix @ sp.diags(phases)).tocsr()
@@ -399,7 +403,11 @@ class FockHamiltonian:
         skew = rot - rot.T
         if max(np.abs(rot.data.imag).max(initial=0.0), np.abs(skew.data).max(initial=0.0)) > tol:
             raise ValueError("operator is not real symmetric after the diag(i**n1) rotation")
-        return cls(rot.real, nmax)
+        real, n = rot.real.tocoo(), np.arange(nmax * nmax)
+        # the conversion sums each diagonal entry with a stored zero
+        entries = np.concatenate([real.data, np.zeros(n.size)])
+        places = (np.concatenate([real.row, n]), np.concatenate([real.col, n]))
+        return cls(sp.csr_matrix((entries, places), shape=real.shape), nmax)
 
     @property
     def matrix(self):
@@ -502,6 +510,11 @@ def _chebyshev_orders(top):
         start += 16
 
 
+#: most rows of one table of :func:`_chebyshev_terms`: the orders of the
+#: widest block of :func:`_propagator`, r |t - t0| = ``_CHEBYSHEV_SPAN``
+_CHEBYSHEV_ROWS = _chebyshev_orders(_CHEBYSHEV_SPAN)
+
+
 def _chebyshev_weights(z, orders):
     """The (len(z), ``orders``) table c_k(z) = (2 - delta_k0) (-i)^k J_k(z),
     the Chebyshev coefficients of exp(-i z x) (Jacobi-Anger): the K-point
@@ -529,27 +542,62 @@ def _chebyshev_start(state, h):
     (:attr:`FockHamiltonian.rotated`, D the diagonal ``phases``), R' =
     (R - c) / r has its spectrum in [-1, 1], where |T_k| <= 1; ``turn`` is the
     real [[0, 2 R'], [-2 R', 0]] and ``x`` is D* psi as the real [Re, Im].
-    Raises ValueError, before any product, if the truncations differ."""
+
+    ``turn`` is filled from the CSR arrays of R: c is subtracted from the
+    stored diagonal, the entries are scaled by 2 / r and mirrored with a
+    minus sign.  An entry that the shift makes zero is not stored, as the
+    sparse subtraction drops it, so ``turn`` is bit for bit the ``sp.kron``
+    build of the same matrix.  Raises ValueError, before any product, if the
+    truncations differ or if R does not store each diagonal entry once."""
     if state.nmax != h.nmax:
         raise ValueError("state and Hamiltonian use different truncations")
     phases, rot = _rotation_phases(h.nmax), h.rotated
     centre, radius = _gershgorin_interval(rot)
-    turn = sp.kron([[0, 2 / radius], [-2 / radius, 0]], rot - centre * sp.eye(phases.size, format="csr"), format="csr")
+    dim = phases.size
+    rows = np.repeat(np.arange(dim), np.diff(rot.indptr))
+    diagonal = rows == rot.indices
+    if not np.array_equal(rows[diagonal], np.arange(dim)):
+        raise ValueError("the rotated Hamiltonian does not store each diagonal entry once")
+    shifted = rot.data.copy()
+    shifted[diagonal] -= centre
+    kept = shifted != 0
+    scaled, columns = 2 / radius * shifted[kept], rot.indices[kept]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[kept], minlength=dim))])
+    turn = sp.csr_matrix(
+        (np.concatenate([scaled, -scaled]), np.concatenate([columns + dim, columns]),
+         np.concatenate([indptr, indptr[1:] + indptr[-1]])),
+        shape=(2 * dim, 2 * dim),
+    )
     x = np.conj(phases) * state.vector
     return phases, centre, radius, turn, np.concatenate([x.real, x.imag])
 
 
-def _chebyshev_terms(turn, x):
-    """S_k = (-i)^k T_k(R') x for k = 0, 1, ..., one per request, each a real
-    [Re, Im] like x, by S_(k+1) = -i 2 R' S_k + S_(k-1): ``turn``, the real
-    [[0, 2 R'], [-2 R', 0]], maps [a, b] to -i 2 R' (a + i b).  The one
-    recurrence of both series, from :func:`_chebyshev_start`."""
-    previous = x
-    yield previous
-    current = turn @ x / 2
+def _chebyshev_terms(turn, x, rows):
+    """The first ``rows`` terms S_k = (-i)^k T_k(R') x, k = 0, 1, ..., each a
+    real [Re, Im] like x, by S_(k+1) = -i 2 R' S_k + S_(k-1): ``turn``, the
+    real [[0, 2 R'], [-2 R', 0]], maps [a, b] to -i 2 R' (a + i b).  The one
+    recurrence of both series, from :func:`_chebyshev_start`.
+
+    Each term is one sparse product added in place into a row of a table of
+    at most ``_CHEBYSHEV_ROWS`` rows, the widest block of :func:`_propagator`;
+    one term costs no product.  A longer series refills the same table:
+    each later table starts with the last two rows of the one before, so
+    every pair of consecutive terms lies within one table.  Read a table
+    before asking for the next."""
+    buffer = np.empty((min(rows, _CHEBYSHEV_ROWS), x.size))
+    buffer[0] = x
+    if len(buffer) > 1:
+        buffer[1] = turn @ x / 2
+    table, made = buffer, len(buffer)
     while True:
-        yield current
-        previous, current = current, turn @ current + previous
+        for k in range(2, len(table)):
+            np.add(turn @ table[k - 1], table[k - 2], out=table[k])
+        yield table
+        if made == rows:
+            return
+        fresh = min(rows - made, len(buffer) - 2)
+        buffer[:2] = table[-2:]
+        table, made = buffer[: fresh + 2], made + fresh
 
 
 def _finite_times(times):
@@ -573,9 +621,10 @@ def _propagator(state, h):
     after equal hops of at most that span towards a farther next time; the
     chunks of one grid continue one another.  A block is one real product of
     its weights, the real (2 - delta_k0) J_k(r tau) = i^k c_k(r tau) of
-    :func:`_chebyshev_weights`, with the terms of :func:`_chebyshev_terms`,
-    over the orders of :func:`_chebyshev_orders` at its largest r tau: at
-    most 70 within the span.  At tau = 0 the weights are exactly delta_k0,
+    :func:`_chebyshev_weights`, with its one table of terms from
+    :func:`_chebyshev_terms`, over the orders of :func:`_chebyshev_orders`
+    at its largest r tau: at most 70 within the span, ``_CHEBYSHEV_ROWS``,
+    the most rows of a table.  At tau = 0 the weights are exactly delta_k0,
     so the last state comes back bit for bit, and alone with no product.
 
     Raises ValueError, before any product, if the truncations differ, and
@@ -592,7 +641,8 @@ def _propagator(state, h):
         z = radius * offsets
         orders = _chebyshev_orders(np.abs(z).max())
         weights = (_chebyshev_weights(z, orders) * 1j ** np.arange(orders)).real
-        series = weights @ np.stack(list(islice(_chebyshev_terms(turn, last["state"]), orders)))
+        (terms,) = _chebyshev_terms(turn, last["state"], orders)
+        series = weights @ terms
         states = np.exp(-1j * centre * offsets)[:, None] * (series[:, :dim] + 1j * series[:, dim:])
         last.update(time=times[-1], state=np.concatenate([states[-1].real, states[-1].imag]))
         return states
@@ -630,7 +680,10 @@ def _autocorrelation(psi0, h, times):
     Mod. Phys. 78, 275 (2006)) give, from the propagator's own terms
     S_k = (-i)^k T_k(R') x of :func:`_chebyshev_terms`, mu_2k = 2 |S_k|^2 -
     mu_0 and mu_2k+1 = 2 Im <S_k+1|S_k> - mu_1: about K / 2 sparse products
-    in one series, with no hops, since a scalar has no norm to drift.  The
+    in one series, with no hops, since a scalar has no norm to drift.
+    |S_k|^2 and Im <S_k+1|S_k> are row sums of each table of terms, numpy's
+    pairwise sums along each row, so the series keeps only one table, at
+    most ``_CHEBYSHEV_ROWS`` rows, whatever its length.  The
     weights c_k(r t) are the propagator's, from :func:`_chebyshev_weights`,
     which is exactly delta_k0 at t = 0, so C(0) is mu_0 = |psi0|^2 exactly.
     They are contracted with the moments by ``einsum`` in numpy's own loop,
@@ -645,11 +698,19 @@ def _autocorrelation(psi0, h, times):
     phases, centre, radius, turn, x = _chebyshev_start(psi0, h)
     dim = phases.size
     orders = _chebyshev_orders(radius * np.abs(times).max(initial=0.0))
-    # |S_0|^2, then for each b = S_k, a = S_k+1: Im <a|b> = a_re . b_im - a_im . b_re and |a|^2
-    overlaps = [np.vdot(x, x)]
-    for b, a in pairwise(islice(_chebyshev_terms(turn, x), max(1, orders // 2) + 1)):
-        overlaps += [np.vdot(a[:dim], b[dim:]) - np.vdot(a[dim:], b[:dim]), np.vdot(a, a)]
-    overlaps = np.array(overlaps[:orders])
+    # |S_k|^2 and, for b = S_k and a = S_k+1, Im <a|b> = a_re . b_im - a_im . b_re,
+    # by row sums of each table; a table after the first repeats the last two
+    # rows of the one before, whose sums are already taken
+    terms = max(1, orders // 2) + 1
+    squares, crossings = [], []
+    for table in _chebyshev_terms(turn, x, terms):
+        lead = 2 if squares else 0
+        squares.append((table[lead:] * table[lead:]).sum(axis=1))
+        a, b = table[max(lead, 1) :], table[max(lead, 1) - 1 : -1]
+        crossings.append((a[:, :dim] * b[:, dim:]).sum(axis=1) - (a[:, dim:] * b[:, :dim]).sum(axis=1))
+    overlaps = np.empty(2 * terms - 1)
+    overlaps[0::2], overlaps[1::2] = np.concatenate(squares), np.concatenate(crossings)
+    overlaps = overlaps[:orders]
     moments = 2 * overlaps - np.resize(overlaps[:2], orders)
     amplitudes = np.empty(times.size, dtype=complex)
     chunk = max(1, int(_SWEEP_CHUNK_BYTES // (64 * orders)))
@@ -1348,17 +1409,24 @@ def _expm_action(a, b):
     terms sum below 2**-53 of the partial sum (infinity norms).  No norm is
     estimated, so nothing random is drawn, and no multiple of the identity
     is split off ``a``.
+
+    The partial sum's norm is taken only when the stop test can pass: the
+    running sum of the terms' norms bounds it, so a test against 2**-52 of
+    that bound fails whenever the exact test would.  The series stops at
+    the same term, bit for bit, and forms the partial sum's norm about once
+    per step instead of once per term.
     """
     steps = max(1, math.ceil(abs(a).sum(axis=0).max() / _TAYLOR_THETA))
     for _ in range(steps):
         term, total = b, np.array(b, dtype=np.result_type(a.dtype, b.dtype))
-        size = np.abs(term).sum(axis=1).max()
+        size = bound = np.abs(term).sum(axis=1).max()
         for k in range(1, _TAYLOR_TERMS + 1):
             term = a @ term
             term *= 1.0 / (steps * k)
             prev, size = size, np.abs(term).sum(axis=1).max()
             total += term
-            if prev + size <= 2.0**-53 * np.abs(total).sum(axis=1).max():
+            bound += size
+            if prev + size <= 2.0**-52 * bound and prev + size <= 2.0**-53 * np.abs(total).sum(axis=1).max():
                 break
         b = total
     return b
@@ -1390,7 +1458,9 @@ def conjugation_check(g, transform, nmax, levels=8):
     zgemm (50 x 288 x 50 at nmax 24) the contraction wakes the pool, whose
     threads then spin for about 0.1 s of CPU after each call; the real loop
     costs about 1.3 ms per product, the complex one 3 ms and one thread of
-    zgemm 0.15 ms.
+    zgemm 0.15 ms.  The targets (S^-1 v)_j are one ``einsum`` of S^-1 with
+    the dense kept blocks of the four flips v_j, and the four spectral norms
+    come from one batched SVD.
 
     Returns
     -------
@@ -1428,18 +1498,18 @@ def conjugation_check(g, transform, nmax, levels=8):
 
     u_even, u_odd = kept_columns(even, even_kept), kept_columns(odd, odd_kept)
     flips = [op[odd][:, even] for op in ops]
+    # the targets (S^-1 v)_j on the kept states, from the dense kept blocks of the flips
+    targets = np.einsum("jk,kab->jab", s_inv, np.stack([f[odd_kept][:, even_kept].toarray() for f in flips]))
     # U_odd+ X = (A^T C + B^T D) + i (A^T D - B^T C) for U_odd = A + i B and
     # X = C + i D, read from the one real product [A, B]^T [C, D]
     rows, cols = odd_kept.size, even_kept.size
     stacked = np.hstack([u_odd.real, u_odd.imag])
-    worst = 0.0
-    for j in range(4):
-        target = sum(s_inv[j, k] * flips[k] for k in range(4))[odd_kept][:, even_kept].toarray()
-        moved = flips[j] @ u_even
+    resid = np.empty_like(targets)
+    for j, flip in enumerate(flips):
+        moved = flip @ u_even
         # einsum runs numpy's own loop; a BLAS gemm here wakes its thread pool
         blocks = np.einsum("ij,ik->jk", stacked, np.hstack([moved.real, moved.imag]))
         a_c, a_d = blocks[:rows, :cols], blocks[:rows, cols:]
         b_c, b_d = blocks[rows:, :cols], blocks[rows:, cols:]
-        resid = (a_c + b_d) + 1j * (a_d - b_c) - target
-        worst = max(worst, float(np.linalg.norm(resid, 2)))
-    return worst
+        resid[j] = (a_c + b_d) + 1j * (a_d - b_c) - targets[j]
+    return float(np.linalg.svd(resid, compute_uv=False).max())

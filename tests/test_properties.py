@@ -68,7 +68,9 @@ from rotor import (
 from rotor.classical import _mode_rotation, flow_matrix
 from rotor.quantum import (
     FockHamiltonian,
+    _chebyshev_start,
     _coherent_series,
+    _gershgorin_interval,
     _lower_band,
     _parity_sectors,
     _propagator,
@@ -524,6 +526,25 @@ def test_band_matches_the_rotated_kron_build(config, nmax):
     assert (h.rotated != h.rotated.T).nnz == 0
     if config.theta_dot == 0:
         assert h.rotated.nnz == nmax**2 and not (h.rotated - sp.diags(h.rotated.diagonal())).nnz
+
+
+@settings(deadline=None)
+@example(TrapConfig(1.0, 1.0, 0.0), 8)
+@given(band_configs, st.integers(2, 24))
+def test_chebyshev_turn_is_the_kron_build_bit_for_bit(config, nmax):
+    """The scaled band [[0, 2 R'], [-2 R', 0]] of both Chebyshev series,
+    filled from the CSR arrays of R, against ``sp.kron`` of the shifted R:
+    the same index arrays and the same bits.  In the isotropic static trap
+    the shift zeroes the diagonal entries of n1 + n2 = nmax - 1, which
+    neither build stores."""
+    h = build_fock_hamiltonian(config, nmax)
+    *_, turn, _ = _chebyshev_start(fock_state(0, 0, nmax), h)
+    centre, radius = _gershgorin_interval(h.rotated)
+    shifted = h.rotated - centre * sp.eye(nmax * nmax, format="csr")
+    kron = sp.kron([[0, 2 / radius], [-2 / radius, 0]], shifted, format="csr")
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(turn, name), getattr(kron, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @st.composite

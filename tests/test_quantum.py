@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import types
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -464,6 +465,54 @@ class TestChebyshevEvolve:
         psi = QuantumState(c / np.linalg.norm(c))
         assert _propagator(psi, h)(0.0)[0].tobytes() == psi.coeffs.tobytes()
 
+    @pytest.mark.parametrize("nmax", [16, 32])
+    def test_block_is_the_generator_recurrence_bit_for_bit(self, rng, row1_protocol, nmax):
+        # one block of the widest span, K = 70 orders, against its terms made
+        # one at a time by a generator and stacked
+        h = build_fock_hamiltonian(row1_protocol.config, nmax)
+        c = rng.normal(size=(nmax, nmax)) + 1j * rng.normal(size=(nmax, nmax))
+        psi = QuantumState(c / np.linalg.norm(c))
+        phases, centre, radius, turn, x = rotor.quantum._chebyshev_start(psi, h)
+
+        def terms():
+            previous, current = x, turn @ x / 2
+            yield previous
+            while True:
+                yield current
+                previous, current = current, turn @ current + previous
+
+        times = np.linspace(0.0, rotor.quantum._CHEBYSHEV_SPAN / radius, 9)
+        z = radius * times
+        orders = rotor.quantum._chebyshev_orders(np.abs(z).max())
+        assert orders == rotor.quantum._CHEBYSHEV_ROWS
+        weights = (rotor.quantum._chebyshev_weights(z, orders) * 1j ** np.arange(orders)).real
+        series = weights @ np.stack(list(islice(terms(), orders)))
+        states = np.exp(-1j * centre * times)[:, None] * (series[:, : nmax**2] + 1j * series[:, nmax**2 :])
+        want = (states * phases).reshape(times.size, nmax, nmax)
+        assert evolve_series(psi, h, times).tobytes() == want.tobytes()
+
+    def test_zero_diagonal_entry_is_stored(self, row1_protocol):
+        # H - H_00 has a zero at (0, 0): from_matrix stores it, so the series
+        # shifts it like every other diagonal entry
+        nmax = 6
+        h = build_fock_hamiltonian(row1_protocol.config, nmax)
+        shifted = h.matrix - h.matrix[0, 0].real * sp.eye(nmax * nmax, format="csr")
+        again = FockHamiltonian.from_matrix(shifted, nmax)
+        assert again.rotated.has_canonical_format and np.count_nonzero(again.rotated.diagonal() == 0) == 1
+        psi = entangled_state(nmax)
+        got = evolve_series(psi, again, [0.7])[0].ravel()
+        assert np.abs(got - expm(-0.7j * shifted.toarray()) @ psi.vector).max() <= 1e-13
+
+    def test_missing_diagonal_entry_rejected_before_any_product(self, row1_protocol, monkeypatch):
+        rot = build_fock_hamiltonian(row1_protocol.config, 6).rotated.tolil()
+        rot[3, 3] = 0.0
+        h = FockHamiltonian(rot.tocsr(), 6)
+        TestStability._dense_products(monkeypatch, refuse=True)
+        for run in (lambda: evolve_series(entangled_state(6), h, [0.5]),
+                    lambda: rotor.quantum._autocorrelation(entangled_state(6), h, [0.5])):
+            with pytest.raises(ValueError, match="diagonal"):
+                run()
+
     def test_norm_of_the_benchmark_state_at_nmax_64(self, rng):
         # the perfbench simulate run's coherent state and design, one period
         protocol = design_protocol(2 * np.pi, np.pi / 2, 1, 2)
@@ -828,6 +877,34 @@ class TestStability:
         assert k > radius * (protocol.duration + window)
         assert 0 < len(products) <= math.ceil(k / 2) + 2
 
+    def test_short_tables_continue_one_series(self, monkeypatch):
+        # tables of three rows, each one new term after the two it repeats,
+        # against the whole series in one table
+        protocol = design_protocol(1.0, np.pi / 2, 1, 10)
+        h = build_fock_hamiltonian(protocol.config, 16)
+        psi0 = entangled_state(16)
+        times = protocol.duration * (1.0 + np.linspace(-0.01, 0.01, 25))
+        tables, terms = [], rotor.quantum._chebyshev_terms
+
+        def recording(*args):
+            for table in terms(*args):
+                tables.append(len(table))
+                yield table
+
+        monkeypatch.setattr(rotor.quantum, "_chebyshev_terms", recording)
+        monkeypatch.setattr(rotor.quantum, "_CHEBYSHEV_ROWS", 10**6)
+        whole = rotor.quantum._autocorrelation(psi0, h, times)
+        (rows,) = tables
+        monkeypatch.setattr(rotor.quantum, "_CHEBYSHEV_ROWS", 3)
+        orders, count = [], rotor.quantum._chebyshev_orders
+        monkeypatch.setattr(rotor.quantum, "_chebyshev_orders", lambda top: orders.append(count(top)) or orders[-1])
+        products = self._dense_products(monkeypatch)
+        short = rotor.quantum._autocorrelation(psi0, h, times)
+        (k,) = orders
+        assert tables[1:] == [3] * (rows - 2)
+        assert np.abs(short - whole).max() <= 1e-15
+        assert 0 < len(products) <= math.ceil(k / 2) + 1
+
     def test_sweep_forms_no_bessel_table_and_no_state(self, row1_protocol, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep evolved a state")
@@ -1133,6 +1210,55 @@ class TestExpmAction:
                 got, want = _expm_action(op, cols), expm(a) @ cols
                 assert got.dtype == want.dtype
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @staticmethod
+    def _tested_at_every_term(a, b):
+        """exp(a) @ b by the same Taylor series, with the exact stop test on
+        the partial sum's norm taken after every term."""
+        steps = max(1, math.ceil(abs(a).sum(axis=0).max() / 9.9))
+        for _ in range(steps):
+            term, total = b, np.array(b, dtype=np.result_type(a.dtype, b.dtype))
+            size = np.abs(term).sum(axis=1).max()
+            for k in range(1, 56):
+                term = a @ term
+                term *= 1.0 / (steps * k)
+                prev, size = size, np.abs(term).sum(axis=1).max()
+                total += term
+                if prev + size <= 2.0**-53 * np.abs(total).sum(axis=1).max():
+                    break
+            b = total
+        return b
+
+    def test_stops_where_the_exact_test_does(self, monkeypatch):
+        # the bound on the partial sum's norm spares norms only: the same
+        # products and the same bits, over random sparse inputs with 1-norms
+        # up to 40 (up to five steps), real and complex
+        rng = np.random.default_rng(30)
+        products = []
+        matmul = sp.csr_matrix.__matmul__
+        monkeypatch.setattr(sp.csr_matrix, "__matmul__", lambda m, o: products.append(o.shape) or matmul(m, o))
+        # -9.9 I and -25 I reach the 55-term cap: their terms peak far above the sum
+        inputs = [(sp.csr_matrix(-9.9 * np.eye(6)), np.ones((6, 3))), (sp.csr_matrix(-25.0 * np.eye(6)), np.ones((6, 1)))]
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            x = rng.normal(size=(n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 0.5))
+            b = rng.normal(size=(n, int(rng.integers(1, 6))))
+            if rng.random() < 0.5:
+                x = x + 1j * rng.normal(size=(n, n)) * (x != 0)
+                b = b + 1j * rng.normal(size=b.shape)
+            x *= 10 ** rng.uniform(-3.0, 1.6) / max(np.abs(x).sum(axis=0).max(), 1e-300)
+            inputs.append((sp.csr_matrix(x), b))
+        made = []
+        for a, b in inputs:
+            products.clear()
+            got = _expm_action(a, b)
+            made.append(len(products))
+            products.clear()
+            want = self._tested_at_every_term(a, b)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert made[-1] == len(products)
+        assert made[0] == 55 and made[1] >= 2 * 55
+        assert max(math.ceil(abs(a).sum(axis=0).max() / 9.9) for a, _ in inputs) >= 4
 
     @pytest.mark.parametrize("angle", [3.0, 7.0, 9.9, 25.0, 40.0])
     def test_rounding_grows_with_the_largest_term(self, angle):
