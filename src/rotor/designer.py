@@ -98,18 +98,11 @@ def design_protocol(omega1, theta_f, n1, n2):
 
     ``omega1`` may be in any angular-frequency unit; the returned duration
     is in the matching time unit.  Pairs with gcd(n1, n2) > 1 are accepted
-    but warn, since the reduced pair gives a shorter protocol with the
-    same frequency ratio.
+    but warn, once the design is known to be valid, since the reduced pair
+    gives a shorter protocol with the same frequency ratio.
     """
     if omega1 <= 0:
         raise InfeasibleDesign("omega1 must be positive")
-    if math.gcd(int(n1), int(n2)) > 1:
-        g = math.gcd(int(n1), int(n2))
-        warnings.warn(
-            f"(n1, n2) = ({n1}, {n2}) share a factor {g}; "
-            f"({n1 // g}, {n2 // g}) gives a shorter valid rotation",
-            stacklevel=2,
-        )
     km, kp = kappa(n1, n2, theta_f)
     theta_dot = omega1 / km
     omega2 = kp * theta_dot
@@ -129,6 +122,13 @@ def design_protocol(omega1, theta_f, n1, n2):
         raise InfeasibleDesign(
             f"theta_dot = {theta_dot:.6g} is not below min(omega1, omega2): "
             "the design violates the Williamson bound"
+        )
+    if math.gcd(int(n1), int(n2)) > 1:
+        g = math.gcd(int(n1), int(n2))
+        warnings.warn(
+            f"(n1, n2) = ({n1}, {n2}) share a factor {g}; "
+            f"({n1 // g}, {n2 // g}) gives a shorter valid rotation",
+            stacklevel=2,
         )
     return protocol
 

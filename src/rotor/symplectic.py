@@ -137,11 +137,21 @@ def _frequencies(omega1, omega2, theta_dot):
     Every square is ``np.float_power(x, 2)``, the C library's ``pow`` that
     ``x**2`` calls on a float scalar, so an array of velocities gives the
     bits of a loop over them; numpy's ``**`` on an array rounds some squares
-    differently."""
-    w1sq, w2sq, tdsq = (np.float_power(x, 2) for x in (omega1, omega2, theta_dot))
-    mean = tdsq + (w1sq + w2sq) / 2
-    root = np.sqrt(8 * tdsq * (w1sq + w2sq) + np.float_power(w1sq - w2sq, 2)) / 2
-    return np.sqrt(mean - root), np.sqrt(mean + root)
+    differently.
+
+    Raises ValueError if the result is not finite, as when a square
+    overflows, which trap frequencies from about 1e77 up can make happen."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w1sq, w2sq, tdsq = (np.float_power(x, 2) for x in (omega1, omega2, theta_dot))
+        mean = tdsq + (w1sq + w2sq) / 2
+        root = np.sqrt(8 * tdsq * (w1sq + w2sq) + np.float_power(w1sq - w2sq, 2)) / 2
+        slow, fast = np.sqrt(mean - root), np.sqrt(mean + root)
+    if not (np.isfinite(slow).all() and np.isfinite(fast).all()):
+        raise ValueError(
+            f"the normal frequencies of the trap ({omega1:.6g}, {omega2:.6g}) "
+            "overflow double precision"
+        )
+    return slow, fast
 
 
 def _rotation_angle(config):

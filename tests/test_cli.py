@@ -193,6 +193,16 @@ class TestDesignCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("omega1", ["1e100", "1e160"])
+    def test_overflowing_frequency_named(self, tmp_path, capsys, omega1):
+        # 1e100 gave nan normal frequencies and an inf delta_h_sq; 1e160 an OverflowError
+        assert main(["design", "--omega1-khz", omega1, "--out-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the normal frequencies of the trap (")
+        assert captured.err.rstrip().endswith("overflow double precision")
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["design", "--omega1-khz", "oops"]) == 1
         assert main(["no-such-command"]) == 1
@@ -304,6 +314,15 @@ class TestModesCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: --sweep, --theta-dot-khz:")
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_overflowing_sweep_named(self, tmp_path, capsys):
+        # the sweep wrote nan and inf rows for these frequencies
+        argv = ["modes", "--omega1-khz", "1e100", "--omega2-khz", "2e100", "--sweep", "3"]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the normal frequencies of the trap (")
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_is_a_per_velocity_loop_bit_for_bit(self, tmp_path):
         bodies = []

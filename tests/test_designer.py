@@ -116,6 +116,15 @@ class TestDesignProtocol:
         reduced = design_protocol(1.0, np.pi / 2, 1, 2)
         assert p.duration > reduced.duration
 
+    @pytest.mark.parametrize("n1, n2", [(0, 2), (4, 2), (2, 2)])
+    def test_invalid_shared_factor_pair_raises_unwarned(self, n1, n2):
+        # no reduced pair is recommended for a pair that is no design at all
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InfeasibleDesign, match="0 < n1 < n2"):
+                design_protocol(1.0, np.pi / 2, n1, n2)
+        assert caught == []
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_series_ordering(self):
         # duration falls with n2 and rises with n1 at fixed n2
