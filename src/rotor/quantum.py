@@ -105,6 +105,12 @@ _COHERENT_TAIL_TOL = 1e-10
 #: log of the smallest normal double, below which exp() underflows
 _LOG_TINY = np.log(np.finfo(float).tiny)
 
+#: :func:`converge_truncation` accepts a size n once its revival survival P(T)
+#: differs from that of 2n by less than SURVIVAL_TOL and its own top-shell
+#: weight is below SHELL_TOL
+SURVIVAL_TOL = 1e-8
+SHELL_TOL = 1e-8
+
 #: padding of the track axes beyond the classical orbit, in ground-state widths
 TRACK_PAD_WIDTHS = 3.0
 #: largest relative L1 change of the track when the time step is halved
@@ -897,24 +903,16 @@ def _unit_phase(overlap):
 # truncation convergence
 
 
-def converge_truncation(
-    protocol,
-    make_state,
-    nmax_start=16,
-    p_tol=1e-8,
-    shell_tol=1e-8,
-    nmax_cap=128,
-):
+def converge_truncation(protocol, make_state, nmax_start=16, nmax_cap=128):
     """Double nmax until the revival survival stabilizes.
 
     ``make_state(nmax)`` must return the initial state at a given
     truncation.  Doubling stops at the first size n whose survival P(T)
-    differs from that of 2n by less than ``p_tol`` and whose own top-shell
-    weight (the larger of the initial and the final state's) is below
-    ``shell_tol``; n is returned, and both n and 2n are in the trace.  Each
-    size's Hamiltonian is built once, and a :func:`_propagator` gives psi(T)
-    as a block of one time.  ``simulate --ehrenfest`` runs the search at the
-    default tolerances.
+    differs from that of 2n by less than ``SURVIVAL_TOL`` and whose own
+    top-shell weight (the larger of the initial and the final state's) is
+    below ``SHELL_TOL``; n is returned, and both n and 2n are in the trace.
+    Each size's Hamiltonian is built once, and a :func:`_propagator` gives
+    psi(T) as a block of one time.
 
     Returns
     -------
@@ -945,7 +943,7 @@ def converge_truncation(
         trace.append({"nmax": nmax, "survival": p_final, "shell_weight": shell})
         if len(trace) > 1:
             prev = trace[-2]
-            if abs(p_final - prev["survival"]) < p_tol and prev["shell_weight"] < shell_tol:
+            if abs(p_final - prev["survival"]) < SURVIVAL_TOL and prev["shell_weight"] < SHELL_TOL:
                 return prev["nmax"], trace
         nmax *= 2
     raise ConvergenceFailure(

@@ -40,6 +40,8 @@ _LOG_SERIES_RADIUS = 0.25
 #: :func:`_logm` and :func:`_expm` take; a spectrum within about 1e-10 of the
 #: negative real axis leaves a square root unconverged after this many steps
 _ITERATION_CAP = 40
+#: the smallest normal double
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -140,9 +142,17 @@ def _frequencies(omega1, omega2, theta_dot):
     differently.
 
     Raises ValueError if the result is not finite, as when a square
-    overflows, which trap frequencies from about 1e77 up can make happen."""
+    overflows, which trap frequencies from about 1e77 up can make happen;
+    or if the fourth power of the slower trap frequency is below the
+    smallest normal double, as below about 1e-77, where the radicand's
+    products of squares lose their bits and O1 and O2 come out equal."""
     with np.errstate(over="ignore", invalid="ignore"):
         w1sq, w2sq, tdsq = (np.float_power(x, 2) for x in (omega1, omega2, theta_dot))
+        if min(w1sq, w2sq) ** 2 < _TINY:
+            raise ValueError(
+                f"the normal frequencies of the trap ({omega1:.6g}, {omega2:.6g}) "
+                "underflow double precision"
+            )
         mean = tdsq + (w1sq + w2sq) / 2
         root = np.sqrt(8 * tdsq * (w1sq + w2sq) + np.float_power(w1sq - w2sq, 2)) / 2
         slow, fast = np.sqrt(mean - root), np.sqrt(mean + root)

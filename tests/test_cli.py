@@ -15,9 +15,9 @@ from rotor import (
     ConvergenceFailure,
     DegenerateOverlap,
     TrapConfig,
-    coherent_state,
     converge_truncation,
     design_protocol,
+    fock_state,
     normal_frequencies,
 )
 from rotor.cli import RunManifest, main, parse_angle, parse_complex, write_csv
@@ -36,12 +36,13 @@ _CSV_TABLES = st.integers(1, 5).flatmap(
 )
 
 
-# the design of ``simulate --omega1-khz 1`` and the state of ``--state ground``
+# the design of ``simulate --omega1-khz 1``
 _DEFAULT_DESIGN = design_protocol(2 * np.pi, np.pi / 2, 1, 2)
 
 
-def _ground(nmax):
-    return coherent_state(0, 0, nmax)
+def _top_shell(nmax):
+    # all of its weight on the top shell at every size, so no size converges
+    return fock_state(nmax - 1, 0, nmax)
 
 
 def read_body(path):
@@ -137,6 +138,27 @@ def test_zero_count_is_usage_error(tmp_path, capsys, command, flag, value):
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--omega1-khz", "1e-160"],
+        ["design", "--omega1-khz", "1e-100"],
+        ["modes", "--omega1-khz", "1e-200", "--omega2-khz", "2e-200", "--sweep", "3"],
+        ["classical", "--omega1-khz", "1e-170", "--q1", "1", "--samples", "5"],
+    ],
+    ids=["design", "design-1e-100", "modes", "classical"],
+)
+def test_underflowing_frequency_named(tmp_path, capsys, argv):
+    # design wrote two equal normal frequencies, modes rows of 0,0, and
+    # classical died with a ZeroDivisionError
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the normal frequencies of the trap (")
+    assert captured.err.rstrip().endswith("underflow double precision")
+    assert not (tmp_path / "out").exists()
 
 
 class TestDesignCommand:
@@ -325,20 +347,23 @@ class TestModesCommand:
         assert not (tmp_path / "out").exists()
 
     def test_sweep_is_a_per_velocity_loop_bit_for_bit(self, tmp_path):
-        bodies = []
-        for axes in (("1", "1.8"), ("1.8", "1")):
-            out = tmp_path / "-".join(axes)
-            argv = ["modes", "--omega1-khz", axes[0], "--omega2-khz", axes[1], "--sweep", "2000"]
-            assert main(argv + ["--out-dir", str(out)]) == 0
-            w1, w2 = (2 * np.pi * float(f) for f in axes)
-            velocities = np.linspace(0.0, min(w1, w2), 2000, endpoint=False)
-            loop = np.array([normal_frequencies(TrapConfig(w1, w2, td)) for td in velocities])
-            cols = load_columns(out / "modes.csv")
-            np.testing.assert_array_equal(cols["theta_dot_2pi_khz"], velocities / (2 * np.pi))
-            np.testing.assert_array_equal(cols["omega_cap1_2pi_khz"], loop[:, 0] / (2 * np.pi))
-            np.testing.assert_array_equal(cols["omega_cap2_2pi_khz"], loop[:, 1] / (2 * np.pi))
-            bodies.append(read_body(out / "modes.csv"))
-        assert bodies[0] == bodies[1]
+        # the table does not depend on which flag names the slower axis
+        for count in (50, 2000):
+            bodies = []
+            for axes in (("1", "1.8"), ("1.8", "1")):
+                out = tmp_path / "-".join((str(count), *axes))
+                argv = ["modes", "--omega1-khz", axes[0], "--omega2-khz", axes[1],
+                        "--sweep", str(count)]
+                assert main(argv + ["--out-dir", str(out)]) == 0
+                w1, w2 = (2 * np.pi * float(f) for f in axes)
+                velocities = np.linspace(0.0, min(w1, w2), count, endpoint=False)
+                loop = np.array([normal_frequencies(TrapConfig(w1, w2, td)) for td in velocities])
+                cols = load_columns(out / "modes.csv")
+                np.testing.assert_array_equal(cols["theta_dot_2pi_khz"], velocities / (2 * np.pi))
+                np.testing.assert_array_equal(cols["omega_cap1_2pi_khz"], loop[:, 0] / (2 * np.pi))
+                np.testing.assert_array_equal(cols["omega_cap2_2pi_khz"], loop[:, 1] / (2 * np.pi))
+                bodies.append(read_body(out / "modes.csv"))
+            assert bodies[0] == bodies[1]
 
 
 class TestSimulateCommand:
@@ -377,10 +402,9 @@ class TestSimulateCommand:
             assert bool(manifest["nmax_trace"]) == bool(extra)
 
     def test_convergence_failure_exit(self):
-        # no pair of sizes meets a zero tolerance; the CLI's exit 3 for this
-        # error is test_cap_below_the_first_probe_refused's
+        # the CLI's exit 3 for this error is test_cap_below_the_first_probe_refused's
         with pytest.raises(ConvergenceFailure):
-            converge_truncation(_DEFAULT_DESIGN, _ground, p_tol=0, nmax_cap=32)
+            converge_truncation(_DEFAULT_DESIGN, _top_shell, nmax_cap=32)
 
     @pytest.mark.parametrize(
         "state, cap, start",
@@ -407,7 +431,7 @@ class TestSimulateCommand:
 
     def test_unconverged_search_names_the_probe_above_the_cap(self):
         with pytest.raises(ConvergenceFailure) as failure:
-            converge_truncation(_DEFAULT_DESIGN, _ground, p_tol=0, nmax_cap=32)
+            converge_truncation(_DEFAULT_DESIGN, _top_shell, nmax_cap=32)
         message = str(failure.value)
         assert message.startswith(
             "survival not converged: the search started at nmax = 16, and the next "
@@ -418,19 +442,37 @@ class TestSimulateCommand:
     def test_moderate_amplitude_converges_below_the_cap(self, tmp_path, capsys):
         # |alpha|^2 = 4 starts at coherent_nmax = 24, so 2 * 24 fits below 50
         argv = ["simulate", "--omega1-khz", "1", "--state", "coherent:2,0", "--samples", "5",
-                "--nmax-cap", "50", "--ehrenfest", "--out-dir", str(tmp_path)]
-        assert main(argv) == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+                "--ehrenfest"]
+        searched, fixed = tmp_path / "searched", tmp_path / "fixed"
+        assert main(argv + ["--nmax-cap", "50", "--out-dir", str(searched)]) == 0
+        manifest = json.loads((searched / "manifest.json").read_text())
         assert [step["nmax"] for step in manifest["nmax_trace"]] == [24, 48]
         assert "(nmax = 24)" in capsys.readouterr().out
+        # the size the search returns and the same size given by --nmax make
+        # the state, build H and evolve alike
+        assert main(argv + ["--nmax", "24", "--out-dir", str(fixed)]) == 0
+        name = "observables.csv"
+        assert read_body(searched / name) == read_body(fixed / name)
 
-    @pytest.mark.parametrize("state", ["ground", "entangled", "coherent:0.7+0.3j,-0.5j"])
-    def test_closed_form_matches_the_fock_run(self, tmp_path, capsys, state):
-        argv = ["simulate", "--omega1-khz", "1", "--state", state, "--samples", "21"]
+    @pytest.mark.parametrize(
+        "flags, nmax, phase",
+        [
+            pytest.param(["--state", "ground"], "32", "-1", id="ground"),
+            pytest.param(["--state", "entangled"], "32", "-1", id="entangled"),
+            pytest.param(["--state", "coherent:0.7+0.3j,-0.5j"], "32", "-1",
+                         id="coherent:0.7+0.3j,-0.5j"),
+            # n1 + n2 = 4 is even
+            pytest.param(["--n2", "3", "--state", "entangled"], "16", "+1", id="entangled-n2-3"),
+        ],
+    )
+    def test_closed_form_matches_the_fock_run(self, tmp_path, capsys, flags, nmax, phase):
+        argv = ["simulate", "--omega1-khz", "1", *flags, "--samples", "21"]
         assert main(argv + ["--out-dir", str(tmp_path / "closed")]) == 0
-        assert main(argv + ["--nmax", "32", "--out-dir", str(tmp_path / "fock")]) == 0
+        assert main(argv + ["--nmax", nmax, "--out-dir", str(tmp_path / "fock")]) == 0
         out = capsys.readouterr().out
-        assert "(closed form)" in out and "(nmax = 32)" in out
+        # (-1)**(n1 + n2), read at t = T by both runs
+        assert f"revival phase = {phase}.000000 +0.000000j (closed form)\n" in out
+        assert f"revival phase = {phase}.000000 +0.000000j (nmax = {nmax})\n" in out
         closed = load_columns(tmp_path / "closed" / "observables.csv")
         fock = load_columns(tmp_path / "fock" / "observables.csv")
         assert list(closed) == list(fock)
@@ -933,23 +975,54 @@ class TestReproducibility:
         assert orig == redo
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, tried",
         [
-            ["design", "--omega1-khz", "1"],
-            ["modes", "--omega1-khz", "1", "--omega2-khz", "1.8", "--sweep", "20"],
-            ["simulate", "--omega1-khz", "1", "--samples", "20", "--nmax", "8"],
-            ["classical", "--omega1-khz", "1", "--q1", "1", "--frame", "lab", "--samples", "20"],
-            [
-                "track", "--omega1-khz", "1", "--alpha1", "0.5", "--alpha2", "0.25",
-                "--grid-points", "21", "--steps", "40",
-            ],
-            ["stability", "--omega1-khz", "1", "--n2-list", "2", "--eps-points", "21"],
+            pytest.param(["design", "--omega1-khz", "1"], [], id="design"),
+            pytest.param(["design", "--table1"], [], id="design-table1"),
+            pytest.param(["modes", "--omega1-khz", "1", "--omega2-khz", "1.8", "--sweep", "20"],
+                         [], id="modes"),
+            pytest.param(["simulate", "--omega1-khz", "1", "--samples", "20", "--nmax", "8"],
+                         [8], id="simulate"),
+            # --nmax runs no search, even next to --ehrenfest
+            pytest.param(["simulate", "--omega1-khz", "1", "--state", "coherent:0.7071,0.7071",
+                          "--nmax", "16", "--samples", "21", "--ehrenfest"],
+                         [16], id="simulate-nmax-ehrenfest"),
+            # the search starts at coherent_nmax = 24, so 24 and 48 fit below the cap
+            pytest.param(["simulate", "--omega1-khz", "1", "--state", "coherent:2,0",
+                          "--nmax-cap", "50", "--samples", "5", "--ehrenfest"],
+                         [24, 48], id="simulate-cap"),
+            pytest.param(["simulate", "--omega1-khz", "1", "--state", "coherent:3,0",
+                          "--samples", "21", "--ehrenfest"],
+                         [40, 80], id="simulate-search"),
+            pytest.param(["classical", "--omega1-khz", "1", "--q1", "1", "--frame", "lab",
+                          "--samples", "20"],
+                         [], id="classical"),
+            pytest.param(["classical", "--omega1-khz", "1", "--alpha1", "1+1j", "--alpha2", "0.5",
+                          "--frame", "normal"],
+                         [], id="classical-normal"),
+            pytest.param(["classical", "--omega1-khz", "1", "--alpha1", "1+1j", "--alpha2", "0.5",
+                          "--frame", "rotating"],
+                         [], id="classical-rotating"),
+            pytest.param(["track", "--omega1-khz", "1", "--alpha1", "0.5", "--alpha2", "0.25",
+                          "--grid-points", "21", "--steps", "40"],
+                         [16], id="track"),
+            # the README track at its default steps and grid, which resolves the packet
+            pytest.param(["track", "--omega1-khz", "1", "--alpha1", "5.657", "--alpha2", "1.414"],
+                         [80], id="track-readme"),
+            pytest.param(["stability", "--omega1-khz", "1", "--n2-list", "2", "--eps-points", "21"],
+                         [], id="stability"),
+            pytest.param(["stability", "--omega1-khz", "1", "--n2-list", "2", "--state", "entangled",
+                          "--eps-points", "3"],
+                         [], id="stability-entangled"),
         ],
-        ids=lambda argv: argv[0],
     )
-    def test_rerun_reproduces_every_file(self, tmp_path, argv):
+    def test_rerun_reproduces_every_file(self, tmp_path, capsys, argv, tried):
+        # ``tried``: the sizes of the run's nmax trace
         orig, redo = tmp_path / "orig", tmp_path / "redo"
         assert main(argv + ["--out-dir", str(orig)]) == 0
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((orig / "manifest.json").read_text())
+        assert [step["nmax"] for step in manifest["nmax_trace"]] == tried
         assert main(["rerun", str(orig / "manifest.json"), "--out-dir", str(redo)]) == 0
         names = sorted(p.name for p in orig.iterdir())
         assert "manifest.json" in names
@@ -1234,8 +1307,17 @@ class TestTableLayout:
         assert path.read_bytes() == (header + body).encode()
 
 
+# read by regex: Python 3.10 has no tomllib
+PYPROJECT = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+
+
 def test_version_matches_pyproject():
-    # a regex read: Python 3.10 has no tomllib
-    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
-    (version,) = re.findall(r'^version = "([^"]+)"$', text, flags=re.MULTILINE)
+    (version,) = re.findall(r'^version = "([^"]+)"$', PYPROJECT, flags=re.MULTILINE)
     assert version == rotor.__version__
+
+
+def test_console_script_is_main():
+    # the installed ``rotor`` runs the main that every test here calls
+    (target,) = re.findall(r'^\[project\.scripts\]\nrotor = "([^"]+)"$', PYPROJECT,
+                           flags=re.MULTILINE)
+    assert target == "rotor.cli:main"

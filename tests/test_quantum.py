@@ -641,13 +641,10 @@ class TestConvergence:
             revival_phase(entangled_state(16), entangled_state(12))
 
     def test_cap_failure(self, row1_protocol):
+        # the top shell holds all of the state's weight at every size
         with pytest.raises(ConvergenceFailure):
             converge_truncation(
-                row1_protocol,
-                lambda n: entangled_state(n),
-                nmax_start=4,
-                p_tol=0.0,
-                nmax_cap=8,
+                row1_protocol, lambda n: fock_state(n - 1, 0, n), nmax_start=4, nmax_cap=8
             )
 
 
