@@ -292,12 +292,11 @@ def _initial_state(spec):
 
 
 def _fock_states(state):
-    """``(make_state, nmax_start)`` of ``state`` on the Fock path, the start
-    being :func:`coherent_nmax` of its amplitudes (16 for entangled)."""
+    """``make_state(nmax)``, the truncation of ``state`` on the Fock path."""
     if state.entangled:
-        return entangled_state, coherent_nmax(0, 0)
+        return entangled_state
     a1, a2 = state.alpha1, state.alpha2
-    return (lambda nmax: coherent_state(a1, a2, nmax)), coherent_nmax(a1, a2)
+    return lambda nmax: coherent_state(a1, a2, nmax)
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +397,14 @@ def cmd_simulate(params):
 
     times = np.linspace(0.0, protocol.duration, int(params["samples"]))
     if params.get("nmax") or params.get("ehrenfest"):
-        make_state, nmax_start = _fock_states(state)
+        make_state = _fock_states(state)
         if params.get("nmax"):
             nmax, trace = int(params["nmax"]), None
         else:
+            # the search starts at coherent_nmax of the amplitudes, 16 for entangled (0, 0)
+            start = coherent_nmax(state.alpha1, state.alpha2)
             nmax, trace = converge_truncation(
-                protocol, make_state, nmax_start=nmax_start, nmax_cap=params["nmax_cap"]
+                protocol, make_state, nmax_start=start, nmax_cap=params["nmax_cap"]
             )
         psi0 = make_state(nmax)
         coeffs = evolve_series(psi0, build_fock_hamiltonian(protocol.config, nmax), times)

@@ -76,6 +76,12 @@ matrix, by ``eigvalsh``, ``expm`` and ``eigh``.
 applies exp(i v^T G v) on each parity sector alone by its own Taylor series
 (:func:`_expm_action`, sized from the exact 1-norm), splits the basis with
 its own index arithmetic and shares no code with the builder or any reader.
+
+scipy is imported inside the Fock functions that use it, not with the
+module: sparse matrices, ``jv``, ``xlogy`` and ``eigvals_banded``.  The
+closed forms and :func:`coherent_nmax`, whose Poisson tail
+(:func:`_coherent_tail`) is summed with numpy and ``math``, need none of
+it, so ``import rotor`` and the closed-form commands load no scipy.
 """
 
 import math
@@ -83,9 +89,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigvals_banded
-from scipy.special import gammainc, jv, xlogy
 
 from .classical import Trajectory, _mode_rotation, flow_matrix, sample_trajectory
 from .core import J, PhaseSpaceState, build_rotating_hamiltonian
@@ -102,6 +105,11 @@ from .symplectic import NormalModes, normal_modes
 GROUND_STATE_WIDTH = 1 / np.sqrt(2)
 
 _COHERENT_TAIL_TOL = 1e-10
+#: largest |alpha|^2 whose truncation :func:`coherent_nmax` sizes: each tail
+#: it tests sums about 9 sqrt(|alpha|^2) terms, 5-8 ms at 1e10
+_COHERENT_MEAN_MAX = 1e10
+#: most terms of the Poisson tail per numpy call; the first call takes 64
+_TAIL_CHUNK = 4096
 #: log of the smallest normal double, below which exp() underflows
 _LOG_TINY = np.log(np.finfo(float).tiny)
 
@@ -178,6 +186,8 @@ def _index_grids(nmax):
 
 def phase_space_operators(nmax):
     """Sparse (q1, q2, p1, p2) on the two-mode truncated basis."""
+    import scipy.sparse as sp
+
     a = np.diag(np.sqrt(np.arange(1, nmax)), 1)
     q = (a + a.T) / np.sqrt(2)
     p = (a - a.T) / (1j * np.sqrt(2))
@@ -241,6 +251,8 @@ def entangled_state(nmax):
 
 
 def _coherent_coefficients(alpha, nmax):
+    from scipy.special import xlogy
+
     n = np.arange(nmax)
     log_mag = (
         xlogy(n, abs(alpha))
@@ -262,9 +274,76 @@ def _coherent_mean(alpha):
     return mean
 
 
+def _stirling_error(k):
+    """Loader's stirlerr(k) = log k! - log(sqrt(2 pi k) (k / e)^k) for an
+    integer k >= 1: from lgamma up to 15, where its rounding stays below
+    1e-14, else from the first five terms of the Stirling series, whose next
+    is below 1e-17."""
+    if k <= 15:
+        return math.lgamma(k + 1) - (k + 0.5) * math.log(k) + k - 0.5 * math.log(2 * math.pi)
+    inv = 1 / (k * k)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv / 1188) * inv) * inv) * inv) / k
+
+
+def _deviance(x, m):
+    """Loader's bd0(x, m) = x log(x / m) + m - x >= 0, formed without its
+    cancellation: for |x - m| <= (x + m) / 2 as (x - m) v + 2 x sum_j
+    v^(2j+1) / (2j + 1) with v = (x - m) / (x + m), else with log x - log m,
+    which cannot overflow at a subnormal m, as x / m can."""
+    if abs(x - m) > 0.5 * (x + m):
+        return x * (math.log(x) - math.log(m)) + m - x
+    v = (x - m) / (x + m)
+    total, power, j = (x - m) * v, 2 * x * v, 1
+    while True:
+        power *= v * v
+        grown = total + power / (2 * j + 1)
+        if grown == total:
+            return total
+        total, j = grown, j + 1
+
+
+def _poisson_log_pmf(k, mean):
+    """log P(N = k) for N ~ Poisson(``mean``), in the saddle-point form
+    -stirlerr(k) - bd0(k, mean) - log(2 pi k) / 2 of C. Loader, "Fast and
+    Accurate Computation of Binomial Probabilities" (2000), whose terms keep
+    their relative accuracy at any mean."""
+    if k == 0:
+        return -mean
+    return -_stirling_error(k) - _deviance(k, mean) - 0.5 * math.log(2 * math.pi * k)
+
+
 def _coherent_tail(alpha, nmax):
-    """Population of a coherent mode at n >= nmax (Poisson tail, mean |alpha|^2)."""
-    return float(gammainc(nmax, _coherent_mean(alpha)))
+    """Population of a coherent mode at n >= nmax: P(N >= nmax) for N ~
+    Poisson(|alpha|^2), summed with numpy and math alone.
+
+    Above the mean it sums the tail itself, below it the rest, 1 - P(N <
+    nmax), so each sum starts at the term nearest the mean and its terms
+    fall.  The sum walks away from that term by a cumulative sum of the log
+    ratios of successive terms, in chunks of at most ``_TAIL_CHUNK``, and
+    stops once a term is below 2**-60 of the sum.  The terms are relative to
+    the first, whose log is :func:`_poisson_log_pmf`.
+    """
+    mean = float(_coherent_mean(alpha))
+    if nmax <= 0 or mean == 0:
+        return float(nmax <= 0)
+    upper = nmax > mean
+    first = nmax if upper else nmax - 1
+    total, log_term, k, size = 1.0, 0.0, first, 64
+    while True:
+        steps = np.arange(k + 1, k + 1 + size) if upper else np.arange(k, max(k - size, 0), -1)
+        if not steps.size:
+            break
+        # a ratio below the smallest double is a zero term, as it should be
+        with np.errstate(divide="ignore"):
+            logs = log_term + np.cumsum(np.log(mean / steps if upper else steps / mean))
+        terms = np.exp(logs)
+        total += terms.sum()
+        log_term, k = logs[-1], k + size if upper else k - size
+        size = min(2 * size, _TAIL_CHUNK)
+        if terms[-1] < 2.0**-60 * total:
+            break
+    part = math.exp(_poisson_log_pmf(first, mean)) * total
+    return part if upper else 1.0 - part
 
 
 def coherent_nmax(alpha1, alpha2):
@@ -273,10 +352,16 @@ def coherent_nmax(alpha1, alpha2):
 
     Only the larger amplitude, whose tail is the larger, is tested.  No
     size at or below its mean |alpha|^2 holds such a tail, so the search
-    starts there and takes O(log |alpha|) tests.  Raises ValueError if
-    either |alpha|^2 is not finite.
+    starts there and takes O(log |alpha|) tests.  Raises ValueError, before
+    any tail is summed, if either |alpha|^2 is not finite or is above
+    ``_COHERENT_MEAN_MAX``.
     """
     alpha = max((alpha1, alpha2), key=_coherent_mean)
+    if _coherent_mean(alpha) > _COHERENT_MEAN_MAX:
+        raise ValueError(
+            f"|alpha|^2 = {_coherent_mean(alpha):.6g} is above {_COHERENT_MEAN_MAX:g}, "
+            "the largest mean whose truncation is sized"
+        )
 
     def fails(k):
         return _coherent_tail(alpha, 8 * k) >= _COHERENT_TAIL_TOL
@@ -385,7 +470,7 @@ class FockHamiltonian:
     :attr:`matrix`, formed anew on each access.  Nothing derived is kept,
     and Hamiltonians compare and hash by identity."""
 
-    rotated: sp.csr_matrix
+    rotated: "scipy.sparse.csr_matrix"
     nmax: int
 
     @classmethod
@@ -398,6 +483,8 @@ class FockHamiltonian:
         real symmetric, which every Hamiltonian's is.  A zero diagonal entry
         of the rotation is stored, as the builder stores every diagonal entry.
         """
+        import scipy.sparse as sp
+
         phases = _rotation_phases(nmax)
         rot = (sp.diags(np.conj(phases)) @ matrix @ sp.diags(phases)).tocsr()
         # magnitudes are read from ``.data``: abs() of a sparse ``.imag`` view
@@ -418,6 +505,8 @@ class FockHamiltonian:
     @property
     def matrix(self):
         """The complex sparse H = D R D*."""
+        import scipy.sparse as sp
+
         phases = _rotation_phases(self.nmax)
         return (sp.diags(phases) @ self.rotated @ sp.diags(np.conj(phases))).tocsr()
 
@@ -443,6 +532,8 @@ def build_fock_hamiltonian(config, nmax):
     Each row's entries are stored in column order, and zero couplings (all
     of them in a static trap) are not stored.
     """
+    import scipy.sparse as sp
+
     if nmax < 2:
         raise ValueError("nmax must be at least 2")
     td, eta = config.theta_dot, config.eta
@@ -486,6 +577,8 @@ def eigenvalues(h):
     nmax / 2, is read from the sparse matrix into band storage
     (:func:`_lower_band`) and solved by ``eigvals_banded``: no dense block
     and no eigenvectors are formed."""
+    from scipy.linalg import eigvals_banded
+
     rot = h.rotated
     sectors = _parity_sectors(h.nmax)
     spectra = [eigvals_banded(_lower_band(rot[idx][:, idx]), lower=True) for idx in sectors]
@@ -508,6 +601,8 @@ def _chebyshev_orders(top):
     ``_CHEBYSHEV_TAIL``.  Past top, |J_k(z)| falls with k and rises with |z|
     <= top, so every later order is below the tail at every such z.  Orders
     are searched 16 at a time."""
+    from scipy.special import jv
+
     start = math.floor(top) + 1
     while True:
         (below,) = np.nonzero(np.abs(jv(np.arange(start, start + 16), top)) < _CHEBYSHEV_TAIL)
@@ -517,8 +612,9 @@ def _chebyshev_orders(top):
 
 
 #: most rows of one table of :func:`_chebyshev_terms`: the orders of the
-#: widest block of :func:`_propagator`, r |t - t0| = ``_CHEBYSHEV_SPAN``
-_CHEBYSHEV_ROWS = _chebyshev_orders(_CHEBYSHEV_SPAN)
+#: widest block of :func:`_propagator`, ``_chebyshev_orders(_CHEBYSHEV_SPAN)``
+#: at r |t - t0| = ``_CHEBYSHEV_SPAN``, written out so no import calls ``jv``
+_CHEBYSHEV_ROWS = 70
 
 
 def _chebyshev_weights(z, orders):
@@ -555,6 +651,8 @@ def _chebyshev_start(state, h):
     sparse subtraction drops it, so ``turn`` is bit for bit the ``sp.kron``
     build of the same matrix.  Raises ValueError, before any product, if the
     truncations differ or if R does not store each diagonal entry once."""
+    import scipy.sparse as sp
+
     if state.nmax != h.nmax:
         raise ValueError("state and Hamiltonian use different truncations")
     phases, rot = _rotation_phases(h.nmax), h.rotated

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -439,8 +440,13 @@ class TestSimulateCommand:
         )
         assert "{'nmax': 32, " in message
 
-    def test_moderate_amplitude_converges_below_the_cap(self, tmp_path, capsys):
-        # |alpha|^2 = 4 starts at coherent_nmax = 24, so 2 * 24 fits below 50
+    def test_moderate_amplitude_converges_below_the_cap(self, tmp_path, monkeypatch, capsys):
+        # |alpha|^2 = 4 starts at coherent_nmax = 24, so 2 * 24 fits below 50; the search
+        # and the series at the size it returns are Chebyshev series, so nothing is factorized
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Hamiltonian was factorized")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
         argv = ["simulate", "--omega1-khz", "1", "--state", "coherent:2,0", "--samples", "5",
                 "--ehrenfest"]
         searched, fixed = tmp_path / "searched", tmp_path / "fixed"
@@ -842,6 +848,29 @@ class TestStateInputs:
         assert captured.err.startswith("error: ") and "finite |alpha|^2" in captured.err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["simulate", "--state", "coherent:1e6,0", "--ehrenfest"], 2,
+             "error: |alpha|^2 = 1e+12 is above 1e+10, the largest mean whose truncation is sized\n"),
+            (["track", "--alpha1", "0", "--alpha2", "1.00001e5"], 2,
+             "error: |alpha|^2 = 1.00002e+10 is above 1e+10, the largest mean whose truncation is sized\n"),
+            # --nmax sizes nothing: the state is refused at the size given, as before
+            (["simulate", "--state", "coherent:1e6,0", "--nmax", "16"], 3,
+             "error: |alpha|^2 = 1e+12 leaves tail weight 1.000e+00 above nmax = 16\n"),
+        ],
+        ids=["simulate-ehrenfest", "track", "simulate-nmax"],
+    )
+    def test_mean_above_the_sizing_bound(self, tmp_path, capsys, argv, code, message):
+        # a search at |alpha|^2 = 1e10 sums its Poisson tails in about 0.2 s; above it
+        # coherent_nmax refuses before any sum
+        full = argv[:1] + ["--omega1-khz", "1"] + argv[1:] + ["--out-dir", str(tmp_path)]
+        assert main(full) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_underflowing_track_rejected(self, tmp_path, capsys):
         # every Gaussian amplitude would underflow to 0 and the track read 0
         argv = ["track", "--omega1-khz", "1", "--alpha1", "40", "--alpha2", "0",
@@ -882,21 +911,8 @@ class TestFactorizationCount:
 
 
 class TestSearchFactorizesNothing:
-    """The truncation search of ``--ehrenfest`` and the series at the size it
-    returns are Chebyshev series: neither factorizes a Hamiltonian."""
-
-    def test_simulate_factorizes_the_two_sectors_of_the_returned_size(self, tmp_path,
-                                                                     monkeypatch, capsys):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Hamiltonian was factorized")
-
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        argv = ["simulate", "--omega1-khz", "1", "--state", "coherent:2,0", "--samples", "5",
-                "--ehrenfest", "--out-dir", str(tmp_path)]
-        assert main(argv) == 0
-        assert "(nmax = 24)" in capsys.readouterr().out
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert [step["nmax"] for step in manifest["nmax_trace"]] == [24, 48]
+    """The truncation search of ``--ehrenfest`` is a Chebyshev series and
+    factorizes no Hamiltonian; ``TestSimulateCommand`` runs the command."""
 
     def test_search_runs_with_no_eigensolver(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -938,6 +954,40 @@ class TestClosedFormRuns:
         assert main(full) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["nmax_trace"] == []
+
+
+    def test_closed_form_commands_load_no_scipy(self, tmp_path):
+        # a fresh interpreter, since pytest's has loaded scipy: it runs each command through
+        # main and lists the scipy modules loaded after it. stability --state entangled is
+        # left out: its delta_h_sq is the Fock energy_variance at nmax 3, which loads
+        # scipy.sparse, until A+|0> has a closed-form variance of its own
+        commands = [
+            ["design", "--table1"],
+            ["modes", "--omega1-khz", "1", "--omega2-khz", "1.8", "--sweep", "20"],
+            ["classical", "--omega1-khz", "1", "--q1", "1", "--samples", "20"],
+            ["simulate", "--omega1-khz", "1", "--samples", "20"],
+            ["simulate", "--omega1-khz", "1", "--state", "entangled", "--samples", "20"],
+            ["simulate", "--omega1-khz", "1", "--state", "coherent:1,0.5j", "--samples", "20"],
+            ["stability", "--omega1-khz", "1", "--n2-list", "2,5", "--eps-points", "21"],
+            ["track", "--omega1-khz", "1", "--alpha1", "1", "--alpha2", "0.5", "--grid-points", "21",
+             "--steps", "40"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from rotor.cli import main\n"
+            "runs = []\n"
+            "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    code = main(argv + ['--out-dir', f'{sys.argv[2]}/{i}'])\n"
+            "    runs.append([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')])\n"
+            "print(json.dumps(runs))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(rotor.cli.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", script, json.dumps(commands), str(tmp_path)],
+                             env=env, capture_output=True, text=True, check=True)
+        runs = json.loads(run.stdout.splitlines()[-1])
+        assert [(argv[0], *result) for argv, result in zip(commands, runs)] == [
+            (argv[0], 0, []) for argv in commands
+        ]
 
 
 class TestReproducibility:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import rotor.quantum
-from scipy.special import eval_hermite, factorial, jv
+from scipy.special import eval_hermite, factorial, gammainc, jv
 
 from rotor import (
     ClosedFormState,
@@ -48,6 +48,7 @@ from rotor.quantum import (
     ObservableSeries,
     QuantumState,
     TrackGrid,
+    _coherent_mean,
     _coherent_series,
     _coherent_tail,
     _expm_action,
@@ -161,6 +162,48 @@ class TestStates:
         assert len(calls) < 10**4
         assert _coherent_tail(1e4, nmax) < 1e-10 <= _coherent_tail(1e4, nmax - 8)
         assert nmax % 8 == 0
+
+    def test_coherent_nmax_of_a_large_mean(self):
+        # the tails are mpmath 1.3.0 sums of the Poisson pmf at 30 digits, computed once;
+        # scipy's gammainc read 7.32e-11 at 100063624 and 9.96e-11 at 100063144, so the
+        # search returned 100063144, whose true tail is above 1e-10
+        assert coherent_nmax(1e4, 0.5) == 100063624  # |alpha|^2 = 1e8
+        assert _coherent_tail(1e4, 100063624) == pytest.approx(9.977151437929849e-11, rel=1e-13)
+        assert _coherent_tail(1e4, 100063616) == pytest.approx(1.002924926878085e-10, rel=1e-13)
+        assert _coherent_tail(1e4, 100063144) == pytest.approx(1.3621887277632e-10, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha1, alpha2", [(1.00001e5, 0), (0, 1e6j), (1e100, 1)])
+    def test_coherent_nmax_refuses_a_mean_above_1e10_before_any_tail(self, monkeypatch,
+                                                                       alpha1, alpha2):
+        # one tail sums about 9 sqrt(|alpha|^2) terms: a search at 1e10 takes about 0.2 s
+        def refuse(*args):
+            raise AssertionError("a tail was summed")
+
+        monkeypatch.setattr(rotor.quantum, "_coherent_tail", refuse)
+        with pytest.raises(ValueError, match=r"is above 1e\+10, the largest mean whose truncation is sized"):
+            coherent_nmax(alpha1, alpha2)
+
+    @pytest.mark.parametrize("mean", [1e-4, 0.37, 2.0, 25.0, 333.5, 4321.0, 67086.4, 1e5])
+    def test_tail_matches_gammainc(self, mean):
+        # P(N >= n) = gammainc(n, mean) for N ~ Poisson(mean), from the bulk down to tails
+        # of 1e-250; against 40-digit mpmath sums the numpy tail errs by at most 5e-13 on
+        # such grids and gammainc by up to 5e-12
+        alpha = math.sqrt(mean)
+        mean = _coherent_mean(alpha)
+        sizes = np.unique(np.linspace(1, mean + 45 * math.sqrt(mean) + 120, 80).astype(int))
+        want = gammainc(sizes, mean)
+        kept = want >= 1e-250
+        assert kept.sum() > 30
+        got = np.array([_coherent_tail(alpha, int(n)) for n in sizes[kept]])
+        np.testing.assert_allclose(got, want[kept], rtol=5e-12, atol=0)
+
+    @pytest.mark.parametrize("alpha", [0, 1e-200, 2.3e-162, 1.3e-154, 1e-10])
+    def test_tail_of_a_vanishing_mean(self, alpha):
+        # P(N >= 1) = 1 - exp(-mean), which is the mean itself to rounding; warnings are errors
+        mean = _coherent_mean(alpha)
+        assert _coherent_tail(alpha, 1) == pytest.approx(mean, rel=1e-12, abs=0)
+        assert _coherent_tail(alpha, 16) == 0.0
+        assert coherent_nmax(alpha, 0) == 16
 
     def test_coherent_mean_excitation(self):
         st = coherent_state(1 / np.sqrt(2), 1 / np.sqrt(2), 24)
@@ -457,6 +500,11 @@ class TestChebyshevEvolve:
         centre, radius = _gershgorin_interval(rot)
         scaled = (np.linalg.eigvalsh(rot.toarray()) - centre) / radius
         assert scaled.min() >= -1.0 and scaled.max() <= 1.0
+
+    def test_table_rows_are_the_orders_of_the_widest_block(self):
+        # _CHEBYSHEV_ROWS is written out, so that importing rotor calls no jv
+        span = rotor.quantum._CHEBYSHEV_SPAN
+        assert rotor.quantum._chebyshev_orders(span) == rotor.quantum._CHEBYSHEV_ROWS == 70
 
     def test_identity_at_zero_bit_for_bit(self, rng, row1_protocol):
         nmax = 9
