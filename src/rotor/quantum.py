@@ -60,9 +60,9 @@ nmax / 2.  And the diagonal phase rotation ``i**n1`` turns every coupling
 element of the Hamiltonian real, so each of its sectors is a real
 symmetric matrix.  :func:`build_fock_hamiltonian` builds that rotated
 matrix in closed form, as the band of a diagonal and four index shifts, and
-:class:`FockHamiltonian` holds it; the complex matrix is derived from it on
-request, and only :meth:`FockHamiltonian.from_matrix`, which takes a
-foreign complex matrix, rotates one and checks it.  Each reader computes
+is the one source of the :class:`FockHamiltonian` that holds it; the
+complex matrix is derived from it on request, and no complex matrix is
+turned back into a band.  Each reader computes
 only what it needs from the real band: :func:`eigenvalues` reads each
 sector into band storage and takes its spectrum from ``eigvals_banded``,
 with no dense block and no eigenvectors; :func:`_chebyshev_terms` runs
@@ -465,42 +465,14 @@ class FockHamiltonian:
     """The rotating-frame Hamiltonian on the truncated basis, row-major
     ordering (n1, n2), held as its real symmetric rotation ``rotated`` =
     R = D* H D with D = diag(i**n1), stored sparse with each diagonal entry
-    stored once, a zero one too: every reader works on R, so none rotates
-    or checks it.  The complex H = D R D* is the derived
-    :attr:`matrix`, formed anew on each access.  Nothing derived is kept,
-    and Hamiltonians compare and hash by identity."""
+    stored once (:func:`build_fock_hamiltonian` makes it so, and
+    :func:`_chebyshev_start` checks it): every reader works on R, so none
+    rotates it.  The complex H = D R D* is the derived :attr:`matrix`,
+    formed anew on each access.  Nothing derived is kept, and Hamiltonians
+    compare and hash by identity."""
 
     rotated: "scipy.sparse.csr_matrix"
     nmax: int
-
-    @classmethod
-    def from_matrix(cls, matrix, nmax):
-        """The Hamiltonian whose complex matrix on the nmax x nmax truncation
-        is the sparse ``matrix``, rotated by D.
-
-        Raises ValueError if the matrix couples the even and odd sectors of
-        n1 + n2, which no quadratic operator does, or if its rotation is not
-        real symmetric, which every Hamiltonian's is.  A zero diagonal entry
-        of the rotation is stored, as the builder stores every diagonal entry.
-        """
-        import scipy.sparse as sp
-
-        phases = _rotation_phases(nmax)
-        rot = (sp.diags(np.conj(phases)) @ matrix @ sp.diags(phases)).tocsr()
-        # magnitudes are read from ``.data``: abs() of a sparse ``.imag`` view
-        # sorts index arrays it shares with its parent and corrupts the parent
-        tol = 1e-12 * np.abs(rot.data).max(initial=0.0)
-        even, odd = _parity_sectors(nmax)
-        if np.abs(rot[even][:, odd].data).max(initial=0.0) > tol:
-            raise ValueError("operator couples the even and odd parity sectors of n1 + n2")
-        skew = rot - rot.T
-        if max(np.abs(rot.data.imag).max(initial=0.0), np.abs(skew.data).max(initial=0.0)) > tol:
-            raise ValueError("operator is not real symmetric after the diag(i**n1) rotation")
-        real, n = rot.real.tocoo(), np.arange(nmax * nmax)
-        # the conversion sums each diagonal entry with a stored zero
-        entries = np.concatenate([real.data, np.zeros(n.size)])
-        places = (np.concatenate([real.row, n]), np.concatenate([real.col, n]))
-        return cls(sp.csr_matrix((entries, places), shape=real.shape), nmax)
 
     @property
     def matrix(self):
@@ -562,9 +534,9 @@ def build_fock_hamiltonian(config, nmax):
 def _lower_band(block):
     """LAPACK lower band storage of the real symmetric sparse ``block``:
     ``band[d, c] = block[c + d, c]`` for each subdiagonal d up to the last
-    that holds a nonzero, read from the stored entries alone."""
+    that holds a stored entry, read from the stored entries alone."""
     entries = block.tocoo()
-    lower = (entries.row >= entries.col) & (entries.data != 0)
+    lower = entries.row >= entries.col
     offset, col = entries.row[lower] - entries.col[lower], entries.col[lower]
     band = np.zeros((offset.max(initial=0) + 1, block.shape[0]))
     band[offset, col] = entries.data[lower]
@@ -1085,13 +1057,6 @@ class TrackGrid:
         return float(self.density.sum() * dq1 * dq2)
 
 
-def classical_orbit(protocol, centroid, n_samples):
-    """Position samples (n, 2) of the classical orbit started at ``centroid``."""
-    ts = np.linspace(0.0, protocol.duration, n_samples)
-    start = PhaseSpaceState.from_vector(centroid)
-    return sample_trajectory(start, protocol.config, ts).states[:, :2]
-
-
 def _track_grid(protocol, centroid, grid_points, time_steps):
     """``(axes, orbit)``: the rotating-frame :class:`Trajectory` of ``centroid``
     at ``time_steps`` uniform steps over [0, T], and ``grid_points``-point q1
@@ -1160,9 +1125,12 @@ def _track_density(axes, orbit, nmax, amplitudes):
 
     ``amplitudes(times)`` returns the (len(times), nmax, nmax) coefficients
     of the state at those times, any phase per time; they are projected on
-    the Hermite functions of the axes.  Times are taken in chunks whose
-    per-time arrays (coefficients, the half-projected (grid, nmax) stack,
-    the grid amplitudes and their probabilities) fit in
+    the real Hermite functions of the axes in real arithmetic, the real and
+    the imaginary part each by two real matmuls, and the density is the sum
+    of their squares.  A complex product would cast the basis to complex
+    and take four real multiplies where two suffice.  Times are taken in
+    chunks whose per-time arrays (the complex coefficients, one part's
+    half-projected (grid, nmax) stack and the two grid amplitudes) fit in
     ``_TRACK_CHUNK_BYTES``.  The diagnostics record the largest top-shell
     weight and norm loss over every time.
     """
@@ -1170,7 +1138,7 @@ def _track_density(axes, orbit, nmax, amplitudes):
     basis1 = hermite_functions(nmax, q1_axis)
     basis2 = hermite_functions(nmax, q2_axis)
     cells = q1_axis.size * q2_axis.size
-    per_time = 16 * (nmax**2 + q1_axis.size * nmax + cells) + 8 * cells
+    per_time = 16 * nmax**2 + 8 * q1_axis.size * nmax + 16 * cells
     truncation = {"max_top_shell_weight": 0.0, "max_norm_loss": 0.0, "nmax": nmax}
 
     def density(block):
@@ -1178,9 +1146,11 @@ def _track_density(axes, orbit, nmax, amplitudes):
         shell, loss = _truncation_loss(coeffs)
         truncation["max_top_shell_weight"] = max(truncation["max_top_shell_weight"], shell)
         truncation["max_norm_loss"] = max(truncation["max_norm_loss"], loss)
-        prob = np.abs(np.matmul(np.matmul(basis1.T[None], coeffs), basis2))
-        prob *= prob
-        return prob
+        real, imag = (np.matmul(np.matmul(basis1.T, part), basis2) for part in (coeffs.real, coeffs.imag))
+        real *= real
+        imag *= imag
+        real += imag
+        return real
 
     chunk = max(1, int(_TRACK_CHUNK_BYTES // per_time))
     return _time_quadrature(axes, orbit, chunk, density, truncation)
@@ -1472,12 +1442,23 @@ class ClosedFormState:
         2 tr(A S A S) + tr(A J A J) / 2 + 4 d^T A S A d; at S = I/2 that is
         tr(A (A + J A J)) / 2 + 2 |A d|^2, whose diagonal blocks of
         A + J A J cancel exactly, so a small variance keeps its relative
-        accuracy.  A+|0> changes each n_i by at most 1 under H, so
-        :func:`energy_variance` on the nmax = 3 basis is exact for it.
+        accuracy.
+
+        For A+|0> write H, with G = K^T A K, as a+ M a + C + C+ + const,
+        with M = 2 G[2:, :2] and C = a+ P a+ / 2, P = 2 G[2:, 2:].  a+ M a
+        keeps the one quantum, C+ annihilates it, and C commutes with A+,
+        so (H - <H>) A+|0> = (M w - (w+ M w) w) . a+|0> + A+ C|0>, two
+        orthogonal parts.  With [A, A+] = 1 and A C|0> = (P w) . a+|0>,
+        the variance is |M w - (w+ M w) w|^2 + |P|_F^2 / 2 + |P w|^2: a sum
+        of squares, with no cancellation.
         """
-        if self.entangled:
-            return energy_variance(entangled_state(3), build_fock_hamiltonian(config, 3))
         a = build_rotating_hamiltonian(config).a
+        if self.entangled:
+            g = _K.T @ a @ _K
+            m, p = 2 * g[2:, :2], 2 * g[2:, 2:]
+            mw, pw = m @ _W, p @ _W
+            spread = mw - (_W @ mw).real * _W
+            return float(np.vdot(spread, spread).real + np.vdot(p, p).real / 2 + np.vdot(pw, pw).real)
         ad = a @ self.centroid
         return float(np.trace(a @ (a + J @ a @ J)) / 2 + 2 * ad @ ad)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import J, PhaseSpaceState, TrapConfig, build_rotating_hamiltonian, williamson_valid
+from .core import J, PhaseSpaceState, TrapConfig, williamson_valid
 from .errors import LogBranchFailure, WilliamsonViolation
 
 SYMPLECTIC_TOL = 1e-12
@@ -79,16 +79,14 @@ class NormalModes:
         Block-rotation angle of the final diagonalization step, in
         (-pi/2, pi/2].
     transform : SymplecticTransform
-        Composite S with S^T A S = diag(O1^2, O2^2, 1, 1)/2.
-    diag : ndarray
-        The diagonalized 4x4 form (kept for residual checks).
+        Composite S with S^T A S = diag(O1^2, O2^2, 1, 1)/2; a check forms
+        S^T A S itself, from ``transform.s`` and the A of the config.
     """
 
     omega_cap1: float
     omega_cap2: float
     alpha: float
     transform: SymplecticTransform
-    diag: np.ndarray
 
 
 def _require_williamson(config):
@@ -232,10 +230,7 @@ def normal_modes(config):
     o1, o2 = normal_frequencies(config)
     alpha = _rotation_angle(config)
     s0, s1, s2, s3 = _step_matrices(config, alpha)
-    s = SymplecticTransform(s0 @ s1 @ s2 @ s3)
-    a = build_rotating_hamiltonian(config).a
-    diag = s.s.T @ a @ s.s
-    return NormalModes(o1, o2, alpha, s, diag)
+    return NormalModes(o1, o2, alpha, SymplecticTransform(s0 @ s1 @ s2 @ s3))
 
 
 def to_normal_coords(state, modes):

@@ -28,6 +28,7 @@ from rotor import (
     normal_frequencies,
     normal_modes,
     revival_phase,
+    sample_trajectory,
     stability_sweep,
     step_transforms,
     survival_probability,
@@ -37,7 +38,6 @@ from rotor import (
 from rotor.classical import flow_matrix
 from rotor.quantum import (
     GROUND_STATE_WIDTH,
-    classical_orbit,
     eigenvalues,
     phase_space_expectations,
 )
@@ -92,7 +92,8 @@ def test_c02_frequency_oracle_grid():
             a = build_rotating_hamiltonian(cfg).a
             modes = normal_modes(cfg)
             s = modes.transform.s
-            off = modes.diag - np.diag(np.diag(modes.diag))
+            diag = s.T @ a @ s
+            off = diag - np.diag(np.diag(diag))
             assert np.abs(off).max() < 1e-12 * np.abs(a).max()
             assert np.abs(s.T @ J @ s - J).max() < 1e-12
             eigs = np.linalg.eigvals(2 * J @ a)
@@ -226,12 +227,14 @@ def test_c09_track_ridge():
     print(f"\n  track nmax = {nmax}, diagnostics = {grid.diagnostics}")
     assert grid.time_integral() == pytest.approx(protocol.duration, rel=0.01)
 
-    orbit = classical_orbit(protocol, phase_space_expectations(psi0), n_samples=2000)
+    centroid = phase_space_expectations(psi0)
+    times = np.linspace(0.0, protocol.duration, 2000)
+    start_point = PhaseSpaceState.from_vector(centroid)
+    orbit = sample_trajectory(start_point, protocol.config, times).states[:, :2]
     dq = grid.q1_axis[1] - grid.q1_axis[0]
     window = max(2, int(round(2.5 * GROUND_STATE_WIDTH / dq)))
     probe_times = np.linspace(0.0, protocol.duration, 51)[:-1]
     modes = normal_modes(protocol.config)
-    centroid = phase_space_expectations(psi0)
     for t in probe_times:
         point = (flow_matrix(modes, t) @ centroid)[:2]
         i0 = int(np.searchsorted(grid.q1_axis, point[0]))

@@ -659,7 +659,7 @@ class TestTrackCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("the track built a truncated state or resampled its orbit")
 
-        for name in ("coherent_state", "phase_space_expectations", "classical_orbit"):
+        for name in ("coherent_state", "phase_space_expectations"):
             monkeypatch.setattr(rotor.quantum, name, refuse)
             monkeypatch.setattr(rotor.cli, name, refuse, raising=False)
         calls = []
@@ -939,9 +939,10 @@ class TestClosedFormRuns:
             ["simulate", "--state", "coherent:1,0.5j", "--samples", "20"],
             ["stability", "--n2-list", "2,5", "--eps-points", "21"],
             ["stability", "--state", "coherent:1,0.5j", "--n2-list", "2", "--eps-points", "5"],
+            ["stability", "--state", "entangled", "--n2-list", "2,5", "--eps-points", "21"],
         ],
         ids=["simulate", "simulate-entangled", "simulate-coherent", "stability",
-             "stability-coherent"],
+             "stability-coherent", "stability-entangled"],
     )
     def test_no_fock_hamiltonian_and_no_eigh(self, tmp_path, monkeypatch, argv):
         def refuse(*args, **kwargs):
@@ -958,9 +959,8 @@ class TestClosedFormRuns:
 
     def test_closed_form_commands_load_no_scipy(self, tmp_path):
         # a fresh interpreter, since pytest's has loaded scipy: it runs each command through
-        # main and lists the scipy modules loaded after it. stability --state entangled is
-        # left out: its delta_h_sq is the Fock energy_variance at nmax 3, which loads
-        # scipy.sparse, until A+|0> has a closed-form variance of its own
+        # main and lists the scipy modules loaded after it, every state of simulate and
+        # stability included
         commands = [
             ["design", "--table1"],
             ["modes", "--omega1-khz", "1", "--omega2-khz", "1.8", "--sweep", "20"],
@@ -969,6 +969,8 @@ class TestClosedFormRuns:
             ["simulate", "--omega1-khz", "1", "--state", "entangled", "--samples", "20"],
             ["simulate", "--omega1-khz", "1", "--state", "coherent:1,0.5j", "--samples", "20"],
             ["stability", "--omega1-khz", "1", "--n2-list", "2,5", "--eps-points", "21"],
+            ["stability", "--omega1-khz", "1", "--state", "entangled", "--n2-list", "2,5",
+             "--eps-points", "21"],
             ["track", "--omega1-khz", "1", "--alpha1", "1", "--alpha2", "0.5", "--grid-points", "21",
              "--steps", "40"],
         ]

@@ -67,7 +67,6 @@ from rotor import (
 )
 from rotor.classical import _mode_rotation, flow_matrix
 from rotor.quantum import (
-    FockHamiltonian,
     _chebyshev_start,
     _coherent_series,
     _gershgorin_interval,
@@ -315,6 +314,23 @@ def test_closed_forms_match_fock_evolution(protocol, state, fracs):
     assert np.abs(closed - overlaps).max() <= 1e-12
 
 
+@settings(deadline=None)
+# a relative gap of 7e-14, among the largest of a scan of 32 designs
+@example(design_protocol(1.0, 0.4, 3, 4))
+@given(st.one_of(protocols(), wide_protocols()))
+def test_entangled_variance_matches_the_fock_variance_at_nmax_3(protocol):
+    """The closed-form variance of A+|0> against the Fock one on the nmax = 3
+    basis, which holds H A+|0>: H moves each n_i by at most 1.  The oracle's
+    <H^2> - <H>^2 cancels terms of size <H>^2; over 3000 random designs the
+    gap was at most 6.9e-16 <H>^2."""
+    psi0 = entangled_state(3)
+    h = build_fock_hamiltonian(protocol.config, 3)
+    variance = energy_variance(psi0, h)
+    energy = np.vdot(psi0.vector, h.matrix @ psi0.vector).real
+    got = ClosedFormState(entangled=True).energy_variance(protocol.config)
+    assert abs(got - variance) <= 16 * np.finfo(float).eps * energy**2
+
+
 #: largest |overlap(kT + tau) - (-1)^(k(n1+n2)) overlap(tau)| /
 #: (k eps (O1 + O2) T (<N> + 1)) over 20,000 random draws of the strategies
 #: below was 1.3 (median 0.13); the bound leaves a factor of about 6
@@ -514,15 +530,13 @@ band_configs = st.one_of(
 @example(design_protocol(1.0, 7.2, 1, 4).config, 2)
 @given(band_configs, st.integers(2, 48))
 def test_band_matches_the_rotated_kron_build(config, nmax):
-    """The closed-form R = D* H D against the rotation of H formed from the
-    sparse q and p, to 1e-15 of its largest entry; H itself is the derived
-    complex matrix.  A static trap stores no coupling, not even a zero."""
+    """The closed-form R = D* H D against H formed from the sparse q and p,
+    to 1e-15 of its largest entry, through the derived complex matrix
+    D R D*: the unit phases i**n1 multiply without rounding, so that bound
+    is the bound on R.  A static trap stores no coupling, not even a zero."""
     h = build_fock_hamiltonian(config, nmax)
     kron = _kron_hamiltonian(config, nmax)
-    oracle = FockHamiltonian.from_matrix(kron, nmax).rotated
-    scale = abs(oracle).max()
-    assert abs(h.rotated - oracle).max() <= 1e-15 * scale
-    assert abs(h.matrix - kron).max() <= 1e-15 * scale
+    assert abs(h.matrix - kron).max() <= 1e-15 * abs(kron).max()
     assert (h.rotated != h.rotated.T).nnz == 0
     if config.theta_dot == 0:
         assert h.rotated.nnz == nmax**2 and not (h.rotated - sp.diags(h.rotated.diagonal())).nnz
@@ -681,8 +695,10 @@ def test_slow_mode_fills_the_first_slot(config):
     small the splitting of the coordinate block."""
     modes = normal_modes(config)
     o1, o2 = normal_frequencies(config)
-    scale = np.abs(build_rotating_hamiltonian(config).a).max()
-    diag = np.diag(modes.diag)[:2]
+    a = build_rotating_hamiltonian(config).a
+    s = modes.transform.s
+    scale = np.abs(a).max()
+    diag = np.diag(s.T @ a @ s)[:2]
     assert np.abs(diag - np.array([o1**2, o2**2]) / 2).max() <= 1e-12 * scale
 
 

@@ -304,60 +304,6 @@ class TestFockHamiltonian:
                 predicted = o1 * (j + 0.5) + o2 * (k + 0.5)
                 assert np.abs(got - predicted).min() / predicted < 1e-6
 
-    def test_parity_coupling_rejected(self, row1_protocol):
-        # a term linear in q1 changes n1 + n2 by one: not a quadratic operator
-        nmax = 8
-        h = build_fock_hamiltonian(row1_protocol.config, nmax)
-        q1 = phase_space_operators(nmax)[0]
-        with pytest.raises(ValueError, match="parity"):
-            FockHamiltonian.from_matrix(h.matrix + 0.1 * q1, nmax)
-
-    def test_complex_sector_rejected(self, row1_protocol):
-        # a q1 p1 squeeze term stays imaginary under the diag(i**n1) rotation
-        nmax = 8
-        h = build_fock_hamiltonian(row1_protocol.config, nmax)
-        q1, _, p1, _ = phase_space_operators(nmax)
-        with pytest.raises(ValueError, match="not real"):
-            FockHamiltonian.from_matrix(h.matrix + 0.1 * (q1 @ p1 + p1 @ q1), nmax)
-
-    def test_parity_coupling_rejected_by_the_search(self, row1_protocol, monkeypatch):
-        # a search whose build takes a foreign matrix meets the same check
-        def coupled(config, nmax):
-            h = build_fock_hamiltonian(config, nmax)
-            return FockHamiltonian.from_matrix(h.matrix + 0.1 * phase_space_operators(nmax)[0], nmax)
-
-        monkeypatch.setattr(rotor.quantum, "build_fock_hamiltonian", coupled)
-        with pytest.raises(ValueError, match="parity"):
-            converge_truncation(row1_protocol, entangled_state, nmax_start=8)
-
-    def test_complex_sector_rejected_by_the_search(self, row1_protocol, monkeypatch):
-        def squeezed(config, nmax):
-            h = build_fock_hamiltonian(config, nmax)
-            q1, _, p1, _ = phase_space_operators(nmax)
-            return FockHamiltonian.from_matrix(h.matrix + 0.1 * (q1 @ p1 + p1 @ q1), nmax)
-
-        monkeypatch.setattr(rotor.quantum, "build_fock_hamiltonian", squeezed)
-        with pytest.raises(ValueError, match="not real"):
-            converge_truncation(row1_protocol, entangled_state, nmax_start=8)
-
-    def test_asymmetric_rotation_rejected(self, row1_protocol):
-        # i a1+ a2 without its conjugate is real after the rotation, but the
-        # rotated matrix is not symmetric: no Hamiltonian
-        nmax = 8
-        h = build_fock_hamiltonian(row1_protocol.config, nmax)
-        q1, q2, p1, p2 = phase_space_operators(nmax)
-        hop = (q1 - 1j * p1) @ (q2 + 1j * p2) / 2
-        with pytest.raises(ValueError, match="not real symmetric"):
-            FockHamiltonian.from_matrix(h.matrix + 0.1j * hop, nmax)
-
-    def test_from_matrix_keeps_the_built_band(self, row1_protocol):
-        # the unit phases i**n1 round nothing, so the rotation of the derived
-        # complex matrix is the band itself, bit for bit
-        for config in (row1_protocol.config, TrapConfig(1.0, 1.7, 0.0)):
-            h = build_fock_hamiltonian(config, 9)
-            again = FockHamiltonian.from_matrix(h.matrix, 9).rotated
-            assert abs(again - h.rotated).max() == 0.0
-
     def test_spectrum_forms_no_eigenvectors(self, row1_protocol, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a spectrum needs no eigenvectors")
@@ -540,13 +486,16 @@ class TestChebyshevEvolve:
         assert evolve_series(psi, h, times).tobytes() == want.tobytes()
 
     def test_zero_diagonal_entry_is_stored(self, row1_protocol):
-        # H - H_00 has a zero at (0, 0): from_matrix stores it, so the series
-        # shifts it like every other diagonal entry
+        # R - R_00 stores its zero at (0, 0), so the series shifts it like
+        # every other diagonal entry
         nmax = 6
         h = build_fock_hamiltonian(row1_protocol.config, nmax)
-        shifted = h.matrix - h.matrix[0, 0].real * sp.eye(nmax * nmax, format="csr")
-        again = FockHamiltonian.from_matrix(shifted, nmax)
+        rot = h.rotated.copy()
+        rows = np.repeat(np.arange(nmax * nmax), np.diff(rot.indptr))
+        rot.data[rows == rot.indices] -= rot[0, 0]
+        again = FockHamiltonian(rot, nmax)
         assert again.rotated.has_canonical_format and np.count_nonzero(again.rotated.diagonal() == 0) == 1
+        shifted = h.matrix - h.matrix[0, 0].real * sp.eye(nmax * nmax, format="csr")
         psi = entangled_state(nmax)
         got = evolve_series(psi, again, [0.7])[0].ravel()
         assert np.abs(got - expm(-0.7j * shifted.toarray()) @ psi.vector).max() <= 1e-13
@@ -734,6 +683,20 @@ class TestTrack:
         with pytest.raises(ValueError, match="grid_points"):
             wavepacket_track(coherent_state(1.5, 0.5, 24), row1_protocol, grid_points=points)
 
+    def test_projection_makes_no_complex_by_real_product(self, row1_protocol, monkeypatch):
+        # the real Hermite basis projects the real and imaginary parts apart: a complex
+        # product would cast it to complex and take four real multiplies where two suffice
+        products = []
+        matmul = np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            products.append({np.asarray(a).dtype.kind, np.asarray(b).dtype.kind})
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        wavepacket_track(coherent_state(1.5, 0.5, 24), row1_protocol, time_steps=40, grid_points=21)
+        assert products and {"c", "f"} not in products
+
     def test_quadrature_guard(self, row1_protocol):
         psi0 = coherent_state(1.5, 0.5, 24)
         with pytest.raises(ConvergenceFailure):
@@ -792,7 +755,7 @@ class TestCoherentTrack:
         psi0 = coherent_state(1.0, 0.5j, 16)
         whole = wavepacket_track(psi0, row1_protocol, time_steps=60, grid_points=31)
         # at most three times per chunk, at nmax = 16
-        per_time = 16 * (16**2 + 31 * 16 + 31**2) + 8 * 31**2
+        per_time = 16 * 16**2 + 8 * 31 * 16 + 16 * 31**2
         monkeypatch.setattr(rotor.quantum, "_TRACK_CHUNK_BYTES", 3 * per_time)
         # the 61 times run in 21 chunks, each continuing the series of the
         # last, and no chunk factorizes anything

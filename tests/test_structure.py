@@ -85,6 +85,17 @@ def test_one_chebyshev_recurrence():
         assert not found, f"{name} names {found}"
 
 
+def test_closed_forms_name_no_fock_function():
+    # ClosedFormState is checked against the Fock functions, so it calls none of them; a
+    # method of its own, such as self.energy_variance, is an attribute and not a Name
+    fock = {"build_fock_hamiltonian", "entangled_state", "fock_state", "coherent_state", "energy_variance",
+            "evolve_series", "_propagator", "_autocorrelation", "sp"}
+    (closed,) = [node for node in _tree("quantum.py").body
+                 if isinstance(node, ast.ClassDef) and node.name == "ClosedFormState"]
+    found = sorted(fock & {node.id for node in ast.walk(closed) if isinstance(node, ast.Name)})
+    assert not found, f"ClosedFormState names {found}"
+
+
 def test_no_environment_variable():
     # a run's settings are its flags, which its manifest records: no module reads or sets the environment
     found = {path.name: sorted(names) for path in sorted(SRC.glob("*.py"))
