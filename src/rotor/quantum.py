@@ -20,7 +20,8 @@ series share one start, :func:`_chebyshev_start`, one recurrence,
 ``jv`` only counts the orders.  Each step of the recurrence is one sparse
 product added in place into a preallocated table of terms, and the series
 read the tables whole: the propagator multiplies its weights by its block's
-one table, and the survival sum takes its moments from row sums.
+one table, in panels that OpenBLAS runs in the calling thread, and the
+survival sum takes its moments from row sums.
 :func:`revival_phase` evolves nothing: it reads the phase from psi(T), the
 state its caller has already evolved.  :func:`measure_sensitivity` refuses a
 state with no energy variance, whose survival does not decay.
@@ -141,6 +142,12 @@ _CHEBYSHEV_TAIL = 1e-17
 #: largest r |t - t0| in a block of the Chebyshev propagator, with r the
 #: half-width of the spectrum and t0 the time of the state it starts from
 _CHEBYSHEV_SPAN = 32
+#: most multiply-adds of one panel of the block product of :func:`_propagator`,
+#: a size that OpenBLAS runs in the calling thread: its interface/gemm.c gives
+#: a gemm floor(m n k / 2**18) threads, and a gemv (a block of one time) stayed
+#: serial up to m n = 455000 under OpenBLAS 0.3.31.  The idle threads of a
+#: woken pool spin for 0.1 s or more after the call
+_SERIAL_PRODUCT = 2**18
 #: most Taylor terms per step of :func:`_expm_action`, and the largest 1-norm
 #: of a step's matrix at which that many keep the relative backward error of
 #: the truncation below 2**-53 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
@@ -423,11 +430,16 @@ def mean_excitation(state):
 
 
 def _overlap(psi0, psit):
-    """<psi_t|psi_0> for a state or a stack ``psit`` on the truncation of ``psi0``."""
+    """<psi_t|psi_0> for a state or a stack ``psit`` on the truncation of ``psi0``.
+
+    A product and numpy's pairwise sum over each state, in the calling
+    thread: a ``tensordot`` of a stack is a BLAS gemv, which wakes the
+    thread pool, and a bare ``einsum``, with no pairwise sum, errs about
+    ten times as much."""
     c = _coefficients(psit)
     if c.shape[-2:] != psi0.coeffs.shape:
         raise ValueError("states live on different truncations")
-    return np.tensordot(c.conj(), psi0.coeffs, axes=([-2, -1], [0, 1]))
+    return (c.conj() * psi0.coeffs).sum(axis=(-2, -1))
 
 
 def survival_probability(psi0, psit):
@@ -676,6 +688,35 @@ def _chebyshev_terms(turn, x, rows):
         table, made = buffer[: fresh + 2], made + fresh
 
 
+def _panel_product(weights, terms):
+    """(weights @ terms).T for real 2-D arrays, computed in the calling thread
+    as gemms of at most ``_SERIAL_PRODUCT`` multiply-adds.
+
+    Each gemm takes a panel of columns of ``terms``; past 2**14 / k rows of
+    ``weights``, k the shared dimension, the rows split into panels of equal
+    height too.  The column panels share one width, a multiple of 16
+    columns, and go to numpy as one stack, with a narrower last panel for
+    the rest.  At nmax 96 one matmul call per panel cost a third more than
+    the one product, and widths rounded to 2 columns instead of 16 up to
+    11 % more; the stack costs about what the one product does.  Each
+    entry is the same dot over k as in the one product, to the bit while
+    the column count is a multiple of 8 (for the propagator, an even nmax);
+    otherwise the edge kernel of OpenBLAS rounds the last columns of the one
+    product apart."""
+    (m, k), n = weights.shape, terms.shape[1]
+    out = np.empty((n, m))
+    # equal heights, so no row panel has one row (a gemv) unless every one has
+    rows = math.ceil(m / math.ceil(m / (_SERIAL_PRODUCT // (16 * k))))
+    width = _SERIAL_PRODUCT // (rows * k) // 16 * 16
+    full = n - n % width
+    for i in range(0, m, rows):
+        part = weights[i : i + rows].T
+        for cols, step in ((slice(0, full), width), (slice(full, n), max(1, n - full))):
+            panels = terms[:, cols].T.reshape(-1, step, k)
+            np.matmul(panels, part, out=out[cols, i : i + rows].reshape(-1, step, part.shape[1]))
+    return out
+
+
 def _finite_times(times):
     """``times`` as a 1-D float array; ValueError unless all are finite."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -700,8 +741,10 @@ def _propagator(state, h):
     :func:`_chebyshev_weights`, with its one table of terms from
     :func:`_chebyshev_terms`, over the orders of :func:`_chebyshev_orders`
     at its largest r tau: at most 70 within the span, ``_CHEBYSHEV_ROWS``,
-    the most rows of a table.  At tau = 0 the weights are exactly delta_k0,
-    so the last state comes back bit for bit, and alone with no product.
+    the most rows of a table.  :func:`_panel_product` takes that product as
+    gemms small enough that OpenBLAS runs each in the calling thread.  At
+    tau = 0 the weights are exactly delta_k0, so the last state comes back
+    bit for bit, and alone with no product.
 
     Raises ValueError, before any product, if the truncations differ, and
     on a time that is not finite.
@@ -718,8 +761,8 @@ def _propagator(state, h):
         orders = _chebyshev_orders(np.abs(z).max())
         weights = (_chebyshev_weights(z, orders) * 1j ** np.arange(orders)).real
         (terms,) = _chebyshev_terms(turn, last["state"], orders)
-        series = weights @ terms
-        states = np.exp(-1j * centre * offsets)[:, None] * (series[:, :dim] + 1j * series[:, dim:])
+        series = _panel_product(weights, terms)
+        states = np.exp(-1j * centre * offsets)[:, None] * (series[:dim].T + 1j * series[dim:].T)
         last.update(time=times[-1], state=np.concatenate([states[-1].real, states[-1].imag]))
         return states
 

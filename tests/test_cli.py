@@ -368,6 +368,38 @@ class TestModesCommand:
 
 
 class TestSimulateCommand:
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir() or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs per-thread CPU times and two usable CPUs")
+    def test_fock_run_wakes_no_blas_pool(self, tmp_path):
+        # a fresh interpreter with a two-thread OpenBLAS pool: a woken pool spins for 0.1 s or
+        # more, so the helper threads' CPU ticks after a Fock run show every threaded BLAS call.
+        # A first run loads scipy, whose pool spins as it starts; only the second is counted
+        script = (
+            "import json, os, sys, time\n"
+            "from pathlib import Path\n"
+            "from rotor.cli import main\n"
+            "def helper_ticks():\n"
+            "    # utime + stime, fields 14 and 15 of each thread's stat, after its ')'\n"
+            "    stats = [task / 'stat' for task in Path('/proc/self/task').iterdir() if int(task.name) != os.getpid()]\n"
+            "    return sum(int(f) for stat in stats for f in stat.read_text().rsplit(')', 1)[1].split()[11:13])\n"
+            "argv = json.loads(sys.argv[1])\n"
+            "main(argv + ['--out-dir', sys.argv[2] + '/warm'])\n"
+            "time.sleep(0.3)\n"
+            "before = helper_ticks()\n"
+            "code = main(argv + ['--out-dir', sys.argv[2] + '/run'])\n"
+            "time.sleep(0.3)\n"
+            "print(json.dumps([code, helper_ticks() - before]))\n"
+        )
+        argv = ["simulate", "--omega1-khz", "1", "--state", "coherent:1,0.5", "--ehrenfest",
+                "--samples", "201"]
+        env = {**os.environ, "PYTHONPATH": str(Path(rotor.cli.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "2"}
+        run = subprocess.run([sys.executable, "-c", script, json.dumps(argv), str(tmp_path)],
+                             env=env, capture_output=True, text=True, check=True)
+        code, ticks = json.loads(run.stdout.splitlines()[-1])
+        assert code == 0
+        assert ticks <= 2, f"the BLAS pool spent {ticks} clock ticks"
+
     def test_entangled_state_on_one_level_is_usage_error(self, tmp_path, capsys):
         argv = REQUIRED_ARGS["simulate"] + ["--state", "entangled", "--nmax", "1"]
         assert main(argv + ["--out-dir", str(tmp_path)]) == 1

@@ -429,6 +429,23 @@ class TestEvolution:
 class TestChebyshevEvolve:
     """The Chebyshev propagator, at one time and over a grid."""
 
+    @pytest.mark.parametrize("times, orders, nmax", [(1, 70, 96), (57, 66, 24), (300, 70, 16), (1, 1, 2)],
+                             ids=["one-time", "remainder-panel", "row-panels", "smallest"])
+    def test_panel_product_is_the_one_product_in_serial_panels(self, monkeypatch, times, orders, nmax):
+        rng = np.random.default_rng(times)
+        weights, terms = rng.standard_normal((times, orders)), rng.standard_normal((orders, 2 * nmax**2))
+        sizes, matmul = [], np.matmul
+
+        def counted(panels, part, out):
+            sizes.append(panels.shape[1] * panels.shape[2] * part.shape[1])
+            return matmul(panels, part, out=out)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        got = rotor.quantum._panel_product(weights, terms)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got.T, weights @ terms)
+        assert 0 < max(sizes) <= rotor.quantum._SERIAL_PRODUCT
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -526,6 +543,19 @@ class TestObservables:
         a, b = fock_state(0, 0, 6), fock_state(1, 0, 6)
         assert survival_probability(a, a) == 1.0
         assert survival_probability(a, b) == 0.0
+
+    def test_overlap_is_the_exact_sum_of_squares(self, rng):
+        # <psi|psi> of random coherent states, |alpha| < 3.5 and nmax from coherent_nmax to 48,
+        # against the exact sum of squares by fsum, and P(0) against 1. Over 24000 such draws
+        # _overlap's product and pairwise sum erred by at most 2.0006 eps and P(0) by 18 eps;
+        # a tensordot by 4 and 16 eps, and a bare einsum by 23.5 and 43 eps
+        eps = np.finfo(float).eps
+        for _ in range(1000):
+            a1, a2 = rng.uniform(0.0, 3.5, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+            psi = coherent_state(a1, a2, int(rng.integers(coherent_nmax(a1, a2), 49)))
+            exact = math.fsum((psi.coeffs.real**2).ravel()) + math.fsum((psi.coeffs.imag**2).ravel())
+            assert abs(rotor.quantum._overlap(psi, psi) - exact) <= 2.5 * eps
+            assert abs(survival_probability(psi, psi) - 1.0) <= 18 * eps
 
     def test_revival_all_reference_states(self, row1_protocol):
         nmax = 24

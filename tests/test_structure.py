@@ -32,6 +32,11 @@ def _function(name):
     return function
 
 
+def _top_functions():
+    """quantum.py's module-level functions by name; a method may share a name with one."""
+    return {node.name: node for node in _tree("quantum.py").body if isinstance(node, ast.FunctionDef)}
+
+
 def test_no_scipy_at_import():
     # scipy is imported only inside the Fock functions that use it: sparse algebra, jv, the
     # banded eigensolver. Loaded at import it cost every command 0.3-0.5 s and 30 MB, and the
@@ -56,7 +61,7 @@ def test_no_scipy_in_symplectic():
 def test_one_fock_build():
     # the top-level build_fock_hamiltonian forms the real band in closed form; the sparse q, p
     # and their krons stay the oracle of the tests and of conjugation_check, which skips the builder
-    top = {node.name: node for node in _tree("quantum.py").body if isinstance(node, ast.FunctionDef)}
+    top = _top_functions()
     built = _names(top["build_fock_hamiltonian"]) & {"kron", "phase_space_operators"}
     assert not built, f"build_fock_hamiltonian names {sorted(built)}"
     assert "build_fock_hamiltonian" not in _names(top["conjugation_check"]), "conjugation_check names build_fock_hamiltonian"
@@ -83,6 +88,26 @@ def test_one_chebyshev_recurrence():
     for name, banned in (("_chebyshev_start", {"kron"}), ("_propagator", {"stack", "islice"}), ("_autocorrelation", {"vdot"})):
         found = sorted(banned & _names(_function(name)))
         assert not found, f"{name} names {found}"
+
+
+def test_fock_simulate_path_stays_in_the_calling_thread():
+    # OpenBLAS threads a large gemm or gemv, and its woken pool spins for 0.1 s or more: the
+    # readers of an evolved stack call no dot, the propagator multiplies by no @ and takes its
+    # block product from _panel_product, whose one matmul sits in its panel loop
+    top = _top_functions()
+    for name in ("_propagator", "_overlap", "mean_excitation", "phase_space_expectations", "_truncation_loss"):
+        found = sorted({"tensordot", "dot"} & _names(top[name]))
+        assert not found, f"{name} names {found}"
+    for name in ("_propagator", "_panel_product"):
+        products = [node for node in ast.walk(top[name]) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
+        assert not products, f"{name} multiplies by @"
+    assert "_panel_product" in _names(top["_propagator"]), "_propagator does not name _panel_product"
+    assert "matmul" not in _names(top["_propagator"]), "_propagator names matmul"
+    panels = top["_panel_product"]
+    calls = [node for node in ast.walk(panels) if isinstance(node, ast.Call) and "matmul" in _names(node.func)]
+    looped = {node for loop in ast.walk(panels) if isinstance(loop, ast.For) for node in ast.walk(loop)}
+    assert len(calls) == 1 and calls[0] in looped, "_panel_product's matmul is not one call in a loop"
+    assert "_SERIAL_PRODUCT" in _names(panels), "_panel_product does not size its panels by _SERIAL_PRODUCT"
 
 
 def test_closed_forms_name_no_fock_function():
